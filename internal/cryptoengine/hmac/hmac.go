@@ -1,7 +1,8 @@
 // Package hmac implements HMAC-SHA256 (RFC 2104 / FIPS 198) over the
-// from-scratch SHA-256 in this repository, plus the truncated-MAC helper the
-// secure processor uses: the paper's reference design stores a 64-bit
-// truncated HMAC alongside every protected cache line (Section 5.2.3).
+// from-scratch SHA-256 in this repository. The secure processor uses it
+// truncated: the paper's reference design stores a 64-bit truncated HMAC
+// alongside every protected cache line (Section 5.2.3), and callers keep the
+// leading bytes of Mac's result.
 package hmac
 
 import (
@@ -13,56 +14,73 @@ import (
 // Size is the full MAC size in bytes before truncation.
 const Size = sha256.Size
 
-// Mac computes HMAC-SHA256(key, msg). It does not allocate: the simulated
-// authentication engine MACs every external line fetch, so this sits on the
-// simulator's hot path.
-func Mac(key, msg []byte) [Size]byte {
-	var k [sha256.BlockSize]byte
+// Keyed is HMAC-SHA256 under one fixed key. The key's inner and outer pad
+// blocks are absorbed once, at construction, so a MAC costs only the
+// compressions of the message and of the inner digest: three for the
+// 80-byte line MAC message instead of five. A Keyed is not modified by Mac
+// or Verify, so it may be shared by concurrent callers.
+type Keyed struct {
+	inner, outer sha256.Digest // hash states after the ipad and opad blocks
+}
+
+// NewKeyed returns the HMAC-SHA256 state for key.
+func NewKeyed(key []byte) *Keyed {
+	k := &Keyed{}
+	k.init(key)
+	return k
+}
+
+func (k *Keyed) init(key []byte) {
+	var kb [sha256.BlockSize]byte
 	if len(key) > sha256.BlockSize {
 		sum := sha256.Sum256(key)
-		copy(k[:], sum[:])
+		copy(kb[:], sum[:])
 	} else {
-		copy(k[:], key)
+		copy(kb[:], key)
 	}
 	var ipad, opad [sha256.BlockSize]byte
-	for i := range k {
-		ipad[i] = k[i] ^ 0x36
-		opad[i] = k[i] ^ 0x5c
+	for i := range kb {
+		ipad[i] = kb[i] ^ 0x36
+		opad[i] = kb[i] ^ 0x5c
 	}
-	var d sha256.Digest
-	d.Reset()
-	d.Write(ipad[:])
+	k.inner.Reset()
+	k.inner.Write(ipad[:])
+	k.outer.Reset()
+	k.outer.Write(opad[:])
+}
+
+// Mac computes HMAC-SHA256 of msg. It does not allocate: the simulated
+// authentication engine MACs every external line fetch, so this sits on the
+// simulator's hot path.
+func (k *Keyed) Mac(msg []byte) [Size]byte {
+	d := k.inner
 	d.Write(msg)
-	var innerSum [sha256.Size]byte
+	var innerSum [Size]byte
 	d.SumInto(&innerSum)
-	d.Reset()
-	d.Write(opad[:])
+	d = k.outer
 	d.Write(innerSum[:])
 	var out [Size]byte
 	d.SumInto(&out)
 	return out
 }
 
-// Truncated computes the first n bytes of HMAC-SHA256(key, msg). The secure
-// processor default is n=8 (a 64-bit MAC).
-func Truncated(key, msg []byte, n int) []byte {
-	if n <= 0 || n > Size {
-		panic("hmac: invalid truncation length")
-	}
-	m := Mac(key, msg)
-	out := make([]byte, n)
-	copy(out, m[:n])
-	return out
-}
-
-// Verify reports whether mac equals the truncated HMAC of msg under key,
-// in constant time. Like Mac, it does not allocate.
-func Verify(key, msg, mac []byte) bool {
+// Verify reports whether mac equals the leading len(mac) bytes of the MAC of
+// msg (a truncated MAC), in constant time. An empty or over-long mac is
+// rejected. Like Mac, it does not allocate.
+func (k *Keyed) Verify(msg, mac []byte) bool {
 	if len(mac) == 0 || len(mac) > Size {
 		return false
 	}
-	want := Mac(key, msg)
+	want := k.Mac(msg)
 	return subtle.ConstantTimeCompare(want[:len(mac)], mac) == 1
+}
+
+// Mac computes HMAC-SHA256(key, msg) for a one-off key; callers that MAC
+// repeatedly under one key hold a Keyed instead. It does not allocate.
+func Mac(key, msg []byte) [Size]byte {
+	var k Keyed
+	k.init(key)
+	return k.Mac(msg)
 }
 
 // PaddedBlocks reports how many hash-unit invocations authenticating an

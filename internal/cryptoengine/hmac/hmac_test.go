@@ -50,80 +50,90 @@ func TestLongKeyIsHashed(t *testing.T) {
 	}
 }
 
+// A Keyed state must give the same MAC as crypto/hmac and as the one-off
+// Mac, for every key length up to past two hash blocks (keys longer than a
+// block are hashed first) and every message length up to several blocks, and
+// Verify must accept exactly that MAC, whole or truncated.
 func TestAgainstStdlib(t *testing.T) {
+	key := make([]byte, 130)
+	msg := make([]byte, 300)
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		key := make([]byte, rng.Intn(100))
-		msg := make([]byte, rng.Intn(200))
-		rng.Read(key)
-		rng.Read(msg)
-		got := Mac(key, msg)
-		std := stdhmac.New(stdsha.New, key)
-		std.Write(msg)
-		if !bytes.Equal(got[:], std.Sum(nil)) {
-			t.Fatalf("mismatch keylen=%d msglen=%d", len(key), len(msg))
+	rng.Read(key)
+	rng.Read(msg)
+	for kl := 0; kl <= len(key); kl++ {
+		k := NewKeyed(key[:kl])
+		std := stdhmac.New(stdsha.New, key[:kl])
+		for ml := 0; ml <= len(msg); ml++ {
+			m := msg[:ml]
+			got := k.Mac(m)
+			std.Reset()
+			std.Write(m)
+			if want := std.Sum(nil); !bytes.Equal(got[:], want) {
+				t.Fatalf("keylen=%d msglen=%d: Keyed.Mac %x, crypto/hmac %x", kl, ml, got, want)
+			}
+			if one := Mac(key[:kl], m); one != got {
+				t.Fatalf("keylen=%d msglen=%d: Keyed.Mac %x, Mac %x", kl, ml, got, one)
+			}
+			if !k.Verify(m, got[:]) || !k.Verify(m, got[:8]) {
+				t.Fatalf("keylen=%d msglen=%d: Verify rejected its own MAC", kl, ml)
+			}
+			got[7] ^= 1
+			if k.Verify(m, got[:8]) {
+				t.Fatalf("keylen=%d msglen=%d: Verify accepted a wrong MAC", kl, ml)
+			}
 		}
 	}
 }
 
 func TestTruncatedVerify(t *testing.T) {
-	key := []byte("processor-integrity-key")
+	k := NewKeyed([]byte("processor-integrity-key"))
 	msg := []byte("a 64-byte cache line of protected data.........................")
-	mac := Truncated(key, msg, 8)
-	if len(mac) != 8 {
-		t.Fatalf("mac length %d", len(mac))
-	}
-	if !Verify(key, msg, mac) {
+	full := k.Mac(msg)
+	mac := full[:8]
+	if !k.Verify(msg, mac) {
 		t.Fatal("valid MAC rejected")
 	}
 	// Any single-bit tamper in the message must be detected.
 	for bit := 0; bit < len(msg)*8; bit += 37 {
 		tampered := append([]byte(nil), msg...)
 		tampered[bit/8] ^= 1 << (bit % 8)
-		if Verify(key, tampered, mac) {
+		if k.Verify(tampered, mac) {
 			t.Fatalf("tampered bit %d accepted", bit)
 		}
 	}
 	// Tampered MAC must be rejected.
 	badMac := append([]byte(nil), mac...)
 	badMac[0] ^= 1
-	if Verify(key, msg, badMac) {
+	if k.Verify(msg, badMac) {
 		t.Fatal("tampered MAC accepted")
 	}
 }
 
 func TestVerifyEdgeCases(t *testing.T) {
-	if Verify([]byte("k"), []byte("m"), nil) {
+	k := NewKeyed([]byte("k"))
+	if k.Verify([]byte("m"), nil) {
 		t.Error("empty MAC accepted")
 	}
-	if Verify([]byte("k"), []byte("m"), make([]byte, 33)) {
+	if k.Verify([]byte("m"), make([]byte, 33)) {
 		t.Error("oversize MAC accepted")
 	}
 }
 
-func TestTruncatedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Truncated([]byte("k"), []byte("m"), 0)
-}
-
 // Property: verification succeeds iff the message is untampered.
 func TestQuickTamperDetection(t *testing.T) {
-	key := []byte("quick-key")
+	k := NewKeyed([]byte("quick-key"))
 	f := func(msg []byte, flipByte uint16, flipBit uint8) bool {
 		if len(msg) == 0 {
 			return true
 		}
-		mac := Truncated(key, msg, 8)
-		if !Verify(key, msg, mac) {
+		full := k.Mac(msg)
+		mac := full[:8]
+		if !k.Verify(msg, mac) {
 			return false
 		}
 		tampered := append([]byte(nil), msg...)
 		tampered[int(flipByte)%len(msg)] ^= 1 << (flipBit % 8)
-		return !Verify(key, tampered, mac)
+		return !k.Verify(tampered, mac)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

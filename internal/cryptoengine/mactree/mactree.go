@@ -16,6 +16,7 @@
 package mactree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"authpoint/internal/cryptoengine/hmac"
@@ -29,9 +30,11 @@ type NodeID struct {
 }
 
 // Tree is an m-ary MAC tree. Node storage models the untrusted external
-// memory (it can be tampered with); only the root digest is trusted.
+// memory (it can be tampered with); only the root digest is trusted. A Tree
+// is not safe for concurrent use, VerifyLeaf included: every MAC is built in
+// one reused message buffer.
 type Tree struct {
-	key       []byte
+	mac       *hmac.Keyed
 	arity     int
 	macSize   int
 	numLeaves int
@@ -40,10 +43,41 @@ type Tree struct {
 	// ceil(prev/arity) digests.
 	levels [][]byte
 	root   []byte
+	msg    []byte // scratch for the message being MACed
 }
 
-// New builds an empty tree (all-zero leaves) for numLeaves lines.
+// New builds a tree for numLeaves lines whose leaf digests are all zero.
 func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
+	t, err := alloc(key, numLeaves, arity, macSize)
+	if err != nil {
+		return nil, err
+	}
+	t.rebuild()
+	return t, nil
+}
+
+// Build builds the tree whose leaf i holds leaf(i) for every i. The result
+// equals New followed by SetLeaf(i, leaf(i)) for each leaf in index order —
+// every node is the MAC of its children's final digests either way — but
+// Build computes one MAC per leaf and one per internal node, not a whole
+// leaf-to-root path per leaf. leaf is called once per leaf, in index order,
+// and the slice it returns is read before the next call.
+func Build(key []byte, numLeaves, arity, macSize int, leaf func(i int) []byte) (*Tree, error) {
+	t, err := alloc(key, numLeaves, arity, macSize)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < numLeaves; i++ {
+		sum := t.leafMac(i, leaf(i))
+		copy(t.node(0, i), sum[:])
+	}
+	t.rebuild()
+	return t, nil
+}
+
+// alloc validates the shape and allocates node storage with every digest
+// zero.
+func alloc(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 	if numLeaves <= 0 {
 		return nil, fmt.Errorf("mactree: numLeaves must be positive, got %d", numLeaves)
 	}
@@ -53,7 +87,8 @@ func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 	if macSize <= 0 || macSize > hmac.Size {
 		return nil, fmt.Errorf("mactree: macSize must be in 1..%d, got %d", hmac.Size, macSize)
 	}
-	t := &Tree{key: append([]byte(nil), key...), arity: arity, macSize: macSize, numLeaves: numLeaves}
+	t := &Tree{mac: hmac.NewKeyed(key), arity: arity, macSize: macSize, numLeaves: numLeaves,
+		root: make([]byte, macSize)}
 	n := numLeaves
 	for {
 		t.levels = append(t.levels, make([]byte, n*macSize))
@@ -62,14 +97,18 @@ func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 		}
 		n = (n + arity - 1) / arity
 	}
-	// Initialize all levels bottom-up from the zero leaves.
+	return t, nil
+}
+
+// rebuild recomputes every internal node from the leaf digests, bottom-up,
+// and then the root.
+func (t *Tree) rebuild() {
 	for l := 1; l < len(t.levels); l++ {
 		for i := 0; i < t.nodeCount(l); i++ {
 			t.recomputeNode(l, i)
 		}
 	}
-	t.root = t.macOfChildren(len(t.levels)-1, 0, 1)
-	return t, nil
+	t.recomputeRoot()
 }
 
 // Levels returns the number of stored levels (leaf level included, trusted
@@ -97,41 +136,49 @@ func (t *Tree) Node(id NodeID) []byte {
 	return append([]byte(nil), t.node(id.Level, id.Index)...)
 }
 
-// leafDigest computes the digest of raw leaf data for leaf i. The leaf index
+// leafMac computes the digest of raw leaf data for leaf i. The leaf index
 // is mixed in so identical lines at different addresses have distinct leaves.
-func (t *Tree) leafDigest(i int, leafData []byte) []byte {
-	msg := make([]byte, 8+len(leafData))
-	for b := 0; b < 8; b++ {
-		msg[b] = byte(uint64(i) >> (8 * b))
-	}
-	copy(msg[8:], leafData)
-	return hmac.Truncated(t.key, msg, t.macSize)
+func (t *Tree) leafMac(i int, leafData []byte) [hmac.Size]byte {
+	return t.mac.Mac(t.message(uint64(i), leafData))
 }
 
-// macOfChildren computes the digest of the node at (level,index) from its
-// children stored at level-1 (or, for level == Levels(), from the top stored
-// level — that is the root computation).
-func (t *Tree) macOfChildren(childLevel, firstChild, nChildren int) []byte {
-	msg := make([]byte, 0, nChildren*t.macSize+8)
-	var hdr [8]byte
-	v := uint64(childLevel)<<32 | uint64(firstChild)
-	for b := 0; b < 8; b++ {
-		hdr[b] = byte(v >> (8 * b))
+// childrenMac computes the digest of the nChildren nodes of childLevel
+// starting at firstChild: the value of their parent at childLevel+1, or, over
+// the top stored level, the root.
+func (t *Tree) childrenMac(childLevel, firstChild, nChildren int) [hmac.Size]byte {
+	children := t.levels[childLevel][firstChild*t.macSize : (firstChild+nChildren)*t.macSize]
+	return t.mac.Mac(t.message(uint64(childLevel)<<32|uint64(firstChild), children))
+}
+
+// message returns hdr, little-endian, followed by body, in the tree's
+// scratch buffer; it is valid until the next call.
+func (t *Tree) message(hdr uint64, body []byte) []byte {
+	n := 8 + len(body)
+	if cap(t.msg) < n {
+		t.msg = make([]byte, n)
 	}
-	msg = append(msg, hdr[:]...)
-	for c := firstChild; c < firstChild+nChildren; c++ {
-		msg = append(msg, t.node(childLevel, c)...)
-	}
-	return hmac.Truncated(t.key, msg, t.macSize)
+	msg := t.msg[:n]
+	binary.LittleEndian.PutUint64(msg, hdr)
+	copy(msg[8:], body)
+	return msg
+}
+
+// children returns the first child index and the child count of the node at
+// (level, index).
+func (t *Tree) children(level, index int) (first, n int) {
+	first = index * t.arity
+	return first, min(t.arity, t.nodeCount(level-1)-first)
 }
 
 func (t *Tree) recomputeNode(level, index int) {
-	first := index * t.arity
-	n := t.arity
-	if first+n > t.nodeCount(level-1) {
-		n = t.nodeCount(level-1) - first
-	}
-	copy(t.node(level, index), t.macOfChildren(level-1, first, n))
+	first, n := t.children(level, index)
+	sum := t.childrenMac(level-1, first, n)
+	copy(t.node(level, index), sum[:])
+}
+
+func (t *Tree) recomputeRoot() {
+	sum := t.childrenMac(len(t.levels)-1, 0, 1)
+	copy(t.root, sum[:])
 }
 
 // SetLeaf installs new leaf data for line i and updates the path to the
@@ -141,7 +188,8 @@ func (t *Tree) SetLeaf(i int, leafData []byte) ([]NodeID, error) {
 	if i < 0 || i >= t.numLeaves {
 		return nil, fmt.Errorf("mactree: leaf %d out of range [0,%d)", i, t.numLeaves)
 	}
-	copy(t.node(0, i), t.leafDigest(i, leafData))
+	sum := t.leafMac(i, leafData)
+	copy(t.node(0, i), sum[:])
 	path := []NodeID{{0, i}}
 	idx := i
 	for l := 1; l < len(t.levels); l++ {
@@ -149,7 +197,7 @@ func (t *Tree) SetLeaf(i int, leafData []byte) ([]NodeID, error) {
 		t.recomputeNode(l, idx)
 		path = append(path, NodeID{l, idx})
 	}
-	t.root = t.macOfChildren(len(t.levels)-1, 0, 1)
+	t.recomputeRoot()
 	return path, nil
 }
 
@@ -167,12 +215,11 @@ func (t *Tree) VerifyLeaf(i int, leafData []byte, trusted func(NodeID) bool) (bo
 		return false, nil
 	}
 	var visited []NodeID
-	computed := t.leafDigest(i, leafData)
+	computed := t.leafMac(i, leafData)
 	id := NodeID{0, i}
 	for {
 		visited = append(visited, id)
-		stored := t.node(id.Level, id.Index)
-		if !equal(computed, stored) {
+		if !equal(computed[:t.macSize], t.node(id.Level, id.Index)) {
 			return false, visited
 		}
 		if trusted != nil && trusted(id) {
@@ -182,15 +229,12 @@ func (t *Tree) VerifyLeaf(i int, leafData []byte, trusted func(NodeID) bool) (bo
 		// sibling group.
 		if id.Level == len(t.levels)-1 {
 			// Parent is the trusted on-chip root.
-			return equal(t.macOfChildren(id.Level, 0, t.nodeCount(id.Level)), t.root), visited
+			root := t.childrenMac(id.Level, 0, t.nodeCount(id.Level))
+			return equal(root[:t.macSize], t.root), visited
 		}
 		parent := NodeID{id.Level + 1, id.Index / t.arity}
-		first := parent.Index * t.arity
-		n := t.arity
-		if first+n > t.nodeCount(id.Level) {
-			n = t.nodeCount(id.Level) - first
-		}
-		computed = t.macOfChildren(id.Level, first, n)
+		first, n := t.children(parent.Level, parent.Index)
+		computed = t.childrenMac(id.Level, first, n)
 		id = parent
 	}
 }

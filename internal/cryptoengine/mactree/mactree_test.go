@@ -261,3 +261,46 @@ func TestNonPowerArityShapes(t *testing.T) {
 		}
 	}
 }
+
+// Build must produce the tree that New plus SetLeaf on every leaf in index
+// order does, node for node and root, for full, partial and single-leaf top
+// groups at every arity the tests use.
+func TestBuildMatchesSetLeaf(t *testing.T) {
+	for _, leaves := range []int{1, 7, 8, 9, 64, 65, 1000} {
+		for _, arity := range []int{2, 4, 8} {
+			want := newTree(t, leaves, arity)
+			fill(t, want, leaves)
+			next := 0
+			got, err := Build(key, leaves, arity, 8, func(i int) []byte {
+				if i != next {
+					t.Fatalf("leaves=%d arity=%d: leaf(%d) called, want leaf(%d)", leaves, arity, i, next)
+				}
+				next++
+				return leafData(i)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != leaves {
+				t.Fatalf("leaves=%d arity=%d: leaf called %d times", leaves, arity, next)
+			}
+			if got.Levels() != want.Levels() {
+				t.Fatalf("leaves=%d arity=%d: %d levels, want %d", leaves, arity, got.Levels(), want.Levels())
+			}
+			for l := 0; l < want.Levels(); l++ {
+				for i := 0; i < want.NodeCount(l); i++ {
+					id := NodeID{l, i}
+					if !bytes.Equal(got.Node(id), want.Node(id)) {
+						t.Fatalf("leaves=%d arity=%d: node %v = %x, want %x", leaves, arity, id, got.Node(id), want.Node(id))
+					}
+				}
+			}
+			if !bytes.Equal(got.Root(), want.Root()) {
+				t.Fatalf("leaves=%d arity=%d: root %x, want %x", leaves, arity, got.Root(), want.Root())
+			}
+		}
+	}
+	if _, err := Build(key, 0, 8, 8, leafData); err == nil {
+		t.Error("Build accepted zero leaves")
+	}
+}

@@ -72,28 +72,27 @@ const (
 	poisonBit uint64 = 1 << 63
 )
 
-// Suite holds the two pointer keys. Keys are fixed per machine instance —
-// the model has no key-management ISA; what is under study is where the
-// check sits, not key distribution.
+// Suite holds the two pointer keys, each as an HMAC state with its key
+// absorbed. Keys are fixed per machine instance — the model has no
+// key-management ISA; what is under study is where the check sits, not key
+// distribution. Build one with NewSuite or DefaultSuite; the zero Suite has
+// no keys.
 type Suite struct {
-	keyA, keyB []byte
+	keyA, keyB *hmac.Keyed
 }
 
 // NewSuite builds a suite from explicit key material.
 func NewSuite(keyA, keyB []byte) Suite {
-	return Suite{keyA: append([]byte(nil), keyA...), keyB: append([]byte(nil), keyB...)}
+	return Suite{keyA: hmac.NewKeyed(keyA), keyB: hmac.NewKeyed(keyB)}
 }
 
 // DefaultSuite returns the well-known per-machine keys, mirroring the fixed
 // encryption/integrity keys of the secure memory controller.
 func DefaultSuite() Suite {
-	return Suite{
-		keyA: []byte("authpoint-pointer-keyA-256bit!!!"),
-		keyB: []byte("authpoint-pointer-keyB-256bit!!!"),
-	}
+	return NewSuite([]byte("authpoint-pointer-keyA-256bit!!!"), []byte("authpoint-pointer-keyB-256bit!!!"))
 }
 
-func (s Suite) key(b bool) []byte {
+func (s Suite) key(b bool) *hmac.Keyed {
 	if b {
 		return s.keyB
 	}
@@ -107,7 +106,7 @@ func (s Suite) Tag(ptr, mod uint64, keyB bool) uint32 {
 	var msg [12]byte
 	binary.LittleEndian.PutUint32(msg[0:4], uint32(ptr&AddrMask))
 	binary.LittleEndian.PutUint64(msg[4:12], mod)
-	sum := hmac.Mac(s.key(keyB), msg[:])
+	sum := s.key(keyB).Mac(msg[:])
 	return binary.LittleEndian.Uint32(sum[:4])
 }
 

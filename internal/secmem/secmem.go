@@ -183,7 +183,8 @@ type Controller struct {
 	dram *dram.DRAM
 
 	enc    *ctr.Engine
-	macKey []byte
+	macKey []byte      // the MAC tree's key
+	mac    *hmac.Keyed // flat per-line MACs under macKey
 
 	protected []addrRange
 
@@ -290,6 +291,7 @@ func New(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []b
 		dram:    d,
 		enc:     enc,
 		macKey:  append([]byte(nil), macKey...),
+		mac:     hmac.NewKeyed(macKey),
 		macBase: MacBase,
 		leafIdx: map[uint64]int{},
 		ctBuf:   make([]byte, cfg.LineB),
@@ -350,8 +352,8 @@ func (c *Controller) MacAddrOf(lineAddr uint64) (uint64, bool) {
 }
 
 // Protect marks [start, start+n) as a protected (encrypted+authenticated)
-// region and initializes its lines from plaintext zeroes. Must be called
-// before LoadPlain into that range. Ranges must be line-aligned.
+// region. FinishProtection seals its lines, from plaintext zeroes unless a
+// segment gives them bytes. Ranges must be line-aligned.
 func (c *Controller) Protect(start, n uint64) error {
 	lb := uint64(c.cfg.LineB)
 	if start%lb != 0 || n%lb != 0 {
@@ -368,16 +370,45 @@ func (c *Controller) Protect(start, n uint64) error {
 	return nil
 }
 
-// FinishProtection seals the protected layout: it encrypts every protected
-// line (as all-zero plaintext), writes MACs, and builds the MAC tree if
-// enabled. Call after all Protect calls and before LoadPlain/Fetch.
-func (c *Controller) FinishProtection() error {
+// Segment is initial plaintext for protected memory: Data is installed at
+// Addr, which need not be line-aligned.
+type Segment struct {
+	Addr uint64
+	Data []byte
+}
+
+// FinishProtection seals the protected layout: it encrypts and MACs every
+// protected line once, with its initial plaintext — zero, overlaid with the
+// segments' bytes in order — and builds the MAC tree if enabled. Call after
+// all Protect calls and before Fetch. Every segment byte must lie in a
+// protected line.
+//
+// The sealed image is exactly the one a zero seal followed by LoadPlain of
+// each segment in order leaves, counters included: a line sits at counter 1
+// plus one for each non-empty segment that touches it (2 for a loaded line of
+// a program image).
+func (c *Controller) FinishProtection(segs ...Segment) error {
+	lb := uint64(c.cfg.LineB)
+	for _, s := range segs {
+		for a := s.Addr &^ (lb - 1); a < s.Addr+uint64(len(s.Data)); a += lb {
+			if _, ok := c.leafIdx[a]; !ok {
+				return fmt.Errorf("secmem: segment outside protected region at %#x", max(a, s.Addr))
+			}
+		}
+	}
 	if c.cfg.UseTree {
-		tr, err := mactree.New(c.macKey, max(1, len(c.leafAddrs)), c.cfg.LineB/c.cfg.MacB, c.cfg.MacB)
+		var err error
+		arity := c.cfg.LineB / c.cfg.MacB
+		if len(c.leafAddrs) == 0 {
+			c.tree, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
+		} else {
+			c.tree, err = mactree.Build(c.macKey, len(c.leafAddrs), arity, c.cfg.MacB, func(i int) []byte {
+				return c.sealLine(c.leafAddrs[i], segs)
+			})
+		}
 		if err != nil {
 			return err
 		}
-		c.tree = tr
 		// The node cache holds 64-byte sibling groups (eight digests), the
 		// granularity the verification actually consumes: computing a
 		// parent requires the whole group, and neighbouring leaves share
@@ -392,17 +423,46 @@ func (c *Controller) FinishProtection() error {
 		if c.sink != nil {
 			tc.SetObserver(c.sink, obs.TrackTreeCache, func() uint64 { return c.obsNow })
 		}
-	}
-	zero := make([]byte, c.cfg.LineB)
-	for _, a := range c.leafAddrs {
-		if err := c.storeLine(a, zero); err != nil {
-			return err
+	} else {
+		for i, a := range c.leafAddrs {
+			mac := c.mac.Mac(c.sealLine(a, segs))
+			c.mem.Write(c.macAddr(i), mac[:c.cfg.MacB])
 		}
 	}
 	if c.remap != nil {
 		c.remap.Init(c.leafAddrs)
 	}
 	return nil
+}
+
+// sealLine encrypts the protected line at lineAddr with its initial
+// plaintext, stores the ciphertext and returns the line's MAC message (the
+// authMessage scratch). Before the encryption's own counter step, the
+// counter advances once per segment touching the line, as each LoadPlain
+// would have re-encrypted it.
+func (c *Controller) sealLine(lineAddr uint64, segs []Segment) []byte {
+	pt := c.ptBuf
+	clear(pt)
+	end := lineAddr + uint64(c.cfg.LineB)
+	var loads uint64
+	for _, s := range segs {
+		sEnd := s.Addr + uint64(len(s.Data))
+		if len(s.Data) == 0 || s.Addr >= end || sEnd <= lineAddr {
+			continue
+		}
+		lo := max(s.Addr, lineAddr)
+		copy(pt[lo-lineAddr:], s.Data[lo-s.Addr:min(sEnd, end)-s.Addr])
+		loads++
+	}
+	if loads > 0 {
+		c.enc.SetCounter(lineAddr, c.enc.Counter(lineAddr)+loads)
+	}
+	ct := c.ctBuf
+	// Cannot fail: pt is the controller's line-sized buffer and the engine
+	// was built for that line size.
+	_ = c.enc.EncryptLineInto(ct, lineAddr, pt)
+	c.mem.Write(lineAddr, ct)
+	return c.authMessage(lineAddr, ct)
 }
 
 // IsProtected reports whether addr lies in a protected range.
@@ -415,8 +475,10 @@ func (c *Controller) IsProtected(addr uint64) bool {
 	return false
 }
 
-// LoadPlain installs plaintext into a protected region at program-load time
-// (encrypting and MACing each touched line). Not a timed operation.
+// LoadPlain installs plaintext into a sealed protected region (re-encrypting
+// and re-MACing each touched line, which advances its counter). Not a timed
+// operation. Program images are loaded by passing them to FinishProtection
+// instead, which seals each line once.
 func (c *Controller) LoadPlain(addr uint64, data []byte) error {
 	lb := uint64(c.cfg.LineB)
 	for len(data) > 0 {
@@ -485,7 +547,7 @@ func (c *Controller) storeLine(lineAddr uint64, plaintext []byte) error {
 		_, err := c.tree.SetLeaf(idx, c.authMessage(lineAddr, ct))
 		return err
 	}
-	mac := hmac.Mac(c.macKey, c.authMessage(lineAddr, ct))
+	mac := c.mac.Mac(c.authMessage(lineAddr, ct))
 	c.mem.Write(c.macAddr(idx), mac[:c.cfg.MacB])
 	return nil
 }
@@ -523,7 +585,7 @@ func (c *Controller) verifyLine(lineAddr uint64, ct []byte) (ok bool, treeLevels
 	if c.tree == nil {
 		stored := c.macBuf
 		c.mem.ReadInto(stored, c.macAddr(idx))
-		return hmac.Verify(c.macKey, msg, stored), 0, 0
+		return c.mac.Verify(msg, stored), 0, 0
 	}
 	trusted := func(id mactree.NodeID) bool {
 		if id.Level == 0 {

@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,102 @@ func TestLoadPlainRoundTrip(t *testing.T) {
 	}
 	if err := r.ctrl.LoadPlain(0x9000, []byte("x")); err == nil {
 		t.Error("LoadPlain outside protection accepted")
+	}
+}
+
+// Sealing with segments must leave exactly the image a zero seal followed by
+// LoadPlain of each segment does: every protected line's ciphertext and
+// counter, every flat MAC, and every tree node and the root.
+func TestFinishProtectionSegmentsMatchLoadPlain(t *testing.T) {
+	text := bytes.Repeat([]byte("text-segment."), 23) // 299 bytes
+	data := bytes.Repeat([]byte{0xd7}, 100)
+	// Regions in the order sim.NewMachineWithRegions protects them: a probe
+	// window first, then text, data and stack.
+	regions := [][2]uint64{{0x9000, 256}, {0x1000, 0x200}, {0x4000, 0x80}, {0x7000, 0x400}}
+	cases := []struct {
+		name string
+		segs []Segment
+	}{
+		{"unaligned text, data ending mid-line", []Segment{{0x1010, text}, {0x4000, data}}},
+		{"empty data segment", []Segment{{0x1010, text}, {0x4020, nil}}},
+		{"overlapping segments", []Segment{{0x1000, text}, {0x1020, data}}},
+		{"no segments", nil},
+	}
+	for _, tree := range []bool{false, true} {
+		for _, tc := range cases {
+			build := func(onePass bool) *rig {
+				r := newRig(t, func(c *Config) { c.UseTree = tree })
+				for _, reg := range regions {
+					if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if onePass {
+					if err := r.ctrl.FinishProtection(tc.segs...); err != nil {
+						t.Fatal(err)
+					}
+					return r
+				}
+				if err := r.ctrl.FinishProtection(); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range tc.segs {
+					if err := r.ctrl.LoadPlain(s.Addr, s.Data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return r
+			}
+			got, want := build(true), build(false)
+			where := fmt.Sprintf("tree=%v %s", tree, tc.name)
+			for _, la := range want.ctrl.leafAddrs {
+				if g, w := got.m.Read(la, 64), want.m.Read(la, 64); !bytes.Equal(g, w) {
+					t.Fatalf("%s: line %#x ciphertext %x, want %x", where, la, g, w)
+				}
+				if g, w := got.ctrl.enc.Counter(la), want.ctrl.enc.Counter(la); g != w {
+					t.Fatalf("%s: line %#x counter %d, want %d", where, la, g, w)
+				}
+				if ma, ok := want.ctrl.MacAddrOf(la); ok {
+					if g, w := got.m.Read(ma, 8), want.m.Read(ma, 8); !bytes.Equal(g, w) {
+						t.Fatalf("%s: line %#x MAC %x, want %x", where, la, g, w)
+					}
+				}
+			}
+			if tree {
+				gt, wt := got.ctrl.Tree(), want.ctrl.Tree()
+				for l := 0; l < wt.Levels(); l++ {
+					for i := 0; i < wt.NodeCount(l); i++ {
+						id := mactree.NodeID{Level: l, Index: i}
+						if !bytes.Equal(gt.Node(id), wt.Node(id)) {
+							t.Fatalf("%s: tree node %v differs", where, id)
+						}
+					}
+				}
+				if !bytes.Equal(gt.Root(), wt.Root()) {
+					t.Fatalf("%s: tree root differs", where)
+				}
+			}
+			if tc.name == "empty data segment" {
+				if c := got.ctrl.enc.Counter(0x4000); c != 1 {
+					t.Errorf("%s: empty segment left its line at counter %d, want 1", where, c)
+				}
+			}
+		}
+	}
+}
+
+func TestFinishProtectionRejectsUnprotectedSegment(t *testing.T) {
+	for _, seg := range []Segment{
+		{0x8000, []byte{1}},                   // wholly outside
+		{0x1030, bytes.Repeat([]byte{2}, 32)}, // runs past the region's end
+	} {
+		r := newRig(t, nil)
+		if err := r.ctrl.Protect(0x1000, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ctrl.FinishProtection(seg); err == nil {
+			t.Errorf("segment at %#x (+%d) outside the protected region accepted", seg.Addr, len(seg.Data))
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/diffcheck"
 	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -62,6 +63,41 @@ func BenchmarkRunSlow(b *testing.B) { benchRun(b, policy.ThenCommit, true) }
 // BenchmarkRunBaselineFast measures the fast path without authentication,
 // where idle windows are shortest and the µop cache dominates.
 func BenchmarkRunBaselineFast(b *testing.B) { benchRun(b, policy.Baseline, false) }
+
+// BenchmarkNewMachine measures machine set-up, which seals every protected
+// line: a generated campaign program (about 1,060 lines, 1,024 of them its
+// stack) and artx, a large Fig-12 image, each with flat per-line MACs and
+// with the MAC tree.
+func BenchmarkNewMachine(b *testing.B) {
+	art, ok := workload.ByName("artx")
+	if !ok {
+		b.Fatal("workload artx missing")
+	}
+	for _, prog := range []struct{ name, src string }{
+		{"gen1", diffcheck.GenProgram(1)},
+		{"artx", art.Source},
+	} {
+		p, err := asm.Assemble(prog.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mac := range []struct {
+			name string
+			tree bool
+		}{{"flat", false}, {"tree", true}} {
+			b.Run(prog.name+"/"+mac.name, func(b *testing.B) {
+				cfg := sim.DefaultConfig()
+				cfg.Sec.UseTree = mac.tree
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.NewMachine(cfg, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // TestRunSteadyStateAllocs pins the zero-alloc hot loop: once a machine is
 // warm (caches filled, rings and queues at steady occupancy), continuing the

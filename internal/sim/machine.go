@@ -325,16 +325,11 @@ func (m *Machine) load(p *asm.Program) error {
 		}
 		m.Space.MapRange(r.start, r.size)
 	}
-	if err := m.Ctrl.FinishProtection(); err != nil {
+	if err := m.Ctrl.FinishProtection(
+		secmem.Segment{Addr: p.TextBase, Data: text},
+		secmem.Segment{Addr: p.DataBase, Data: p.Data},
+	); err != nil {
 		return err
-	}
-	if err := m.Ctrl.LoadPlain(p.TextBase, text); err != nil {
-		return err
-	}
-	if len(p.Data) > 0 {
-		if err := m.Ctrl.LoadPlain(p.DataBase, p.Data); err != nil {
-			return err
-		}
 	}
 	m.Shadow.Write(p.TextBase, text)
 	m.Shadow.Write(p.DataBase, p.Data)
