@@ -25,294 +25,73 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"time"
+	"slices"
 
-	"authpoint/internal/campaign"
+	"authpoint/internal/campaign/cli"
 	"authpoint/internal/diffcheck"
-	"authpoint/internal/obs"
 	"authpoint/internal/policy"
-	"authpoint/internal/prof"
-	"authpoint/internal/report"
 	"authpoint/internal/telemetry"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "authfuzz: "+format+"\n", args...)
-	os.Exit(2)
-}
-
 func main() {
+	s := cli.New("authfuzz", "ci", "repro", ".repro")
 	var (
-		seedsFlag = flag.String("seeds", "1:100", "inclusive seed range lo:hi")
-		polFlag   = flag.String("policies", "ci", "policy set: full (31-point lattice), lattice, ci (CI smoke set), or comma-separated names (e.g. baseline,authen-then-commit+fetch)")
-		mode      = flag.String("mode", "pair", "pair (seed i under policies[i mod n]) or cross (every seed under every policy)")
-		tamper    = flag.Bool("tamper", false, "also run every cell with a tampered line and check containment invariants")
-		tamperAt  = flag.String("tamper-site", "entry", "tamper site: entry (first instruction line), data (first data-segment line), mac (stored line MAC), ctr (write counter), or tree (integrity-tree leaf)")
-		monotone  = flag.Bool("monotone", false, "per seed, check cycle monotonicity across the policy set (runs every policy per seed)")
-		minimize  = flag.Bool("minimize", true, "shrink divergent programs to minimal repros before recording")
-		outDir    = flag.String("out", "", "directory to write .repro files for findings (none if empty)")
-		repro     = flag.Bool("repro", false, "replay .repro files given as arguments instead of fuzzing")
-		parallel  = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
-		budget    = flag.Duration("budget", 0, "wall-clock bound for the sweep (0 = none); cells not reached are skipped, not failed")
-		verbose   = flag.Bool("v", false, "print one line per cell")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file before exit")
-		metrics   = flag.Bool("metrics", false, "attach an observability hub to every timed run; print the merged campaign metrics (and write metrics.json under -out)")
-		teleOut   = flag.String("telemetry", "", "stream a JSONL run ledger (one record per cell) to this path")
-		progress  = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory: checks hit the cache instead of simulating when the (program, policy, options) cell was already checked")
-		resumeAt  = flag.String("resume", "", "resume from a prior run's telemetry ledger: cells it records as done are not re-run (prior findings are regenerated through the cache)")
+		tamper   = flag.Bool("tamper", false, "also run every cell with a tampered line and check containment invariants")
+		tamperAt = flag.String("tamper-site", "entry", "tamper site: entry (first instruction line), data (first data-segment line), mac (stored line MAC), ctr (write counter), or tree (integrity-tree leaf)")
+		monotone = flag.Bool("monotone", false, "per seed, check cycle monotonicity across the policy set (runs every policy per seed)")
 	)
 	flag.Parse()
 
-	if *repro {
-		os.Exit(replayFiles(flag.Args(), *verbose))
-	}
-	if flag.NArg() > 0 {
-		fatalf("unexpected arguments %q (use -repro to replay files)", flag.Args())
-	}
-
-	seeds, err := diffcheck.ParseSeedRange(*seedsFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pols, err := policy.ParseSet(*polFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	ctx := context.Background()
-	if *budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *budget)
-		defer cancel()
-	}
-
-	site := diffcheck.TamperSite(*tamperAt)
-	valid := false
-	for _, s := range diffcheck.Sites() {
-		if site == s {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		fatalf("tamper-site %q: want one of %v", *tamperAt, diffcheck.Sites())
-	}
-
-	var store *campaign.Store
-	if *cacheDir != "" {
-		if store, err = campaign.Open(*cacheDir); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	var done map[campaign.CellID]string
-	if *resumeAt != "" {
-		if done, err = campaign.LoadCompleted(*resumeAt); err != nil {
-			fatalf("resume: %v", err)
-		}
-	}
-
-	stopProf, err := prof.Start(*cpuprof)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	var so *diffcheck.SweepObs
-	if *metrics || *teleOut != "" || *progress {
-		so = &diffcheck.SweepObs{CollectMetrics: *metrics}
-		if *teleOut != "" {
-			l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authfuzz", *parallel))
+	if s.Replay {
+		os.Exit(s.ReplayFiles(func(path string) (string, error) {
+			r, err := diffcheck.LoadRepro(path)
 			if err != nil {
-				fatalf("%v", err)
+				s.Fatalf("%v", err)
 			}
-			so.Ledger = l
-		}
-		if *progress {
-			so.Meter = telemetry.NewMeter(os.Stderr, "authfuzz", 0)
-		}
+			res, err := r.Replay()
+			return fmt.Sprintf("%s (%d cycles, %d insts)", res.Verdict, res.Cycles, res.Insts), err
+		}))
 	}
+	site := diffcheck.TamperSite(*tamperAt)
+	if !slices.Contains(diffcheck.Sites(), site) {
+		s.Fatalf("tamper-site %q: want one of %v", *tamperAt, diffcheck.Sites())
+	}
+	s.Start()
 
-	bad := runSweep(ctx, seeds, pols, *mode, *tamper, site, *minimize, *outDir, *parallel, *verbose, so, store, done)
-	if so != nil {
-		if so.Meter != nil {
-			so.Meter.Finish()
+	cells := func(tamper bool) []diffcheck.Cell {
+		if s.Mode == "cross" {
+			return diffcheck.CrossCells(s.Seeds, s.Pols, tamper)
 		}
-		if so.Ledger != nil {
-			if err := so.Ledger.Close(); err != nil {
-				fatalf("telemetry: %v", err)
-			}
-		}
-		if snap := so.Metrics(); snap != nil {
-			fmt.Println()
-			report.WriteMetrics(os.Stdout, snap)
-			if *outDir != "" {
-				if err := writeMetricsJSON(*outDir, snap); err != nil {
-					fatalf("%v", err)
-				}
-			}
-		}
+		return diffcheck.PairCells(s.Seeds, s.Pols, tamper)
 	}
+	all := cells(false)
+	if *tamper {
+		all = append(all, diffcheck.WithSite(cells(true), site)...)
+	}
+	checker := diffcheck.Campaign(diffcheck.Options{Cache: s.Store}, all, s.Obs)
+	findings := cli.Sweep(s, checker, all, fmt.Sprintf(", tamper %v", *tamper),
+		[]diffcheck.Verdict{diffcheck.VerdictOK, diffcheck.VerdictContained, diffcheck.VerdictDetected,
+			diffcheck.VerdictUndetected, diffcheck.VerdictDivergence, diffcheck.VerdictError},
+		func(r telemetry.Record) string {
+			return fmt.Sprintf("seed %-6d %-45v tamper=%-5v %s", r.Seed, r.Policy, r.Tamper, r.Verdict)
+		})
+	for _, res := range findings {
+		reportFinding(s, res)
+	}
+	bad := len(findings) > 0
+	s.Close()
 	if *monotone {
-		bad = runMonotone(seeds, pols, *verbose) || bad
+		bad = runMonotone(s.Seeds, s.Pols, s.Verbose) || bad
 	}
-
-	// main exits through os.Exit, so the profiles must be flushed here
-	// rather than in deferred calls.
-	stopProf()
-	if err := prof.WriteHeap(*memprof); err != nil {
-		fatalf("%v", err)
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// writeMetricsJSON records the merged campaign snapshot next to the .repro
-// findings, so a fuzz campaign's observability outlives the terminal.
-func writeMetricsJSON(outDir string, snap *obs.Snapshot) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, "metrics.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("authfuzz: wrote %s\n", path)
-	return nil
-}
-
-func runSweep(ctx context.Context, seeds []int64, pols []policy.ControlPoint, mode string, tamper bool, site diffcheck.TamperSite, minimize bool, outDir string, parallel int, verbose bool, so *diffcheck.SweepObs, store *campaign.Store, done map[campaign.CellID]string) bool {
-	var cells []diffcheck.Cell
-	switch mode {
-	case "pair":
-		cells = diffcheck.PairCells(seeds, pols, false)
-		if tamper {
-			cells = append(cells, diffcheck.WithSite(diffcheck.PairCells(seeds, pols, true), site)...)
-		}
-	case "cross":
-		cells = diffcheck.CrossCells(seeds, pols, false)
-		if tamper {
-			cells = append(cells, diffcheck.WithSite(diffcheck.CrossCells(seeds, pols, true), site)...)
-		}
-	default:
-		fatalf("mode %q: want pair or cross", mode)
-	}
-	total := len(cells)
-
-	// Resume: cells the prior ledger records as done are not swept again (the
-	// union of both ledgers then covers every cell exactly once). Prior
-	// finding cells are re-checked outside the ledger to regenerate the
-	// finding's program text — free when the cache holds the result.
-	opt := diffcheck.Options{Cache: store}
-	var redo []diffcheck.Cell
-	if done != nil {
-		pending := make([]diffcheck.Cell, 0, len(cells))
-		for _, c := range cells {
-			v, ok := done[campaign.CellID{
-				Kind: "fuzz", Policy: c.Policy.String(), Seed: c.Seed,
-				Tamper: c.Tamper, Site: string(c.EffectiveSite()),
-			}]
-			if !ok {
-				pending = append(pending, c)
-				continue
-			}
-			if diffcheck.IsFinding(diffcheck.Verdict(v)) {
-				redo = append(redo, c)
-			}
-		}
-		fmt.Printf("authfuzz: resume: %d/%d cells already done (%d prior findings)\n",
-			total-len(pending), total, len(redo))
-		cells = pending
-	}
-
-	start := time.Now()
-	results, findings, err := diffcheck.SweepObserved(ctx, cells, opt, parallel, so)
-	elapsed := time.Since(start).Round(time.Millisecond)
-
-	// Regenerate prior findings so a resumed campaign reports the same
-	// finding set as an uninterrupted one.
-	for _, c := range redo {
-		o := opt
-		o.Policy = c.Policy
-		o.Tamper = c.Tamper
-		o.TamperSite = c.Site
-		res, src := diffcheck.CheckSeed(c.Seed, o)
-		if diffcheck.IsFinding(res.Verdict) {
-			findings = append(findings, diffcheck.Finding{Result: res, Source: src})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-
-	counts := map[diffcheck.Verdict]int{}
-	skipped, cached := 0, 0
-	for _, r := range results {
-		if r.Verdict == "" {
-			skipped++
-			continue
-		}
-		counts[r.Verdict]++
-		if r.Cached {
-			cached++
-		}
-		if verbose {
-			fmt.Printf("seed %-6d %-45v tamper=%-5v %s\n", r.Seed, r.Policy, r.Tamper, r.Verdict)
-		}
-	}
-	fmt.Printf("authfuzz: %d cells (%d seeds x %d policies, mode %s, tamper %v) in %v\n",
-		total, len(seeds), len(pols), mode, tamper, elapsed)
-	fmt.Printf("authfuzz: verdicts:")
-	for _, v := range []diffcheck.Verdict{diffcheck.VerdictOK, diffcheck.VerdictContained,
-		diffcheck.VerdictDetected, diffcheck.VerdictUndetected, diffcheck.VerdictDivergence, diffcheck.VerdictError} {
-		if counts[v] > 0 {
-			fmt.Printf(" %s=%d", v, counts[v])
-		}
-	}
-	if cached > 0 {
-		fmt.Printf(" cached=%d", cached)
-	}
-	if skipped > 0 {
-		fmt.Printf(" skipped=%d (budget)", skipped)
-	}
-	fmt.Println()
-	if store != nil {
-		fmt.Printf("authfuzz: cache: %d hits, %d misses, %d stored (%s)\n",
-			store.Hits(), store.Misses(), store.Puts(), store.Dir())
-		if cerr := store.Err(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "authfuzz: cache: %v\n", cerr)
-		}
-	}
-	if err != nil && err != context.DeadlineExceeded {
-		fmt.Fprintf(os.Stderr, "authfuzz: sweep: %v\n", err)
-	}
-
-	for _, f := range findings {
-		reportFinding(f, minimize, outDir)
-	}
-	return len(findings) > 0
+	s.Exit(bad)
 }
 
 // reportFinding prints one divergence, optionally shrinks it, and records a
-// replayable .repro under outDir.
-func reportFinding(f diffcheck.Finding, minimize bool, outDir string) {
-	res := f.Result
+// replayable .repro under -out.
+func reportFinding(s *cli.Session, res diffcheck.Result) {
 	tag := fmt.Sprint(res.Tamper)
 	if res.Tamper && res.Site != "" {
 		tag = string(res.Site)
@@ -320,35 +99,35 @@ func reportFinding(f diffcheck.Finding, minimize bool, outDir string) {
 	fmt.Printf("authfuzz: FINDING seed %d under %v tamper=%s: %s: %s\n",
 		res.Seed, res.Policy, tag, res.Verdict, res.Divergence)
 
-	src := f.Source
-	if minimize && res.Verdict == diffcheck.VerdictDivergence {
+	src := diffcheck.GenProgram(res.Seed)
+	if s.Minimize && res.Verdict == diffcheck.VerdictDivergence {
 		opt := diffcheck.Options{Policy: res.Policy, Tamper: res.Tamper, TamperSite: res.Site, WatchdogCycles: 500_000}
-		src = diffcheck.Minimize(src, func(s string) bool {
-			return diffcheck.Check(s, opt).Verdict == diffcheck.VerdictDivergence
+		src = diffcheck.Minimize(src, func(cand string) bool {
+			return diffcheck.Check(cand, opt).Verdict == diffcheck.VerdictDivergence
 		})
 	}
-	if outDir == "" {
+	if s.Out == "" {
 		return
 	}
 	// Re-check with default options so the recording replays with defaults.
 	final := diffcheck.Check(src, diffcheck.Options{Policy: res.Policy, Tamper: res.Tamper, TamperSite: res.Site})
 	final.Seed = res.Seed
 	r := diffcheck.NewRepro(final, src, "authfuzz finding: "+res.Divergence)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatalf("%v", err)
-	}
+	s.WriteOut(reproName(res), r.WriteFile)
+}
+
+// reproName names the .repro file of a finding: one name per (seed, policy,
+// tamper site), so campaigns over different sites can share one -out
+// directory. Entry-site tamper findings keep the bare "-tamper" suffix.
+func reproName(res diffcheck.Result) string {
 	name := fmt.Sprintf("seed%d-%s", res.Seed, res.Policy)
 	if res.Tamper {
 		name += "-tamper"
-		if res.Site == diffcheck.SiteData {
-			name += "-data"
+		if res.Site != "" && res.Site != diffcheck.SiteEntry {
+			name += "-" + string(res.Site)
 		}
 	}
-	path := filepath.Join(outDir, name+".repro")
-	if err := r.WriteFile(path); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("authfuzz: wrote %s\n", path)
+	return name + ".repro"
 }
 
 func runMonotone(seeds []int64, pols []policy.ControlPoint, verbose bool) bool {
@@ -371,32 +150,4 @@ func runMonotone(seeds []int64, pols []policy.ControlPoint, verbose bool) bool {
 		}
 	}
 	return bad
-}
-
-// replayFiles replays each .repro byte-identically; any mismatch is a
-// finding (the model drifted from the recording, or the recording is stale).
-func replayFiles(files []string, verbose bool) int {
-	if len(files) == 0 {
-		fatalf("-repro needs at least one file")
-	}
-	code := 0
-	for _, path := range files {
-		r, err := diffcheck.LoadRepro(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := r.Replay()
-		if err != nil {
-			code = 1
-			fmt.Printf("authfuzz: REPLAY MISMATCH %s: %v\n", path, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("%s: %s (%d cycles, %d insts) replayed byte-identically\n",
-				path, res.Verdict, res.Cycles, res.Insts)
-		} else {
-			fmt.Printf("%s: ok\n", path)
-		}
-	}
-	return code
 }

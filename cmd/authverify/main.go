@@ -32,277 +32,67 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
-	"authpoint/internal/campaign"
+	"authpoint/internal/campaign/cli"
 	"authpoint/internal/contract"
 	"authpoint/internal/diffcheck"
-	"authpoint/internal/obs"
 	"authpoint/internal/policy"
-	"authpoint/internal/prof"
-	"authpoint/internal/report"
 	"authpoint/internal/telemetry"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "authverify: "+format+"\n", args...)
-	os.Exit(2)
-}
-
 func main() {
-	var (
-		seedsFlag = flag.String("seeds", "1:100", "inclusive seed range lo:hi")
-		polFlag   = flag.String("policies", "full", "policy set: full (95-point lattice), lattice, ci, pac, or comma-separated names")
-		mode      = flag.String("mode", "pair", "pair (seed i under policies[i mod n]) or cross (every seed under every policy)")
-		kernels   = flag.Bool("kernels", true, "also check the attack-kernel catalog across the lattice")
-		minimize  = flag.Bool("minimize", true, "shrink unsound programs to minimal reproducers before recording")
-		outDir    = flag.String("out", "", "directory to write .leak files for findings (none if empty)")
-		replay    = flag.Bool("replay", false, "replay .leak files given as arguments instead of sweeping")
-		parallel  = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
-		budget    = flag.Duration("budget", 0, "wall-clock bound for the seed sweep (0 = none); cells not reached are skipped, not failed")
-		verbose   = flag.Bool("v", false, "print one line per cell")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file before exit")
-		metrics   = flag.Bool("metrics", false, "attach an observability hub to every timed run; print the merged campaign metrics (and write metrics.json under -out)")
-		teleOut   = flag.String("telemetry", "", "stream a JSONL run ledger (one record per cell) to this path")
-		progress  = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory: checks hit the cache instead of simulating when the (program, policy, options) cell was already checked")
-		resumeAt  = flag.String("resume", "", "resume from a prior run's telemetry ledger: cells it records as done are not re-run (prior findings are regenerated through the cache)")
-	)
+	s := cli.New("authverify", "full", "replay", ".leak")
+	kernels := flag.Bool("kernels", true, "also check the attack-kernel catalog across the lattice")
 	flag.Parse()
 
-	if *replay {
-		os.Exit(replayFiles(flag.Args(), *verbose))
-	}
-	if flag.NArg() > 0 {
-		fatalf("unexpected arguments %q (use -replay to replay files)", flag.Args())
-	}
-
-	seeds, err := diffcheck.ParseSeedRange(*seedsFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pols, err := policy.ParseSet(*polFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	ctx := context.Background()
-	if *budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *budget)
-		defer cancel()
-	}
-
-	var store *campaign.Store
-	if *cacheDir != "" {
-		if store, err = campaign.Open(*cacheDir); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	var done map[campaign.CellID]string
-	if *resumeAt != "" {
-		if done, err = campaign.LoadCompleted(*resumeAt); err != nil {
-			fatalf("resume: %v", err)
-		}
-	}
-
-	stopProf, err := prof.Start(*cpuprof)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	var so *diffcheck.SweepObs
-	if *metrics || *teleOut != "" || *progress {
-		so = &diffcheck.SweepObs{CollectMetrics: *metrics}
-		if *teleOut != "" {
-			l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authverify", *parallel))
+	if s.Replay {
+		os.Exit(s.ReplayFiles(func(path string) (string, error) {
+			l, err := contract.LoadLeak(path)
 			if err != nil {
-				fatalf("%v", err)
+				s.Fatalf("%v", err)
 			}
-			so.Ledger = l
-		}
-		if *progress {
-			so.Meter = telemetry.NewMeter(os.Stderr, "authverify", 0)
-		}
+			res, err := l.Replay()
+			return fmt.Sprintf("%s (%d/%d cycles)", res.Verdict, res.CyclesA, res.CyclesB), err
+		}))
 	}
+	s.Start()
 
-	bad := runSweep(ctx, seeds, pols, *mode, *minimize, *outDir, *parallel, *verbose, so, store, done)
+	cells := contract.PairCells(s.Seeds, s.Pols)
+	if s.Mode == "cross" {
+		cells = contract.CrossCells(s.Seeds, s.Pols)
+	}
+	findings := cli.Sweep(s, contract.Campaign(contract.Options{Cache: s.Store}, s.Obs), cells, "",
+		[]contract.Verdict{contract.VerdictClean, contract.VerdictImprecise,
+			contract.VerdictLicensed, contract.VerdictUnsound, contract.VerdictError},
+		func(r telemetry.Record) string {
+			return fmt.Sprintf("seed %-6d %-45v %s", r.Seed, r.Policy, r.Verdict)
+		})
+	for _, res := range findings {
+		reportFinding(s, res)
+	}
+	bad := len(findings) > 0
 	if *kernels {
-		bad = runKernels(*verbose) || bad
+		bad = runKernels(s) || bad
 	}
-	if so != nil {
-		if so.Meter != nil {
-			so.Meter.Finish()
-		}
-		if so.Ledger != nil {
-			if err := so.Ledger.Close(); err != nil {
-				fatalf("telemetry: %v", err)
-			}
-		}
-		if snap := so.Metrics(); snap != nil {
-			fmt.Println()
-			report.WriteMetrics(os.Stdout, snap)
-			if *outDir != "" {
-				if err := writeMetricsJSON(*outDir, snap); err != nil {
-					fatalf("%v", err)
-				}
-			}
-		}
-	}
-
-	// main exits through os.Exit, so the profiles must be flushed here
-	// rather than in deferred calls.
-	stopProf()
-	if err := prof.WriteHeap(*memprof); err != nil {
-		fatalf("%v", err)
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// writeMetricsJSON records the merged campaign snapshot next to the .leak
-// findings, so a verification campaign's observability outlives the terminal.
-func writeMetricsJSON(outDir string, snap *obs.Snapshot) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, "metrics.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("authverify: wrote %s\n", path)
-	return nil
-}
-
-func runSweep(ctx context.Context, seeds []int64, pols []policy.ControlPoint, mode string, minimize bool, outDir string, parallel int, verbose bool, so *diffcheck.SweepObs, store *campaign.Store, done map[campaign.CellID]string) bool {
-	var cells []contract.Cell
-	switch mode {
-	case "pair":
-		cells = contract.PairCells(seeds, pols)
-	case "cross":
-		cells = contract.CrossCells(seeds, pols)
-	default:
-		fatalf("mode %q: want pair or cross", mode)
-	}
-	total := len(cells)
-
-	// Resume: cells the prior ledger records as done are not swept again (the
-	// union of both ledgers then covers every cell exactly once). Prior
-	// finding cells are re-checked outside the ledger to regenerate the
-	// finding's program text — free when the cache holds the result.
-	opt := contract.Options{Cache: store}
-	var redo []contract.Cell
-	if done != nil {
-		pending := make([]contract.Cell, 0, len(cells))
-		for _, c := range cells {
-			v, ok := done[campaign.CellID{Kind: "verify", Policy: c.Policy.String(), Seed: c.Seed}]
-			if !ok {
-				pending = append(pending, c)
-				continue
-			}
-			if contract.IsFinding(contract.Verdict(v)) {
-				redo = append(redo, c)
-			}
-		}
-		fmt.Printf("authverify: resume: %d/%d cells already done (%d prior findings)\n",
-			total-len(pending), total, len(redo))
-		cells = pending
-	}
-
-	start := time.Now()
-	results, findings, err := contract.SweepObserved(ctx, cells, opt, parallel, so)
-	elapsed := time.Since(start).Round(time.Millisecond)
-
-	// Regenerate prior findings so a resumed campaign reports the same
-	// finding set as an uninterrupted one.
-	for _, c := range redo {
-		o := opt
-		o.Policy = c.Policy
-		res, src := contract.CheckSeed(c.Seed, o)
-		if contract.IsFinding(res.Verdict) {
-			findings = append(findings, contract.Finding{Result: res, Source: src})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-
-	counts := map[contract.Verdict]int{}
-	skipped, cached := 0, 0
-	for _, r := range results {
-		if r.Verdict == "" {
-			skipped++
-			continue
-		}
-		counts[r.Verdict]++
-		if r.Cached {
-			cached++
-		}
-		if verbose {
-			fmt.Printf("seed %-6d %-45v %s\n", r.Seed, r.Policy, r.Verdict)
-		}
-	}
-	fmt.Printf("authverify: %d cells (%d seeds x %d policies, mode %s) in %v\n",
-		total, len(seeds), len(pols), mode, elapsed)
-	fmt.Printf("authverify: verdicts:")
-	for _, v := range []contract.Verdict{contract.VerdictClean, contract.VerdictImprecise,
-		contract.VerdictLicensed, contract.VerdictUnsound, contract.VerdictError} {
-		if counts[v] > 0 {
-			fmt.Printf(" %s=%d", v, counts[v])
-		}
-	}
-	if cached > 0 {
-		fmt.Printf(" cached=%d", cached)
-	}
-	if skipped > 0 {
-		fmt.Printf(" skipped=%d (budget)", skipped)
-	}
-	fmt.Println()
-	if store != nil {
-		fmt.Printf("authverify: cache: %d hits, %d misses, %d stored (%s)\n",
-			store.Hits(), store.Misses(), store.Puts(), store.Dir())
-		if cerr := store.Err(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "authverify: cache: %v\n", cerr)
-		}
-	}
-	if err != nil && err != context.DeadlineExceeded {
-		fmt.Fprintf(os.Stderr, "authverify: sweep: %v\n", err)
-	}
-
-	for _, f := range findings {
-		reportFinding(f, minimize, outDir)
-	}
-	return len(findings) > 0
+	s.Close()
+	s.Exit(bad)
 }
 
 // reportFinding prints one unsound/error cell, optionally shrinks unsound
-// programs, and records a replayable .leak under outDir.
-func reportFinding(f contract.Finding, minimize bool, outDir string) {
-	res := f.Result
+// programs, and records a replayable .leak under -out.
+func reportFinding(s *cli.Session, res contract.Result) {
 	fmt.Printf("authverify: FINDING seed %d under %v: %s: %s\n", res.Seed, res.Policy, res.Verdict, res.Diff)
 
-	src := f.Source
-	if minimize && res.Verdict == contract.VerdictUnsound {
+	// The program contract.CheckSeed generated for the cell.
+	src := diffcheck.GenSecretProgram(res.Seed)
+	if s.Minimize && res.Verdict == contract.VerdictUnsound {
 		src = contract.MinimizeUnsound(src, res)
 	}
-	if outDir == "" {
+	if s.Out == "" {
 		return
 	}
 	// Re-check the (possibly shrunk) source with the recorded images so the
@@ -311,24 +101,17 @@ func reportFinding(f contract.Finding, minimize bool, outDir string) {
 		Policy: res.Policy, Seed: res.Seed, SecretA: res.SecretA, SecretB: res.SecretB,
 	})
 	l := contract.NewLeak(final, src, "authverify finding: "+res.Diff)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatalf("%v", err)
-	}
-	path := filepath.Join(outDir, fmt.Sprintf("seed%d-%s.leak", res.Seed, res.Policy))
-	if err := l.WriteFile(path); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("authverify: wrote %s\n", path)
+	s.WriteOut(fmt.Sprintf("seed%d-%s.leak", res.Seed, res.Policy), l.WriteFile)
 }
 
 // runKernels checks the attack-kernel catalog across the full lattice: every
 // bus-observed exploit leak must be licensed under non-obfuscating policies,
 // never unsound anywhere, and address-free under obfuscation. This is the
 // CLI edition of the catalog pin the contract package tests enforce.
-func runKernels(verbose bool) bool {
+func runKernels(s *cli.Session) bool {
 	cases, err := contract.Catalog()
 	if err != nil {
-		fatalf("%v", err)
+		s.Fatalf("%v", err)
 	}
 	bad := false
 	checked := 0
@@ -342,7 +125,7 @@ func runKernels(verbose bool) bool {
 				continue
 			}
 			checked++
-			if verbose {
+			if s.Verbose {
 				fmt.Printf("kernel %-22s %-45v %s\n", kc.Name, pt, res.Verdict)
 			}
 			switch {
@@ -380,31 +163,4 @@ func kernelPolicies(kc contract.KernelCase) []policy.ControlPoint {
 		}
 	}
 	return policy.FullLattice()
-}
-
-// replayFiles replays each .leak byte-identically; any mismatch is a finding
-// (the model drifted from the recording, or the recording is stale).
-func replayFiles(files []string, verbose bool) int {
-	if len(files) == 0 {
-		fatalf("-replay needs at least one file")
-	}
-	code := 0
-	for _, path := range files {
-		l, err := contract.LoadLeak(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := l.Replay()
-		if err != nil {
-			code = 1
-			fmt.Printf("authverify: REPLAY MISMATCH %s: %v\n", path, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("%s: %s (%d/%d cycles) replayed byte-identically\n", path, res.Verdict, res.CyclesA, res.CyclesB)
-		} else {
-			fmt.Printf("%s: ok\n", path)
-		}
-	}
-	return code
 }

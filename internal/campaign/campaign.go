@@ -1,5 +1,7 @@
-// Package campaign makes sweep and fuzz campaigns resumable: a
-// content-addressed result cache plus ledger-as-checkpoint helpers.
+// Package campaign runs campaigns on one cell engine (Sweep, on the worker
+// pool Do), which owns the ledger records, the progress meter, resume and
+// finding order, and makes them resumable: a content-addressed result cache
+// plus ledger-as-checkpoint helpers.
 //
 // The cell list of every campaign — a bench sweep, a differential fuzz run, a
 // two-run contract sweep — is embarrassingly parallel and deterministic: the
@@ -15,8 +17,8 @@
 // Checkpoint/resume rides on the telemetry ledger: a campaign's JSONL ledger
 // records one line per cell, including explicit "skipped" records for cells a
 // budget expiry never ran, so a killed campaign's ledger proves exactly which
-// cells completed. Completed turns that ledger into a skip set the CLIs
-// subtract from the next run's cell list.
+// cells completed. Completed turns that ledger into a skip set Sweep
+// subtracts from the next run's cell list.
 package campaign
 
 import (
@@ -249,7 +251,7 @@ func Completed(lf *telemetry.LedgerFile) map[CellID]string {
 		if r.Verdict == "" || r.Verdict == telemetry.VerdictSkipped {
 			continue
 		}
-		done[CellID{Kind: r.Kind, Policy: r.Policy, Seed: r.Seed, Tamper: r.Tamper, Site: r.Site}] = r.Verdict
+		done[cellID(r)] = r.Verdict
 	}
 	return done
 }

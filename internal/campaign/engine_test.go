@@ -1,0 +1,242 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"authpoint/internal/telemetry"
+)
+
+func TestDoRunsEveryIndex(t *testing.T) {
+	var hits [50]int32
+	err := Do(context.Background(), len(hits), 4, func(ctx context.Context, i int) error {
+		atomic.AddInt32(&hits[i], 1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d ran %d times", i, h)
+		}
+	}
+}
+
+// The returned error is deterministically the lowest-index failure, no
+// matter which worker errors first.
+func TestDoLowestErrorWins(t *testing.T) {
+	err := Do(context.Background(), 32, 4, func(ctx context.Context, i int) error {
+		return fmt.Errorf("fail %d", i)
+	})
+	if err == nil || err.Error() != "fail 0" {
+		t.Fatalf("err = %v, want fail 0", err)
+	}
+}
+
+func TestDoFailFastSkipsRemaining(t *testing.T) {
+	var ran int32
+	boom := errors.New("boom")
+	err := Do(context.Background(), 100_000, 2, func(ctx context.Context, i int) error {
+		atomic.AddInt32(&ran, 1)
+		if i == 0 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := atomic.LoadInt32(&ran); n >= 100_000 {
+		t.Fatalf("error did not stop the feed: all %d indexes ran", n)
+	}
+}
+
+func TestDoParentCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := Do(ctx, 10, 2, func(ctx context.Context, i int) error { return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// fakeCell is a cell of the fake checker: its verdict is fixed up front.
+type fakeCell struct {
+	Seed    int64
+	Policy  string
+	Tamper  bool
+	Verdict string
+}
+
+// fakeChecker names cells like the fuzz campaign and reports "bad"
+// verdicts as findings; its result is the cell itself.
+func fakeChecker(ran *atomic.Int64) Checker[fakeCell, fakeCell] {
+	return Checker[fakeCell, fakeCell]{
+		Cell: func(c fakeCell) telemetry.Record {
+			return telemetry.Record{Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper}
+		},
+		Check: func(_ int, c fakeCell, rec *telemetry.Record) (fakeCell, error) {
+			if ran != nil {
+				ran.Add(1)
+			}
+			rec.Verdict = c.Verdict
+			rec.SimCycles = uint64(c.Seed) * 10
+			return c, nil
+		},
+		Finding: func(v string) bool { return v == "bad" },
+	}
+}
+
+// fakeCells is a cross campaign over seeds 1..8 and two policies, the
+// untampered cells first, then the tampered ones. Findings tie on (seed,
+// policy) between an untampered and a tamper cell.
+func fakeCells() []fakeCell {
+	var cells []fakeCell
+	for _, tamper := range []bool{false, true} {
+		for s := int64(8); s >= 1; s-- {
+			for _, p := range []string{"b", "a"} {
+				v := "ok"
+				if s%3 == 0 || (tamper && s%2 == 0) {
+					v = "bad"
+				}
+				cells = append(cells, fakeCell{Seed: s, Policy: p, Tamper: tamper, Verdict: v})
+			}
+		}
+	}
+	return cells
+}
+
+// TestSweepFindingOrderTies pins the finding order: (seed, policy), with
+// ties broken by cell index, at any worker count.
+func TestSweepFindingOrderTies(t *testing.T) {
+	cells := fakeCells()
+	// Seeds 3 and 6 hold an untampered and a tamper finding under each
+	// policy: the untampered cell comes first in the cell list, so first.
+	want := []fakeCell{
+		{2, "a", true, "bad"}, {2, "b", true, "bad"},
+		{3, "a", false, "bad"}, {3, "a", true, "bad"}, {3, "b", false, "bad"}, {3, "b", true, "bad"},
+		{4, "a", true, "bad"}, {4, "b", true, "bad"},
+		{6, "a", false, "bad"}, {6, "a", true, "bad"}, {6, "b", false, "bad"}, {6, "b", true, "bad"},
+		{8, "a", true, "bad"}, {8, "b", true, "bad"},
+	}
+	for _, workers := range []int{1, 8} {
+		rep, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Findings, want) {
+			t.Fatalf("workers=%d: findings\n%+v\nwant\n%+v", workers, rep.Findings, want)
+		}
+		if !reflect.DeepEqual(rep.Results, cells) {
+			t.Fatalf("workers=%d: results not in cell order", workers)
+		}
+	}
+}
+
+// sweepLedger sweeps cells into an in-memory ledger and returns its records
+// sorted by seq and canonicalized.
+func sweepLedger(t *testing.T, cells []fakeCell, workers int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	l := telemetry.NewLedger(&buf)
+	if err := l.WriteHeader(telemetry.NewHeader("engine-test", workers)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, workers, &SweepObs{Ledger: l}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := telemetry.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lf.SortBySeq()
+	var out bytes.Buffer
+	for _, r := range lf.Records {
+		fmt.Fprintf(&out, "%+v\n", r.Canonical())
+	}
+	return out.Bytes()
+}
+
+func TestSweepLedgerSerialParallelIdentity(t *testing.T) {
+	cells := fakeCells()
+	serial := sweepLedger(t, cells, 1)
+	parallel := sweepLedger(t, cells, 8)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("canonical ledgers differ:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+}
+
+// TestSweepSkippedRecords: a sweep whose context is already spent runs
+// nothing, yet records every cell, explicitly skipped, under its identity.
+func TestSweepSkippedRecords(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cells := fakeCells()
+	var ran atomic.Int64
+	rep, err := Sweep(ctx, fakeChecker(&ran), cells, nil, 4, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran.Load() != 0 || len(rep.Findings) != 0 {
+		t.Fatalf("spent context ran %d cells, %d findings", ran.Load(), len(rep.Findings))
+	}
+	for i, r := range rep.Records {
+		c := cells[i]
+		want := telemetry.Record{Seq: uint64(i), Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper,
+			Verdict: telemetry.VerdictSkipped}
+		if r != want {
+			t.Fatalf("record %d = %+v, want %+v", i, r, want)
+		}
+	}
+}
+
+// TestSweepResume pins the engine's resume: cells the checkpoint records as
+// done are not swept, prior findings are checked again outside the ledger,
+// and the findings match an uninterrupted sweep's.
+func TestSweepResume(t *testing.T) {
+	cells := fakeCells()
+	full, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[CellID]string{}
+	for _, c := range cells[:len(cells)/2] {
+		done[CellID{Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper}] = c.Verdict
+	}
+	var ran atomic.Int64
+	rep, err := Sweep(context.Background(), fakeChecker(&ran), cells, done, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redo := 0
+	for _, c := range cells[:len(cells)/2] {
+		if c.Verdict == "bad" {
+			redo++
+		}
+	}
+	if rep.Done != len(cells)/2 || rep.Redo != redo || len(rep.Results) != len(cells)-rep.Done {
+		t.Fatalf("done=%d redo=%d swept=%d, want %d, %d, %d",
+			rep.Done, rep.Redo, len(rep.Results), len(cells)/2, redo, len(cells)-len(cells)/2)
+	}
+	if got := ran.Load(); got != int64(len(rep.Results)+redo) {
+		t.Fatalf("ran %d checks, want %d swept + %d re-checked", got, len(rep.Results), redo)
+	}
+	if !reflect.DeepEqual(rep.Results, cells[len(cells)/2:]) {
+		t.Fatal("resume swept the wrong cells")
+	}
+	if !reflect.DeepEqual(rep.Findings, full.Findings) {
+		t.Fatalf("resumed findings\n%+v\nwant\n%+v", rep.Findings, full.Findings)
+	}
+}

@@ -2,12 +2,10 @@ package contract
 
 import (
 	"context"
-	"sort"
-	"sync"
 	"time"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/diffcheck"
-	"authpoint/internal/harness"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
@@ -53,92 +51,43 @@ type Finding struct {
 // are expected outcomes of a conservative analysis, not findings.
 func IsFinding(v Verdict) bool { return v == VerdictUnsound || v == VerdictError }
 
-// bad is the sweep-internal alias for IsFinding.
-func bad(v Verdict) bool { return IsFinding(v) }
-
-// Sweep checks every cell on the harness worker pool (parallelism <= 0 means
-// NumCPU) and returns per-cell results in cell order plus the findings,
-// sorted by (seed, policy) for determinism. Cells skipped because ctx
-// expired have an empty Verdict; the ctx error is returned so callers can
-// distinguish "clean" from "clean so far, budget exhausted".
-func Sweep(ctx context.Context, cells []Cell, opt Options, parallelism int) ([]Result, []Finding, error) {
-	return SweepObserved(ctx, cells, opt, parallelism, nil)
+// Campaign is the two-run contract campaign as the campaign engine runs it:
+// each cell is checked with opt under the cell's policy. It attaches so's
+// metrics sink when so collects metrics.
+func Campaign(opt Options, so *campaign.SweepObs) campaign.Checker[Cell, Result] {
+	if so != nil && so.CollectMetrics {
+		opt.MetricsSink = so.Sink
+	}
+	return campaign.Checker[Cell, Result]{
+		Cell: func(c Cell) telemetry.Record {
+			return telemetry.Record{Kind: "verify", Policy: c.Policy.String(), Seed: c.Seed}
+		},
+		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
+			o := opt
+			o.Policy = c.Policy
+			start := time.Now()
+			res, _ := CheckSeed(c.Seed, o)
+			rec.HostNs = time.Since(start).Nanoseconds()
+			// Both runs' cycles: the cell's total simulated work.
+			rec.Verdict, rec.SimCycles, rec.Cached = string(res.Verdict), res.CyclesA+res.CyclesB, res.Cached
+			return res, nil
+		},
+		Finding: func(v string) bool { return IsFinding(Verdict(v)) },
+	}
 }
 
-// SweepObserved is Sweep with campaign telemetry (the observability hooks
-// are shared with the differential fuzzer: one ledger schema, one meter).
-func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *diffcheck.SweepObs) ([]Result, []Finding, error) {
-	runner := &harness.Runner{Parallelism: parallelism}
-	var seqBase uint64
-	if so != nil {
-		runner.Meter = so.Meter
-		if so.Ledger != nil {
-			seqBase = so.Ledger.ReserveSeq(len(cells))
-		}
-		if so.CollectMetrics {
-			opt.MetricsSink = so.Sink
-		}
+// SweepObserved checks every cell on the campaign engine (parallelism <= 0
+// means NumCPU) and returns per-cell results in cell order plus the
+// findings, ordered by (seed, policy, cell index). Cells skipped because ctx
+// expired have an empty Verdict; the ctx error is returned so callers can
+// distinguish "clean" from "clean so far, budget exhausted". The
+// observability hooks are the differential fuzzer's: one ledger schema, one
+// meter.
+func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *campaign.SweepObs) ([]Result, []Finding, error) {
+	rep, err := campaign.Sweep(ctx, Campaign(opt, so), cells, nil, parallelism, so)
+	var findings []Finding
+	for _, r := range rep.Findings {
+		findings = append(findings, Finding{Result: r, Source: diffcheck.GenSecretProgram(r.Seed)})
 	}
-	results := make([]Result, len(cells))
-	var (
-		mu       sync.Mutex
-		findings []Finding
-	)
-	err := runner.Do(ctx, len(cells), func(ctx context.Context, i int) error {
-		if ctx.Err() != nil {
-			return nil // budget expired while queued: leave the cell empty
-		}
-		c := cells[i]
-		o := opt
-		o.Policy = c.Policy
-		start := time.Now()
-		res, src := CheckSeed(c.Seed, o)
-		results[i] = res
-		if so != nil && so.Ledger != nil {
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "verify",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Verdict: string(res.Verdict),
-				// Both runs' cycles: the cell's total simulated work.
-				SimCycles: res.CyclesA + res.CyclesB,
-				HostNs:    time.Since(start).Nanoseconds(),
-				Worker:    telemetry.Worker(ctx),
-				Cached:    res.Cached,
-			})
-		}
-		if bad(res.Verdict) {
-			mu.Lock()
-			findings = append(findings, Finding{Result: res, Source: src})
-			mu.Unlock()
-		}
-		return nil
-	})
-	// Cells the budget (or a fail-fast cancel) never ran get explicit skipped
-	// records, mirroring the fuzz sweep: no silent sequence holes, and a
-	// resumed campaign can tell skipped from done.
-	if so != nil && so.Ledger != nil {
-		for i, r := range results {
-			if r.Verdict != "" {
-				continue
-			}
-			c := cells[i]
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "verify",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Verdict: telemetry.VerdictSkipped,
-			})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-	return results, findings, err
+	return rep.Results, findings, err
 }

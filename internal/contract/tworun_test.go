@@ -92,7 +92,7 @@ func TestSweepNoUnsound(t *testing.T) {
 		seeds[i] = int64(i + 1)
 	}
 	cells := PairCells(seeds, policy.FullLattice())
-	results, findings, err := Sweep(context.Background(), cells, Options{}, 0)
+	results, findings, err := SweepObserved(context.Background(), cells, Options{}, 0, nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -115,8 +115,8 @@ func TestSweepNoUnsound(t *testing.T) {
 // identical results — the soundness argument rests on run determinism.
 func TestCrossSweepDeterministic(t *testing.T) {
 	cells := CrossCells([]int64{3, 7}, []policy.ControlPoint{policy.Baseline, policy.CommitPlusObfuscation})
-	r1, _, err1 := Sweep(context.Background(), cells, Options{}, 2)
-	r2, _, err2 := Sweep(context.Background(), cells, Options{}, 1)
+	r1, _, err1 := SweepObserved(context.Background(), cells, Options{}, 2, nil)
+	r2, _, err2 := SweepObserved(context.Background(), cells, Options{}, 1, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("sweep: %v / %v", err1, err2)
 	}

@@ -30,7 +30,7 @@ func TestEquivalenceAcrossLattice(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	results, findings, err := Sweep(context.Background(), PairCells(seeds, pols, false), Options{}, 0)
+	results, findings, err := SweepObserved(context.Background(), PairCells(seeds, pols, false), Options{}, 0, nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestSweepBudgetExpiry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // budget already spent: every cell must be skipped, not run
 	cells := PairCells([]int64{1, 2, 3}, policy.Lattice(), false)
-	results, findings, err := Sweep(ctx, cells, Options{}, 2)
+	results, findings, err := SweepObserved(ctx, cells, Options{}, 2, nil)
 	if err == nil {
 		t.Fatal("expired context did not surface")
 	}

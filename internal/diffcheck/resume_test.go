@@ -1,9 +1,10 @@
 package diffcheck
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -12,46 +13,6 @@ import (
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
-
-func TestParseSeedRange(t *testing.T) {
-	got, err := ParseSeedRange("1:3")
-	if err != nil || !reflect.DeepEqual(got, []int64{1, 2, 3}) {
-		t.Fatalf("1:3 = (%v, %v)", got, err)
-	}
-	got, err = ParseSeedRange("42")
-	if err != nil || !reflect.DeepEqual(got, []int64{42}) {
-		t.Fatalf("bare 42 = (%v, %v), want the single-seed shorthand", got, err)
-	}
-	got, err = ParseSeedRange(" 5 : 5 ")
-	if err != nil || !reflect.DeepEqual(got, []int64{5}) {
-		t.Fatalf("padded 5:5 = (%v, %v)", got, err)
-	}
-	for _, bad := range []string{"", "abc", "3:1", "1:", ":3", "1:2:3"} {
-		if _, err := ParseSeedRange(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-}
-
-// TestParseSeedRangeOverflow pins the satellite fix: the full int64 span used
-// to overflow h-l+1 into a negative make cap (a panic); now it is a clean
-// range-too-large error, as is anything past MaxSeedRange.
-func TestParseSeedRangeOverflow(t *testing.T) {
-	wide := []string{
-		"-9223372036854775808:9223372036854775807", // full int64 span
-		"0:9223372036854775807",
-		"-1:16777215", // width 1<<24, one past the cap
-	}
-	for _, s := range wide {
-		got, err := ParseSeedRange(s)
-		if err == nil {
-			t.Fatalf("%q accepted (%d seeds)", s, len(got))
-		}
-		if !strings.Contains(err.Error(), "range spans") {
-			t.Fatalf("%q: error %v does not name the range cap", s, err)
-		}
-	}
-}
 
 // checkLedger runs one observed sweep writing a checkpoint ledger to path,
 // cancelling ctx after the killAfter-th cell when killAfter > 0.
@@ -321,5 +282,45 @@ func TestOracleMemoModeSplit(t *testing.T) {
 	}
 	if memo.Misses() != misses+1 {
 		t.Fatalf("a PAC-mode change reused a non-PAC oracle run (misses %d -> %d)", misses, memo.Misses())
+	}
+}
+
+// TestSweepLedgerSerialParallelIdentity pins the ledger determinism contract
+// for the fuzz sweep: re-sorted by seq and with host-dependent fields
+// canonicalized away, a ledger swept by 8 workers is byte-identical to a
+// serial one.
+func TestSweepLedgerSerialParallelIdentity(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	pols := []policy.ControlPoint{policy.Baseline, policy.ThenCommit, policy.ThenPAC}
+	cells := append(CrossCells(seeds, pols, false), WithSite(CrossCells(seeds, pols, true), SiteMac)...)
+	canon := func(workers int) []byte {
+		var buf bytes.Buffer
+		l := telemetry.NewLedger(&buf)
+		if err := l.WriteHeader(telemetry.NewHeader("test", workers)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := SweepObserved(context.Background(), cells, Options{}, workers, &SweepObs{Ledger: l}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lf, err := telemetry.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lf.SortBySeq()
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		for _, r := range lf.Records {
+			if err := enc.Encode(r.Canonical()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
+	}
+	serial, parallel := canon(1), canon(8)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("canonical ledgers differ:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }

@@ -2,54 +2,12 @@ package diffcheck
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"authpoint/internal/harness"
-	"authpoint/internal/obs"
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
-
-// MaxSeedRange bounds how many seeds one -seeds flag may expand to. The
-// explicit list is materialized up front, so an unbounded range would OOM the
-// CLI before any work starts; 1<<24 (~16.7M) seeds is comfortably past the
-// nightly tens-of-thousands shape while still only ~128MB of list.
-const MaxSeedRange = 1 << 24
-
-// ParseSeedRange parses an inclusive "lo:hi" seed-range flag into the
-// explicit seed list — the -seeds grammar shared by the fuzzing and
-// verification CLIs. A bare "42" is shorthand for "42:42".
-func ParseSeedRange(s string) ([]int64, error) {
-	lo, hi, ok := strings.Cut(s, ":")
-	if !ok {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("seeds %q: want lo:hi or a single seed", s)
-		}
-		return []int64{v}, nil
-	}
-	l, err1 := strconv.ParseInt(strings.TrimSpace(lo), 10, 64)
-	h, err2 := strconv.ParseInt(strings.TrimSpace(hi), 10, 64)
-	if err1 != nil || err2 != nil || h < l {
-		return nil, fmt.Errorf("seeds %q: want lo:hi with hi >= lo", s)
-	}
-	// h-l+1 overflows int64 for wide ranges (e.g. the full int64 span),
-	// flipping the make cap negative; compute the width in uint64, where
-	// two's-complement subtraction is exact for any l <= h.
-	if width := uint64(h) - uint64(l); width >= MaxSeedRange {
-		return nil, fmt.Errorf("seeds %q: range spans more than %d seeds", s, MaxSeedRange)
-	}
-	out := make([]int64, 0, h-l+1)
-	for v := l; v <= h; v++ {
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 // Cell is one unit of fuzz work: a seed checked under one policy. Site
 // selects the tamper site for tamper cells; empty means SiteEntry.
@@ -120,147 +78,55 @@ type Finding struct {
 // than divergence are expected outcomes, not findings.
 func IsFinding(v Verdict) bool { return v == VerdictDivergence || v == VerdictError }
 
-// bad is the sweep-internal alias for IsFinding.
-func bad(v Verdict) bool { return IsFinding(v) }
+// SweepObs carries the campaign-level observability hooks of a sweep; see
+// campaign.SweepObs.
+type SweepObs = campaign.SweepObs
 
-// SweepObs carries the campaign-level observability hooks of a sweep: the
-// telemetry ledger and progress meter, and an optional merged metrics
-// snapshot across every cell. All fields are optional; the zero value (or a
-// nil *SweepObs) observes nothing.
-type SweepObs struct {
-	// Ledger receives one record per cell, sequence-numbered in cell order.
-	Ledger *telemetry.Ledger
-	// Meter is fed one tick per finished cell.
-	Meter *telemetry.Meter
-	// CollectMetrics attaches an observability hub to every timed run and
-	// merges the per-cell snapshots; Metrics returns the merged result.
-	CollectMetrics bool
-
-	mu     sync.Mutex
-	merged *obs.Snapshot
-}
-
-// Sink folds one cell's snapshot into the campaign aggregate. Safe for
-// concurrent use (diffcheck.Options.MetricsSink requires it).
-func (s *SweepObs) Sink(snap *obs.Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.merged == nil {
-		s.merged = snap
-		return
-	}
-	// Merge only errors on histogram bucket-bound mismatches, which cannot
-	// happen here: every cell uses the Hub's fixed bucket sets.
-	_ = s.merged.Merge(snap)
-}
-
-// Metrics returns the merged campaign snapshot (nil unless CollectMetrics
-// was set and at least one cell ran).
-func (s *SweepObs) Metrics() *obs.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.merged
-}
-
-// Sweep checks every cell on the harness worker pool (parallelism <= 0
-// means NumCPU) and returns per-cell results in cell order plus the
-// findings, sorted by (seed, policy) for determinism. Cells skipped because
-// ctx expired have an empty Verdict; the ctx error is returned so callers
-// can distinguish "clean" from "clean so far, budget exhausted".
-func Sweep(ctx context.Context, cells []Cell, opt Options, parallelism int) ([]Result, []Finding, error) {
-	return SweepObserved(ctx, cells, opt, parallelism, nil)
-}
-
-// SweepObserved is Sweep with campaign telemetry: per-cell ledger records
-// (including explicit "skipped" records for cells the budget never ran, so a
-// ledger doubles as a resume checkpoint), live progress, and (optionally)
-// merged observability metrics. When the cell list repeats seeds (a cross
-// campaign) and the caller supplied no oracle memo, one is attached so the
-// policy-independent oracle leg runs once per seed.
-func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *SweepObs) ([]Result, []Finding, error) {
-	runner := &harness.Runner{Parallelism: parallelism}
-	var seqBase uint64
-	if so != nil {
-		runner.Meter = so.Meter
-		if so.Ledger != nil {
-			seqBase = so.Ledger.ReserveSeq(len(cells))
-		}
-		if so.CollectMetrics {
-			opt.MetricsSink = so.Sink
-		}
+// Campaign is the fuzz campaign over cells as the campaign engine runs it:
+// each cell is checked with opt under the cell's policy and tamper site. It
+// attaches so's metrics sink when so collects metrics, and an oracle memo
+// when the cells repeat seeds and opt has none, so the policy-independent
+// oracle leg runs once per seed.
+func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Result] {
+	if so != nil && so.CollectMetrics {
+		opt.MetricsSink = so.Sink
 	}
 	if opt.Oracle == nil && seedsRepeat(cells) {
 		opt.Oracle = NewOracleMemo(0)
 	}
-	results := make([]Result, len(cells))
-	var (
-		mu       sync.Mutex
-		findings []Finding
-	)
-	err := runner.Do(ctx, len(cells), func(ctx context.Context, i int) error {
-		if ctx.Err() != nil {
-			return nil // budget expired while queued: leave the cell empty
-		}
-		c := cells[i]
-		o := opt
-		o.Policy = c.Policy
-		o.Tamper = c.Tamper
-		o.TamperSite = c.Site
-		start := time.Now()
-		res, src := CheckSeed(c.Seed, o)
-		results[i] = res
-		if so != nil && so.Ledger != nil {
-			so.Ledger.Emit(telemetry.Record{
-				Seq:       seqBase + uint64(i),
-				Kind:      "fuzz",
-				Policy:    c.Policy.String(),
-				Seed:      c.Seed,
-				Tamper:    c.Tamper,
-				Site:      string(res.Site),
-				Verdict:   string(res.Verdict),
-				SimCycles: res.Cycles,
-				Insts:     res.Insts,
-				HostNs:    time.Since(start).Nanoseconds(),
-				Worker:    telemetry.Worker(ctx),
-				Cached:    res.Cached,
-			})
-		}
-		if bad(res.Verdict) {
-			mu.Lock()
-			findings = append(findings, Finding{Result: res, Source: src})
-			mu.Unlock()
-		}
-		return nil
-	})
-	// Cells the budget (or a fail-fast cancel) never ran get explicit
-	// skipped records: without them a budget-expired ledger has silent
-	// sequence holes, indistinguishable from a truncated file — and resume
-	// could not tell skipped from done.
-	if so != nil && so.Ledger != nil {
-		for i, r := range results {
-			if r.Verdict != "" {
-				continue
-			}
-			c := cells[i]
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "fuzz",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Tamper:  c.Tamper,
-				Site:    string(c.EffectiveSite()),
-				Verdict: telemetry.VerdictSkipped,
-			})
-		}
+	return campaign.Checker[Cell, Result]{
+		Cell: func(c Cell) telemetry.Record {
+			return telemetry.Record{Kind: "fuzz", Policy: c.Policy.String(), Seed: c.Seed,
+				Tamper: c.Tamper, Site: string(c.EffectiveSite())}
+		},
+		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
+			o := opt
+			o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, c.Site
+			start := time.Now()
+			res, _ := CheckSeed(c.Seed, o)
+			rec.HostNs = time.Since(start).Nanoseconds()
+			rec.Verdict, rec.SimCycles, rec.Insts, rec.Cached = string(res.Verdict), res.Cycles, res.Insts, res.Cached
+			return res, nil
+		},
+		Finding: func(v string) bool { return IsFinding(Verdict(v)) },
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-	return results, findings, err
+}
+
+// SweepObserved checks every cell on the campaign engine (parallelism <= 0
+// means NumCPU) and returns per-cell results in cell order plus the
+// findings, ordered by (seed, policy, cell index). Cells skipped because ctx
+// expired have an empty Verdict; the ctx error is returned so callers can
+// distinguish "clean" from "clean so far, budget exhausted". A non-nil so
+// receives per-cell ledger records (explicit "skipped" records included, so
+// a ledger doubles as a resume checkpoint), live progress, and merged
+// metrics; see campaign.Sweep.
+func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *SweepObs) ([]Result, []Finding, error) {
+	rep, err := campaign.Sweep(ctx, Campaign(opt, cells, so), cells, nil, parallelism, so)
+	var findings []Finding
+	for _, r := range rep.Findings {
+		findings = append(findings, Finding{Result: r, Source: GenProgram(r.Seed)})
+	}
+	return rep.Results, findings, err
 }
 
 // seedsRepeat reports whether any seed appears in more than one cell — the

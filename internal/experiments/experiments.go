@@ -10,9 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"authpoint/internal/attack"
+	"authpoint/internal/campaign"
 	"authpoint/internal/harness"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -386,45 +386,36 @@ var Table2Policies = []policy.ControlPoint{
 // Table2 demonstrates every cell of the characteristics matrix by running
 // the exploit suite against each control point. The per-policy exploit runs
 // are independent (each builds its own machines), so they fan out across
-// goroutines; rows come back in policy order.
+// the campaign worker pool, one worker per policy; rows come back in policy
+// order.
 func Table2() ([]Table2Row, error) {
 	rows := make([]Table2Row, len(Table2Policies))
-	errs := make([]error, len(Table2Policies))
-	var wg sync.WaitGroup
-	for i, pt := range Table2Policies {
-		wg.Add(1)
-		go func(i int, pt policy.ControlPoint) {
-			defer wg.Done()
-			pc, err := attack.PointerConversion(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			io_, err := attack.IOPortDisclosure(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mt, err := attack.MemoryTaint(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = Table2Row{
-				Policy:                 pt,
-				PreventsFetchLeak:      !pc.Leaked,
-				PreciseException:       !io_.Leaked && io_.Detected,
-				AuthenticatedMemory:    !mt.Leaked,
-				AuthenticatedProcessor: !io_.Leaked && io_.Detected,
-				Detected:               pc.Detected,
-			}
-		}(i, pt)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := campaign.Do(context.Background(), len(rows), len(rows), func(_ context.Context, i int) error {
+		pt := Table2Policies[i]
+		pc, err := attack.PointerConversion(pt)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		io_, err := attack.IOPortDisclosure(pt)
+		if err != nil {
+			return err
+		}
+		mt, err := attack.MemoryTaint(pt)
+		if err != nil {
+			return err
+		}
+		rows[i] = Table2Row{
+			Policy:                 pt,
+			PreventsFetchLeak:      !pc.Leaked,
+			PreciseException:       !io_.Leaked && io_.Detected,
+			AuthenticatedMemory:    !mt.Leaked,
+			AuthenticatedProcessor: !io_.Leaked && io_.Detected,
+			Detected:               pc.Detected,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -2,13 +2,12 @@ package harness
 
 import (
 	"context"
-	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 	"authpoint/internal/telemetry"
@@ -67,8 +66,7 @@ type Runner struct {
 	// cell. Sequence numbers are reserved in input order before dispatch,
 	// so a parallel ledger re-sorted by seq matches a serial one.
 	Ledger *telemetry.Ledger
-	// Meter, if set, is fed live progress (one tick per finished cell,
-	// across both RunAll and Do).
+	// Meter, if set, is fed live progress (one tick per finished cell).
 	Meter *telemetry.Meter
 
 	// baselines memoizes decrypt-only baseline measurements keyed on
@@ -85,10 +83,6 @@ type Runner struct {
 // helpers; its baseline memo spans every experiment in the process.
 var DefaultRunner = &Runner{}
 
-// errNotRun marks cells that were never dispatched; replaced by the context
-// error before RunAll returns, so it never escapes.
-var errNotRun = errors.New("harness: cell not run")
-
 type baseKey struct {
 	w               workload.Workload
 	cfg             sim.Config
@@ -102,157 +96,67 @@ type memoEntry struct {
 	err  error
 }
 
-// workers returns the effective pool size.
-func (r *Runner) workers() int {
-	if r.Parallelism > 0 {
-		return r.Parallelism
-	}
-	return runtime.NumCPU()
-}
-
 // BaselineSims returns how many baseline simulations this runner has
 // actually executed (memo hits excluded) — the observable for the k+1
 // measurement guarantee.
 func (r *Runner) BaselineSims() int64 { return r.baselineSims.Load() }
 
-// RunAll runs every spec and returns the outcomes in input order, regardless
-// of completion order. On the first cell error the context is cancelled:
-// cells not yet started are skipped (their Outcome.Err is the context
-// error); cells already running finish normally. The returned error is the
-// error of the lowest-index failing cell, which is deterministic because
-// cells are dispatched in input order. An external ctx cancellation stops
-// dispatch the same way.
+// RunAll runs every spec on the campaign engine's worker pool and returns
+// the outcomes in input order, regardless of completion order. On the first
+// cell error the context is cancelled: cells not yet started are skipped
+// (their Outcome.Err is the context error); cells already running finish
+// normally. The returned error is the error of the lowest-index failing
+// cell, which is deterministic because cells are dispatched in input order.
+// An external ctx cancellation stops dispatch the same way. With a Ledger,
+// every cell gets one bench record, skipped cells an explicit skipped one.
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	out := make([]Outcome, len(specs))
-	for i := range out {
-		out[i] = Outcome{Spec: specs[i], Err: errNotRun, Index: i}
-	}
-	n := r.workers()
-	if n > len(specs) {
-		n = len(specs)
-	}
-	if n < 1 {
-		n = 1
-	}
-
-	// Reserve the whole batch's sequence numbers up front so seq follows
-	// input order deterministically, independent of worker interleaving.
-	var seqBase uint64
-	if r.Ledger != nil {
-		seqBase = r.Ledger.ReserveSeq(len(specs))
-	}
-	if r.Meter != nil {
-		r.Meter.AddTotal(len(specs))
-	}
-
 	var (
-		mu          sync.Mutex
-		done        int
-		firstErr    error
-		firstErrIdx = -1
+		mu   sync.Mutex
+		done int
 	)
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		worker := i
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				o := r.runOne(ctx, specs[idx])
-				o.Index = idx
-				if r.Ledger != nil {
-					r.Ledger.Emit(benchRecord(seqBase+uint64(idx), worker, o))
-				}
-				if r.Meter != nil {
-					r.Meter.Tick(1)
-				}
+	bench := campaign.Checker[Spec, Outcome]{
+		Cell: func(s Spec) telemetry.Record {
+			return telemetry.Record{Kind: "bench", Workload: s.Workload.Name, Policy: s.Config.ControlPoint().String()}
+		},
+		Check: func(i int, s Spec, rec *telemetry.Record) (Outcome, error) {
+			o := r.runOne(s)
+			o.Index = i
+			rec.SimCycles, rec.Insts, rec.HostNs, rec.Cached = o.Measurement.Cycles, o.Measurement.Insts, o.Wall.Nanoseconds(), o.Cached
+			if o.Err != nil {
+				rec.Err = o.Err.Error()
+			}
+			if r.OnProgress != nil {
 				mu.Lock()
-				out[idx] = o
 				done++
-				// Cancellation errors on skipped cells are fallout, not the
-				// failure itself; only genuine cell errors win fail-fast.
-				if o.Err != nil && !errors.Is(o.Err, context.Canceled) &&
-					(firstErrIdx < 0 || idx < firstErrIdx) {
-					firstErr, firstErrIdx = o.Err, idx
-					cancel()
-				}
-				// Invoked under the runner lock so callbacks are serial and
-				// see done counts in order; callbacks must not re-enter the
-				// Runner.
-				if r.OnProgress != nil {
-					r.OnProgress(Progress{Done: done, Total: len(specs), Outcome: o})
-				}
+				r.OnProgress(Progress{Done: done, Total: len(specs), Outcome: o})
 				mu.Unlock()
 			}
-		}()
+			return o, o.Err
+		},
 	}
-feed:
-	for idx := range specs {
-		select {
-		case idxCh <- idx:
-		case <-ctx.Done():
-			break feed
+	rep, err := campaign.Sweep(ctx, bench, specs, nil, r.Parallelism, &campaign.SweepObs{Ledger: r.Ledger, Meter: r.Meter})
+	// Cells never run carry the context error, so callers can tell them from
+	// successes: the caller's, or Canceled when a failing cell cancelled the
+	// sweep.
+	skipErr := ctx.Err()
+	if skipErr == nil {
+		skipErr = context.Canceled
+	}
+	for i, rec := range rep.Records {
+		if rec.Verdict == telemetry.VerdictSkipped {
+			rep.Results[i] = Outcome{Spec: specs[i], Err: skipErr, Index: i}
 		}
 	}
-	close(idxCh)
-	wg.Wait()
-
-	// Cells never dispatched (fail-fast or external cancel) carry the
-	// context error so callers can tell them from successes. They still get
-	// a ledger record — explicitly marked skipped — so a budget-expired
-	// ledger has no silent sequence holes and doubles as a resume checkpoint.
-	for i := range out {
-		if out[i].Err == errNotRun {
-			out[i].Err = ctx.Err()
-			if r.Ledger != nil {
-				r.Ledger.Emit(benchRecord(seqBase+uint64(i), 0, out[i]))
-			}
-		}
-	}
-	if firstErr != nil {
-		return out, firstErr
-	}
-	return out, ctx.Err()
-}
-
-// benchRecord flattens one RunAll outcome into a ledger record.
-func benchRecord(seq uint64, worker int, o Outcome) telemetry.Record {
-	rec := telemetry.Record{
-		Seq:       seq,
-		Kind:      "bench",
-		Workload:  o.Spec.Workload.Name,
-		Policy:    o.Spec.Config.ControlPoint().String(),
-		SimCycles: o.Measurement.Cycles,
-		Insts:     o.Measurement.Insts,
-		HostNs:    o.Wall.Nanoseconds(),
-		Worker:    worker,
-		Cached:    o.Cached,
-	}
-	if o.Err != nil {
-		rec.Err = o.Err.Error()
-		// A cancellation error means the budget expired before the cell ran —
-		// skipped work, not a failing cell.
-		if errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded) {
-			rec.Verdict = telemetry.VerdictSkipped
-		}
-	}
-	return rec
+	return rep.Results, err
 }
 
 // runOne executes one cell, routing decrypt-only baseline cells through the
 // memo.
-func (r *Runner) runOne(ctx context.Context, s Spec) Outcome {
+func (r *Runner) runOne(s Spec) Outcome {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Outcome{Spec: s, Err: err}
-	}
 	if r.CollectMetrics {
 		s.Metrics = true
 	}

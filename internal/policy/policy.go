@@ -410,7 +410,9 @@ func Lattice() []ControlPoint {
 // including the pac/fpac dimensions, cheap enough to sweep hundreds of seeds
 // on every push), "pac" is the budgeted pointer-authentication slice (both
 // PAC modes alone and composed with representative gates), and anything else
-// is a comma-separated list of control-point names fed through Parse.
+// is a comma-separated list of control-point names fed through Parse. A list
+// naming one point twice, under any spellings, is an error: each point
+// would be swept twice.
 func ParseSet(s string) ([]ControlPoint, error) {
 	switch s {
 	case "full":
@@ -429,11 +431,17 @@ func ParseSet(s string) ([]ControlPoint, error) {
 		}, nil
 	}
 	var out []ControlPoint
+	seen := map[ControlPoint]string{}
 	for _, name := range strings.Split(s, ",") {
-		p, err := Parse(strings.TrimSpace(name))
+		name = strings.TrimSpace(name)
+		p, err := Parse(name)
 		if err != nil {
 			return nil, err
 		}
+		if prev, dup := seen[p.Normalize()]; dup {
+			return nil, fmt.Errorf("policy set %q: %q and %q both name %s", s, prev, name, p)
+		}
+		seen[p.Normalize()] = name
 		out = append(out, p)
 	}
 	return out, nil

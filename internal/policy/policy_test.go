@@ -2,6 +2,7 @@ package policy
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -247,6 +248,41 @@ func TestParseSetPAC(t *testing.T) {
 	}
 	if !hasPAC {
 		t.Error("ci set must cover the PAC dimension")
+	}
+}
+
+// TestParseSetDuplicates: a list naming one point twice, under any
+// spellings, is rejected with both spellings named; the named sets hold no
+// point twice.
+func TestParseSetDuplicates(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"baseline", "baseline"},
+		{"authen-then-commit", "then-commit"},
+		{"authen-then-fpac", "authen-then-pac+fpac"},
+	} {
+		set := tc[0] + ", " + tc[1]
+		_, err := ParseSet(set)
+		if err == nil {
+			t.Fatalf("%q accepted", set)
+		}
+		for _, name := range tc {
+			if !strings.Contains(err.Error(), strconv.Quote(name)) {
+				t.Errorf("%q: error %q does not name %q", set, err, name)
+			}
+		}
+	}
+	for _, set := range []string{"full", "lattice", "ci", "pac"} {
+		pts, err := ParseSet(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, p := range pts {
+			if seen[p.String()] {
+				t.Errorf("%s set holds %v twice", set, p)
+			}
+			seen[p.String()] = true
+		}
 	}
 }
 

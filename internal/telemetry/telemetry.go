@@ -280,9 +280,9 @@ func (lf *LedgerFile) SortBySeq() {
 	sort.Slice(lf.Records, func(i, j int) bool { return lf.Records[i].Seq < lf.Records[j].Seq })
 }
 
-// workerKey carries the worker index in a context, so campaign layers
-// (diffcheck.Sweep, contract.Sweep) can stamp records without threading an
-// index through every call signature.
+// workerKey carries the worker index in a context, so the campaign engine
+// (campaign.Sweep) can stamp records without threading an index through
+// every call signature.
 type workerKey struct{}
 
 // WithWorker tags ctx with a worker index.
