@@ -7,7 +7,10 @@
 // probing the DIMMs would see. Tampering helpers operate on this store.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the virtual/physical page size (4KB, the paper's §3.3 premise:
 // the low 12 address bits survive translation untouched).
@@ -69,27 +72,38 @@ func (m *Memory) Read(addr uint64, n int) []byte {
 }
 
 // ReadInto fills dst with len(dst) bytes starting at addr without
-// allocating (the secure-memory controller's per-fetch path).
+// allocating (the secure-memory controller's per-fetch path). It copies a
+// page span at a time; a page never written reads as zero and stays
+// unallocated.
 func (m *Memory) ReadInto(dst []byte, addr uint64) {
-	for i := range dst {
-		dst[i] = m.LoadByte(addr + uint64(i))
+	for len(dst) > 0 {
+		off := addr & (PageSize - 1)
+		n := min(uint64(len(dst)), PageSize-off)
+		if p := m.page(addr, false); p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += n
 	}
 }
 
-// Write stores data starting at addr.
+// Write stores data starting at addr, a page span at a time.
 func (m *Memory) Write(addr uint64, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint64(i), b)
+	for len(data) > 0 {
+		off := addr & (PageSize - 1)
+		n := copy(m.page(addr, true)[off:], data)
+		data = data[n:]
+		addr += uint64(n)
 	}
 }
 
 // ReadUint reads an n-byte little-endian unsigned integer (n <= 8).
 func (m *Memory) ReadUint(addr uint64, n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		v |= uint64(m.LoadByte(addr+uint64(i))) << (8 * i)
-	}
-	return v
+	var b [8]byte
+	m.ReadInto(b[:n], addr)
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteUint stores an n-byte little-endian unsigned integer (n <= 8).

@@ -71,6 +71,73 @@ func TestQuickMemoryConsistency(t *testing.T) {
 	}
 }
 
+// Write, ReadInto and ReadUint copy whole page spans; they must agree with a
+// byte-at-a-time reference at any address and length, across page
+// boundaries and over pages that were never written (which read as zero).
+func TestQuickPageSpanCopies(t *testing.T) {
+	const pages = 64
+	m := New()
+	ref := map[uint64]byte{}
+	f := func(write bool, wAddr, rAddr uint32, wLen, rLen uint16, fill byte, uPage, uBack, uLen uint8) bool {
+		if write {
+			addr := uint64(wAddr % (pages * PageSize))
+			data := make([]byte, int(wLen)%(2*PageSize))
+			for i := range data {
+				data[i] = fill + byte(i)
+			}
+			m.Write(addr, data)
+			for i, b := range data {
+				ref[addr+uint64(i)] = b
+			}
+		}
+		addr := uint64(rAddr % (pages * PageSize))
+		got := bytes.Repeat([]byte{0xaa}, int(rLen)%(3*PageSize)) // ReadInto overwrites every byte
+		m.ReadInto(got, addr)
+		for i, b := range got {
+			if b != ref[addr+uint64(i)] {
+				return false
+			}
+		}
+		// ReadUint ends within 8 bytes past a page boundary, so it often
+		// straddles one.
+		addr = uint64(uPage%pages+1)*PageSize - uint64(uBack%9)
+		n := int(uLen%8) + 1
+		var want uint64
+		for i := n - 1; i >= 0; i-- {
+			want = want<<8 | uint64(ref[addr+uint64(i)])
+		}
+		return m.ReadUint(addr, n) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Reading a page that was never written returns zeroes without allocating
+// the page.
+func TestReadUnwrittenAllocatesNoPage(t *testing.T) {
+	m := New()
+	m.Write(PageSize+10, []byte{7})
+	buf := make([]byte, 3*PageSize)
+	m.ReadInto(buf, 0)
+	want := make([]byte, len(buf))
+	want[PageSize+10] = 7
+	if !bytes.Equal(buf, want) {
+		t.Error("ReadInto over written and unwritten pages returned wrong bytes")
+	}
+	if v := m.ReadUint(8*PageSize-4, 8); v != 0 {
+		t.Errorf("ReadUint over unwritten pages = %#x", v)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.ReadInto(buf, 16*PageSize+5) }); allocs != 0 {
+		t.Errorf("ReadInto of unwritten pages allocated %v times", allocs)
+	}
+	_ = m.Read(32*PageSize, 100)
+	_ = m.LoadByte(40 * PageSize)
+	if len(m.pages) != 1 {
+		t.Errorf("reads allocated pages: %d pages, want 1", len(m.pages))
+	}
+}
+
 func TestAddressSpaceValidity(t *testing.T) {
 	s := NewAddressSpace()
 	if s.Valid(0x1000) {

@@ -18,6 +18,7 @@
 package secmem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"authpoint/internal/bus"
@@ -186,7 +187,13 @@ type Controller struct {
 	macKey []byte      // the MAC tree's key
 	mac    *hmac.Keyed // flat per-line MACs under macKey
 
-	protected []addrRange
+	protected []addrRange // each one run of consecutive leaves, in leaf order
+
+	// seals serves the all-zero protected ranges' seals (see
+	// FinishProtection), or is nil to seal every line afresh; sealKey is
+	// this controller's part of their key.
+	seals   *sealMemo
+	sealKey zeroSealKey
 
 	// MAC store: macs[lineAddr] would be the natural model, but the MACs
 	// live in external memory so they can be tampered with; we place them at
@@ -256,6 +263,8 @@ func (c *Controller) SetObserver(s obs.Sink) {
 
 type addrRange struct{ start, end uint64 }
 
+func (r addrRange) lines(lineB uint64) int { return int((r.end - r.start) / lineB) }
+
 // MacBase is where the MAC store begins in physical memory (outside any
 // program-visible range).
 const MacBase = 0x8000_0000
@@ -293,6 +302,9 @@ func New(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []b
 		macKey:  append([]byte(nil), macKey...),
 		mac:     hmac.NewKeyed(macKey),
 		macBase: MacBase,
+		seals:   zeroSeals,
+		sealKey: zeroSealKey{encKey: string(encKey), macKey: string(macKey),
+			lineB: cfg.LineB, macB: cfg.MacB, macCoversCounter: cfg.MacCoversCounter},
 		leafIdx: map[uint64]int{},
 		ctBuf:   make([]byte, cfg.LineB),
 		ptBuf:   make([]byte, cfg.LineB),
@@ -353,17 +365,25 @@ func (c *Controller) MacAddrOf(lineAddr uint64) (uint64, bool) {
 
 // Protect marks [start, start+n) as a protected (encrypted+authenticated)
 // region. FinishProtection seals its lines, from plaintext zeroes unless a
-// segment gives them bytes. Ranges must be line-aligned.
+// segment gives them bytes. Ranges must be line-aligned and must not
+// overlap a protected range; a rejected call changes nothing.
 func (c *Controller) Protect(start, n uint64) error {
 	lb := uint64(c.cfg.LineB)
 	if start%lb != 0 || n%lb != 0 {
 		return fmt.Errorf("secmem: unaligned protected range [%#x,+%#x)", start, n)
 	}
-	c.protected = append(c.protected, addrRange{start, start + n})
-	for a := start; a < start+n; a += lb {
-		if _, dup := c.leafIdx[a]; dup {
-			return fmt.Errorf("secmem: line %#x protected twice", a)
+	end := start + n
+	dup := end // lowest line already protected
+	for _, r := range c.protected {
+		if lo := max(start, r.start); lo < min(end, r.end) {
+			dup = min(dup, lo)
 		}
+	}
+	if dup < end {
+		return fmt.Errorf("secmem: line %#x protected twice", dup)
+	}
+	c.protected = append(c.protected, addrRange{start, end})
+	for a := start; a < end; a += lb {
 		c.leafIdx[a] = len(c.leafAddrs)
 		c.leafAddrs = append(c.leafAddrs, a)
 	}
@@ -379,14 +399,24 @@ type Segment struct {
 
 // FinishProtection seals the protected layout: it encrypts and MACs every
 // protected line once, with its initial plaintext — zero, overlaid with the
-// segments' bytes in order — and builds the MAC tree if enabled. Call after
-// all Protect calls and before Fetch. Every segment byte must lie in a
-// protected line.
+// segments' bytes in order — and builds the MAC tree if enabled. Every
+// segment byte must lie in a protected line.
 //
 // The sealed image is exactly the one a zero seal followed by LoadPlain of
 // each segment in order leaves, counters included: a line sits at counter 1
 // plus one for each non-empty segment that touches it (2 for a loaded line of
 // a program image).
+//
+// A protected range that no segment touches is all zeroes at counter 1, so
+// its ciphertext and flat MACs depend only on the keys, the line and MAC
+// sizes, MacCoversCounter and the range. Such a range is copied from a
+// process-wide memo — a machine's stack is the same range in every machine
+// a campaign builds — rather than encrypted and MACed line by line; the
+// image is bit-identical either way. In tree mode only the ciphertext comes
+// from the memo: each leaf digest mixes in the leaf's index.
+//
+// Call it once, after every Protect and before Fetch and SetObserver:
+// sealing is unobserved, and lines served from the memo emit no EvCryptOp.
 func (c *Controller) FinishProtection(segs ...Segment) error {
 	lb := uint64(c.cfg.LineB)
 	for _, s := range segs {
@@ -396,14 +426,27 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 			}
 		}
 	}
+	seals := c.installZeroSeals(segs)
 	if c.cfg.UseTree {
 		var err error
 		arity := c.cfg.LineB / c.cfg.MacB
 		if len(c.leafAddrs) == 0 {
 			c.tree, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
 		} else {
+			// Build asks for the leaves in index order, and each range is
+			// one run of leaves: leaf i lies in range k while i < end.
+			k, end := -1, 0
 			c.tree, err = mactree.Build(c.macKey, len(c.leafAddrs), arity, c.cfg.MacB, func(i int) []byte {
-				return c.sealLine(c.leafAddrs[i], segs)
+				for i >= end {
+					k++
+					end += c.protected[k].lines(lb)
+				}
+				a := c.leafAddrs[i]
+				if s := seals[k]; s != nil {
+					off := a - c.protected[k].start
+					return c.authMessage(a, s.ct[off:off+lb])
+				}
+				return c.sealLine(a, segs)
 			})
 		}
 		if err != nil {
@@ -420,13 +463,19 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 			return err
 		}
 		c.treeCache = tc
-		if c.sink != nil {
-			tc.SetObserver(c.sink, obs.TrackTreeCache, func() uint64 { return c.obsNow })
-		}
 	} else {
-		for i, a := range c.leafAddrs {
-			mac := c.mac.Mac(c.sealLine(a, segs))
-			c.mem.Write(c.macAddr(i), mac[:c.cfg.MacB])
+		i := 0 // first leaf of range k
+		for k, r := range c.protected {
+			n := r.lines(lb)
+			if s := seals[k]; s != nil {
+				c.mem.Write(c.macAddr(i), s.macs)
+			} else {
+				for j := i; j < i+n; j++ {
+					mac := c.mac.Mac(c.sealLine(c.leafAddrs[j], segs))
+					c.mem.Write(c.macAddr(j), mac[:c.cfg.MacB])
+				}
+			}
+			i += n
 		}
 	}
 	if c.remap != nil {
@@ -559,15 +608,20 @@ func (c *Controller) storeLine(lineAddr uint64, plaintext []byte) error {
 // is the controller's reusable scratch: valid until the next authMessage
 // call, never retained (tree leaves hash it immediately).
 func (c *Controller) authMessage(lineAddr uint64, ct []byte) []byte {
-	msg := c.msgBuf[:16+len(ct)]
-	ctr := c.enc.Counter(lineAddr)
-	for i := 0; i < 8; i++ {
-		msg[i] = byte(lineAddr >> (8 * i))
-		msg[8+i] = 0
-		if c.cfg.MacCoversCounter {
-			msg[8+i] = byte(ctr >> (8 * i))
-		}
+	var counter uint64
+	if c.cfg.MacCoversCounter {
+		counter = c.enc.Counter(lineAddr)
 	}
+	return putAuthMessage(c.msgBuf, lineAddr, counter, ct)
+}
+
+// putAuthMessage lays out a line's MAC message in msg, which must hold
+// 16+len(ct) bytes: the line address and counter, little-endian, then the
+// ciphertext. counter is 0 when the MAC does not cover the counter.
+func putAuthMessage(msg []byte, lineAddr, counter uint64, ct []byte) []byte {
+	msg = msg[:16+len(ct)]
+	binary.LittleEndian.PutUint64(msg, lineAddr)
+	binary.LittleEndian.PutUint64(msg[8:], counter)
 	copy(msg[16:], ct)
 	return msg
 }

@@ -28,6 +28,16 @@ type rig struct {
 
 func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
+	r, err := buildRig(mutate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// buildRig is newRig for a caller that may not call t.Fatal, such as a
+// goroutine the test starts.
+func buildRig(mutate func(*Config)) (*rig, error) {
 	cfg := DefaultConfig()
 	if mutate != nil {
 		mutate(&cfg)
@@ -37,9 +47,9 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	d := dram.MustNew(dram.Default())
 	ctrl, err := New(cfg, m, b, d, encKey, macKey)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &rig{m: m, b: b, d: d, ctrl: ctrl}
+	return &rig{m: m, b: b, d: d, ctrl: ctrl}, nil
 }
 
 func protect(t *testing.T, r *rig, start, n uint64) {
@@ -116,15 +126,16 @@ func TestLoadPlainRoundTrip(t *testing.T) {
 	}
 }
 
+// sealRegions are protected in the order sim.NewMachineWithRegions
+// protects them: a probe window first, then text, data and stack.
+var sealRegions = [][2]uint64{{0x9000, 256}, {0x1000, 0x200}, {0x4000, 0x80}, {0x7000, 0x400}}
+
 // Sealing with segments must leave exactly the image a zero seal followed by
 // LoadPlain of each segment does: every protected line's ciphertext and
 // counter, every flat MAC, and every tree node and the root.
 func TestFinishProtectionSegmentsMatchLoadPlain(t *testing.T) {
 	text := bytes.Repeat([]byte("text-segment."), 23) // 299 bytes
 	data := bytes.Repeat([]byte{0xd7}, 100)
-	// Regions in the order sim.NewMachineWithRegions protects them: a probe
-	// window first, then text, data and stack.
-	regions := [][2]uint64{{0x9000, 256}, {0x1000, 0x200}, {0x4000, 0x80}, {0x7000, 0x400}}
 	cases := []struct {
 		name string
 		segs []Segment
@@ -138,7 +149,7 @@ func TestFinishProtectionSegmentsMatchLoadPlain(t *testing.T) {
 		for _, tc := range cases {
 			build := func(onePass bool) *rig {
 				r := newRig(t, func(c *Config) { c.UseTree = tree })
-				for _, reg := range regions {
+				for _, reg := range sealRegions {
 					if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
 						t.Fatal(err)
 					}
@@ -161,38 +172,99 @@ func TestFinishProtectionSegmentsMatchLoadPlain(t *testing.T) {
 			}
 			got, want := build(true), build(false)
 			where := fmt.Sprintf("tree=%v %s", tree, tc.name)
-			for _, la := range want.ctrl.leafAddrs {
-				if g, w := got.m.Read(la, 64), want.m.Read(la, 64); !bytes.Equal(g, w) {
-					t.Fatalf("%s: line %#x ciphertext %x, want %x", where, la, g, w)
-				}
-				if g, w := got.ctrl.enc.Counter(la), want.ctrl.enc.Counter(la); g != w {
-					t.Fatalf("%s: line %#x counter %d, want %d", where, la, g, w)
-				}
-				if ma, ok := want.ctrl.MacAddrOf(la); ok {
-					if g, w := got.m.Read(ma, 8), want.m.Read(ma, 8); !bytes.Equal(g, w) {
-						t.Fatalf("%s: line %#x MAC %x, want %x", where, la, g, w)
-					}
-				}
-			}
-			if tree {
-				gt, wt := got.ctrl.Tree(), want.ctrl.Tree()
-				for l := 0; l < wt.Levels(); l++ {
-					for i := 0; i < wt.NodeCount(l); i++ {
-						id := mactree.NodeID{Level: l, Index: i}
-						if !bytes.Equal(gt.Node(id), wt.Node(id)) {
-							t.Fatalf("%s: tree node %v differs", where, id)
-						}
-					}
-				}
-				if !bytes.Equal(gt.Root(), wt.Root()) {
-					t.Fatalf("%s: tree root differs", where)
-				}
+			if d := imageDiff(got, want); d != "" {
+				t.Fatalf("%s: %s", where, d)
 			}
 			if tc.name == "empty data segment" {
 				if c := got.ctrl.enc.Counter(0x4000); c != 1 {
 					t.Errorf("%s: empty segment left its line at counter %d, want 1", where, c)
 				}
 			}
+		}
+	}
+}
+
+// imageDiff describes the first difference between two sealed images of
+// one layout — a protected line's ciphertext, counter or flat MAC, a tree
+// node, or the root — or returns "" if they are identical.
+func imageDiff(got, want *rig) string {
+	if len(got.ctrl.leafAddrs) != len(want.ctrl.leafAddrs) {
+		return fmt.Sprintf("%d protected lines, want %d", len(got.ctrl.leafAddrs), len(want.ctrl.leafAddrs))
+	}
+	lineB, macB := want.ctrl.cfg.LineB, want.ctrl.cfg.MacB
+	for i, la := range want.ctrl.leafAddrs {
+		if g := got.ctrl.leafAddrs[i]; g != la {
+			return fmt.Sprintf("leaf %d is line %#x, want %#x", i, g, la)
+		}
+		if g, w := got.m.Read(la, lineB), want.m.Read(la, lineB); !bytes.Equal(g, w) {
+			return fmt.Sprintf("line %#x ciphertext %x, want %x", la, g, w)
+		}
+		if g, w := got.ctrl.enc.Counter(la), want.ctrl.enc.Counter(la); g != w {
+			return fmt.Sprintf("line %#x counter %d, want %d", la, g, w)
+		}
+		if ma, ok := want.ctrl.MacAddrOf(la); ok {
+			if g, w := got.m.Read(ma, macB), want.m.Read(ma, macB); !bytes.Equal(g, w) {
+				return fmt.Sprintf("line %#x MAC %x, want %x", la, g, w)
+			}
+		}
+	}
+	gt, wt := got.ctrl.Tree(), want.ctrl.Tree()
+	if (gt == nil) != (wt == nil) {
+		return "MAC tree present in one image only"
+	}
+	if wt == nil {
+		return ""
+	}
+	for l := 0; l < wt.Levels(); l++ {
+		for i := 0; i < wt.NodeCount(l); i++ {
+			id := mactree.NodeID{Level: l, Index: i}
+			if !bytes.Equal(gt.Node(id), wt.Node(id)) {
+				return fmt.Sprintf("tree node %v differs", id)
+			}
+		}
+	}
+	if !bytes.Equal(gt.Root(), wt.Root()) {
+		return "tree root differs"
+	}
+	return ""
+}
+
+// A Protect rejected for overlapping a protected range changes nothing:
+// IsProtected, LeafIndex and the sealed image are as if it was never made.
+func TestProtectRejectedLeavesNoTrace(t *testing.T) {
+	for _, tree := range []bool{false, true} {
+		build := func(reject bool) *rig {
+			r := newRig(t, func(c *Config) { c.UseTree = tree })
+			for _, reg := range [][2]uint64{{0x1000, 0x100}, {0x3000, 0x100}} {
+				if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reject {
+				// Two new lines, then the first line of [0x3000,+0x100).
+				err := r.ctrl.Protect(0x2f80, 0x100)
+				if err == nil || !strings.Contains(err.Error(), "0x3000") {
+					t.Fatalf("overlapping Protect: err %v, want line 0x3000 named", err)
+				}
+			}
+			if err := r.ctrl.FinishProtection(); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		got, want := build(true), build(false)
+		for a := uint64(0xf00); a < 0x3200; a += 0x40 {
+			if g, w := got.ctrl.IsProtected(a), want.ctrl.IsProtected(a); g != w {
+				t.Errorf("tree=%v: IsProtected(%#x) = %v, want %v", tree, a, g, w)
+			}
+			gi, gok := got.ctrl.LeafIndex(a)
+			wi, wok := want.ctrl.LeafIndex(a)
+			if gi != wi || gok != wok {
+				t.Errorf("tree=%v: LeafIndex(%#x) = %d, %v, want %d, %v", tree, a, gi, gok, wi, wok)
+			}
+		}
+		if d := imageDiff(got, want); d != "" {
+			t.Errorf("tree=%v: %s", tree, d)
 		}
 	}
 }

@@ -67,7 +67,9 @@ func BenchmarkRunBaselineFast(b *testing.B) { benchRun(b, policy.Baseline, false
 // BenchmarkNewMachine measures machine set-up, which seals every protected
 // line: a generated campaign program (about 1,060 lines, 1,024 of them its
 // stack) and artx, a large Fig-12 image, each with flat per-line MACs and
-// with the MAC tree.
+// with the MAC tree. After its first iteration it times a warm build, as a
+// campaign's: the stack is a memo hit, copied rather than encrypted and
+// MACed (see secmem.Controller.FinishProtection).
 func BenchmarkNewMachine(b *testing.B) {
 	art, ok := workload.ByName("artx")
 	if !ok {
