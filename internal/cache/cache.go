@@ -77,12 +77,19 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
+	// Each set's ways and LRU order are cut from one backing array per
+	// table, so a cache costs the same few allocations whatever its set
+	// count. Lookups keep the [set][way] index: a flat lines[s*ways+w]
+	// index measured slower per lookup.
 	c := &Cache{cfg: cfg, sets: sets}
 	c.lines = make([][]Line, sets)
 	c.order = make([][]int, sets)
+	lines := make([]Line, sets*cfg.Ways)
+	order := make([]int, sets*cfg.Ways)
 	for s := 0; s < sets; s++ {
-		c.lines[s] = make([]Line, cfg.Ways)
-		c.order[s] = make([]int, cfg.Ways)
+		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
+		c.lines[s] = lines[lo:hi:hi]
+		c.order[s] = order[lo:hi:hi]
 		for w := 0; w < cfg.Ways; w++ {
 			c.order[s][w] = w
 		}

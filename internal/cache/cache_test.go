@@ -223,10 +223,11 @@ func TestResetStats(t *testing.T) {
 
 // refCache is an executable specification: a map plus explicit LRU lists.
 type refCache struct {
-	sets  int
-	ways  int
-	lineB int
-	sets_ [][]refLine // per-set MRU-first
+	sets     int
+	ways     int
+	lineB    int
+	writeBck bool        // writes mark lines dirty
+	sets_    [][]refLine // per-set MRU-first
 }
 
 type refLine struct {
@@ -236,10 +237,11 @@ type refLine struct {
 
 func newRefCache(cfg Config) *refCache {
 	return &refCache{
-		sets:  cfg.SizeB / (cfg.LineB * cfg.Ways),
-		ways:  cfg.Ways,
-		lineB: cfg.LineB,
-		sets_: make([][]refLine, cfg.SizeB/(cfg.LineB*cfg.Ways)),
+		sets:     cfg.SizeB / (cfg.LineB * cfg.Ways),
+		ways:     cfg.Ways,
+		lineB:    cfg.LineB,
+		writeBck: cfg.WriteBck,
+		sets_:    make([][]refLine, cfg.SizeB/(cfg.LineB*cfg.Ways)),
 	}
 }
 
@@ -252,7 +254,7 @@ func (r *refCache) access(addr uint64, write bool) bool {
 	s := r.setOf(addr)
 	for i, l := range r.sets_[s] {
 		if l.addr == la {
-			l.dirty = l.dirty || write
+			l.dirty = l.dirty || write && r.writeBck
 			r.sets_[s] = append(append([]refLine{l}, r.sets_[s][:i]...), r.sets_[s][i+1:]...)
 			return true
 		}
@@ -268,19 +270,37 @@ func (r *refCache) fill(addr uint64, write bool) (victim *refLine) {
 		victim = &v
 		r.sets_[s] = r.sets_[s][:r.ways-1]
 	}
-	r.sets_[s] = append([]refLine{{addr: la, dirty: write}}, r.sets_[s]...)
+	r.sets_[s] = append([]refLine{{addr: la, dirty: write && r.writeBck}}, r.sets_[s]...)
 	return victim
 }
 
 // Property: the cache model agrees with the executable specification on
 // every hit/miss outcome and every eviction identity under random access
-// streams.
+// streams, for every shape the machine builds — the L1s, the L2, the
+// counter and re-map caches — and for 2-, 4- and 8-way shapes whose sets
+// share backing arrays with their neighbours.
 func TestQuickAgainstReferenceModel(t *testing.T) {
-	cfg := Config{Name: "ref", SizeB: 4 << 10, LineB: 64, Ways: 4, WriteBck: true}
+	for _, cfg := range []Config{
+		{Name: "l1i", SizeB: 16 << 10, LineB: 32, Ways: 1},
+		{Name: "l1d", SizeB: 16 << 10, LineB: 32, Ways: 1, WriteBck: true},
+		{Name: "l2", SizeB: 256 << 10, LineB: 64, Ways: 4, WriteBck: true},
+		{Name: "ctr", SizeB: 32 << 10, LineB: 64, Ways: 4},
+		{Name: "remap", SizeB: 256 << 10, LineB: 64, Ways: 4},
+		{Name: "2way", SizeB: 8 << 10, LineB: 64, Ways: 2, WriteBck: true},
+		{Name: "4way", SizeB: 4 << 10, LineB: 64, Ways: 4, WriteBck: true},
+		{Name: "8way", SizeB: 4 << 10, LineB: 32, Ways: 8, WriteBck: true},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) { checkAgainstReference(t, cfg) })
+	}
+}
+
+func checkAgainstReference(t *testing.T, cfg Config) {
 	c := MustNew(cfg)
 	r := newRefCache(cfg)
-	f := func(addrRaw uint16, write bool) bool {
-		addr := uint64(addrRaw) * 8 // 512KB address space: plenty of conflicts
+	// Eight times the capacity, so every set sees conflicts.
+	span := uint64(8 * cfg.SizeB)
+	f := func(addrRaw uint32, write bool) bool {
+		addr := uint64(addrRaw) % span
 		_, hit := c.Access(addr, write)
 		refHit := r.access(addr, write)
 		if hit != refHit {

@@ -154,7 +154,7 @@ func (c *Cipher) expandKey(key []byte) {
 		switch {
 		case i%nk == 0:
 			t = subWord(rotWord(t)) ^ rcon
-			rcon = uint32(mul(byte(rcon>>24), 2)) << 24
+			rcon = uint32(mul2[rcon>>24]) << 24
 		case nk > 6 && i%nk == 4:
 			t = subWord(t)
 		}
@@ -177,15 +177,15 @@ func (c *Cipher) expandKey(key []byte) {
 	}
 }
 
+// invMixColumnWord applies InvMixColumns to one column, by the
+// multiplication tables init builds from mul: every cipher's key schedule
+// runs it on each inner round key.
 func invMixColumnWord(w uint32) uint32 {
-	var col [4]byte
-	col[0], col[1], col[2], col[3] = byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-	var out [4]byte
-	out[0] = mul(col[0], 14) ^ mul(col[1], 11) ^ mul(col[2], 13) ^ mul(col[3], 9)
-	out[1] = mul(col[0], 9) ^ mul(col[1], 14) ^ mul(col[2], 11) ^ mul(col[3], 13)
-	out[2] = mul(col[0], 13) ^ mul(col[1], 9) ^ mul(col[2], 14) ^ mul(col[3], 11)
-	out[3] = mul(col[0], 11) ^ mul(col[1], 13) ^ mul(col[2], 9) ^ mul(col[3], 14)
-	return uint32(out[0])<<24 | uint32(out[1])<<16 | uint32(out[2])<<8 | uint32(out[3])
+	c0, c1, c2, c3 := byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
+	return uint32(mul14[c0]^mul11[c1]^mul13[c2]^mul9[c3])<<24 |
+		uint32(mul9[c0]^mul14[c1]^mul11[c2]^mul13[c3])<<16 |
+		uint32(mul13[c0]^mul9[c1]^mul14[c2]^mul11[c3])<<8 |
+		uint32(mul11[c0]^mul13[c1]^mul9[c2]^mul14[c3])
 }
 
 // state is the 4x4 AES state held column-major in four words.

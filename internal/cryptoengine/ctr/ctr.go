@@ -23,13 +23,25 @@ import (
 	"authpoint/internal/obs"
 )
 
+// blockLines is how many consecutive lines' counters share one block of the
+// counter table: sealing a machine's protected lines touches a few dozen
+// blocks rather than one map entry per line.
+const blockLines = 64
+
+// counterBlock holds the write counters of blockLines consecutive lines.
+type counterBlock [blockLines]uint64
+
 // Engine encrypts and decrypts fixed-size memory lines in counter mode.
 // It also maintains the per-line counter table (the authoritative copy that a
 // real system would keep encrypted in memory with an on-chip counter cache).
 type Engine struct {
 	cipher   *aes.Cipher
 	lineSize int
-	counters map[uint64]uint64 // line address -> write counter
+	blocks   map[uint64]*counterBlock // line number / blockLines -> counters
+	// One-entry block cache, as mem.Memory caches its last page: sealing
+	// and fetches walk lines in address order.
+	lastBlk uint64
+	last    *counterBlock
 
 	sink  obs.Sink
 	clock func() uint64
@@ -61,7 +73,27 @@ func NewEngine(key []byte, lineSize int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cipher: c, lineSize: lineSize, counters: map[uint64]uint64{}}, nil
+	return &Engine{cipher: c, lineSize: lineSize, blocks: map[uint64]*counterBlock{}, lastBlk: ^uint64(0)}, nil
+}
+
+// counter returns the slot holding the write counter of addr's line, or nil
+// if its block was never written and create is false.
+func (e *Engine) counter(addr uint64, create bool) *uint64 {
+	line := addr / uint64(e.lineSize)
+	blk, i := line/blockLines, line%blockLines
+	if blk == e.lastBlk {
+		return &e.last[i]
+	}
+	b, ok := e.blocks[blk]
+	if !ok {
+		if !create {
+			return nil
+		}
+		b = new(counterBlock)
+		e.blocks[blk] = b
+	}
+	e.lastBlk, e.last = blk, b
+	return &b[i]
 }
 
 // LineSize returns the engine's line size in bytes.
@@ -73,12 +105,21 @@ func (e *Engine) LineSize() int { return e.lineSize }
 // by throughput-limited configurations.
 func (e *Engine) PadChunks() int { return e.lineSize / aes.BlockSize }
 
-// Counter returns the current write counter for the line at addr.
-func (e *Engine) Counter(addr uint64) uint64 { return e.counters[addr] }
+// Counter returns the current write counter of the line holding addr. A
+// counter belongs to its line, not to a byte address: every address in one
+// line reads the same counter, and callers pass the line address. A line
+// never written reads 0.
+func (e *Engine) Counter(addr uint64) uint64 {
+	if p := e.counter(addr, false); p != nil {
+		return *p
+	}
+	return 0
+}
 
-// SetCounter overrides a line counter (used by replay-attack tests that roll
-// a counter back).
-func (e *Engine) SetCounter(addr, ctr uint64) { e.counters[addr] = ctr }
+// SetCounter overrides the write counter of the line holding addr (used by
+// sealing and by replay-attack tests that roll a counter back). As with
+// Counter, the counter is the line's: callers pass the line address.
+func (e *Engine) SetCounter(addr, ctr uint64) { *e.counter(addr, true) = ctr }
 
 // Pad computes the one-time pad for the line at addr under counter ctr.
 func (e *Engine) Pad(addr, ctr uint64) []byte {
@@ -118,9 +159,10 @@ func (e *Engine) EncryptLineInto(dst []byte, addr uint64, plaintext []byte) erro
 	if len(plaintext) != e.lineSize {
 		return fmt.Errorf("ctr: plaintext length %d != line size %d", len(plaintext), e.lineSize)
 	}
-	e.counters[addr]++
+	ctr := e.counter(addr, true)
+	*ctr++
 	e.emit(addr, 0)
-	e.padInto(dst, addr, e.counters[addr])
+	e.padInto(dst, addr, *ctr)
 	xorInto(dst, plaintext)
 	return nil
 }
@@ -142,7 +184,7 @@ func (e *Engine) DecryptLineInto(dst []byte, addr uint64, ciphertext []byte) err
 		return fmt.Errorf("ctr: ciphertext length %d != line size %d", len(ciphertext), e.lineSize)
 	}
 	e.emit(addr, 1)
-	e.padInto(dst, addr, e.counters[addr])
+	e.padInto(dst, addr, e.Counter(addr))
 	xorInto(dst, ciphertext)
 	return nil
 }

@@ -183,3 +183,55 @@ func TestSetCounter(t *testing.T) {
 		t.Fatalf("counter %d want 42", e.Counter(0x100))
 	}
 }
+
+// Property: the blocked counter table agrees with a map from line address
+// to counter under random SetCounter, EncryptLine and Counter calls on
+// lines spread over several blocks, at low and high addresses. Blocks 6 and
+// 7 of each base are only ever read: they read 0 and are never allocated.
+func TestQuickCountersAgainstMap(t *testing.T) {
+	const lineSize = 64
+	e := newEngine(t, lineSize)
+	ref := map[uint64]uint64{}
+	bases := []uint64{0, 0x7000_0000, 1 << 44}
+	pt := make([]byte, lineSize)
+	f := func(op uint8, line uint16, base uint8, v uint64) bool {
+		blocks := 8
+		if op%3 != 2 {
+			blocks = 6 // writes stay out of blocks 6 and 7
+		}
+		addr := bases[int(base)%len(bases)] + uint64(int(line)%(blocks*blockLines))*lineSize
+		switch op % 3 {
+		case 0:
+			e.SetCounter(addr, v)
+			ref[addr] = v
+		case 1:
+			pt[0] = byte(v)
+			ct, err := e.EncryptLine(addr, pt)
+			if err != nil {
+				return false
+			}
+			ref[addr]++
+			// The pad is the one for the line's new counter.
+			if dec, _ := e.DecryptLineWithCounter(addr, ref[addr], ct); !bytes.Equal(dec, pt) {
+				t.Logf("line %#x: EncryptLine did not use counter %d", addr, ref[addr])
+				return false
+			}
+		}
+		if got := e.Counter(addr); got != ref[addr] {
+			t.Logf("line %#x: counter %d, reference %d", addr, got, ref[addr])
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	for a, v := range ref {
+		if got := e.Counter(a); got != v {
+			t.Errorf("line %#x: counter %d, reference %d", a, got, v)
+		}
+	}
+	if n := len(e.blocks); n > 6*len(bases) {
+		t.Errorf("%d counter blocks allocated, want at most %d: reads allocate", n, 6*len(bases))
+	}
+}

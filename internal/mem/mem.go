@@ -192,13 +192,18 @@ func NewTLB(entries, ways int) (*TLB, error) {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("mem: bad TLB shape entries=%d ways=%d", entries, ways)
 	}
+	// As in cache.New, every set's tags and LRU order are cut from one
+	// backing array per table.
 	sets := entries / ways
 	t := &TLB{sets: sets, ways: ways}
 	t.tags = make([][]uint64, sets)
 	t.order = make([][]int, sets)
+	tags := make([]uint64, entries)
+	order := make([]int, entries)
 	for s := 0; s < sets; s++ {
-		t.tags[s] = make([]uint64, ways)
-		t.order[s] = make([]int, ways)
+		lo, hi := s*ways, (s+1)*ways
+		t.tags[s] = tags[lo:hi:hi]
+		t.order[s] = order[lo:hi:hi]
 		for w := 0; w < ways; w++ {
 			t.tags[s][w] = ^uint64(0)
 			t.order[s][w] = w

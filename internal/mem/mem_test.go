@@ -237,3 +237,69 @@ func TestTLBBadShape(t *testing.T) {
 		t.Error("non-divisible shape accepted")
 	}
 }
+
+// refTLB is an executable specification of the TLB: per set, the resident
+// page numbers most recently used first.
+type refTLB struct {
+	ways int
+	sets [][]uint64
+}
+
+// lookup reports a hit and makes pn its set's most recent entry, evicting
+// the least recent when a miss finds the set full.
+func (r *refTLB) lookup(pn uint64) bool {
+	s := &r.sets[pn%uint64(len(r.sets))]
+	for i, p := range *s {
+		if p == pn {
+			copy((*s)[1:i+1], (*s)[:i])
+			(*s)[0] = pn
+			return true
+		}
+	}
+	if len(*s) == r.ways {
+		*s = (*s)[:r.ways-1]
+	}
+	*s = append([]uint64{pn}, *s...)
+	return false
+}
+
+// Property: the TLB agrees with the reference on every hit and miss — and so
+// on every LRU victim — and on its counts, across Flush, for the machine's
+// 128-entry 4-way shape, a direct-mapped one and a fully associative one.
+func TestQuickTLBAgainstReferenceModel(t *testing.T) {
+	for _, shape := range []struct{ entries, ways int }{{128, 4}, {16, 1}, {8, 8}} {
+		tlb, err := NewTLB(shape.entries, shape.ways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refTLB{ways: shape.ways, sets: make([][]uint64, shape.entries/shape.ways)}
+		var hits, misses uint64
+		// Pages from a span of four times the reach, so sets overflow; one
+		// op in 64 is a Flush.
+		f := func(raw uint16, off uint16) bool {
+			if raw%64 == 0 {
+				tlb.Flush()
+				for s := range ref.sets {
+					ref.sets[s] = nil
+				}
+				return true
+			}
+			pn := uint64(raw) % uint64(4*shape.entries)
+			hit := tlb.Lookup(pn<<PageShift | uint64(off)%PageSize)
+			if hit {
+				hits++
+			} else {
+				misses++
+			}
+			if want := ref.lookup(pn); hit != want {
+				t.Logf("%d/%d-way: page %d hit=%v, reference %v", shape.entries, shape.ways, pn, hit, want)
+				return false
+			}
+			h, m := tlb.Stats()
+			return h == hits && m == misses
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 // and IPC pays for re-map cache misses.
 type Remapper struct {
 	lineB   int
-	slots   map[uint64]uint64 // true line addr -> current slot index
+	slots   []uint64 // leaf index -> current slot index
 	nSlots  uint64
 	lcg     uint64 // deterministic shuffle state
 	cache   *cache.Cache
@@ -48,7 +48,6 @@ func NewRemapper(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) (*Remapper
 	}
 	return &Remapper{
 		lineB:   cfg.LineB,
-		slots:   map[uint64]uint64{},
 		lcg:     0x9e3779b97f4a7c15,
 		cache:   c,
 		mem:     m,
@@ -58,15 +57,17 @@ func NewRemapper(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) (*Remapper
 	}, nil
 }
 
-// Init assigns every protected line an initial slot via a deterministic
-// shuffle (the OS loader's randomized placement).
-func (r *Remapper) Init(lineAddrs []uint64) {
-	r.nSlots = uint64(len(lineAddrs)) * 2 // head-room so reshuffling has free slots
+// Init assigns each of the controller's leaves — its protected lines, in
+// leaf order — an initial slot via a deterministic shuffle (the OS loader's
+// randomized placement).
+func (r *Remapper) Init(leaves int) {
+	r.nSlots = uint64(leaves) * 2 // head-room so reshuffling has free slots
 	if r.nSlots == 0 {
 		r.nSlots = 1
 	}
-	for _, a := range lineAddrs {
-		r.slots[a] = r.next()
+	r.slots = make([]uint64, leaves)
+	for i := range r.slots {
+		r.slots[i] = r.next()
 	}
 }
 
@@ -86,10 +87,11 @@ func (r *Remapper) SlotAddr(slot uint64) uint64 {
 	return RemapBase + slot*uint64(r.lineB)
 }
 
-// Lookup resolves the current bus address for a line fetch starting at
-// cycle now. A re-map cache miss first fetches the table entry from memory.
-// It returns the obfuscated address and the cycle the mapping was known.
-func (r *Remapper) Lookup(now uint64, lineAddr uint64) (busAddr uint64, ready uint64) {
+// Lookup resolves the current bus address for a fetch, starting at cycle
+// now, of the line at lineAddr, whose leaf index is leaf. A re-map cache
+// miss first fetches the table entry from memory. It returns the obfuscated
+// address and the cycle the mapping was known.
+func (r *Remapper) Lookup(now uint64, lineAddr uint64, leaf int) (busAddr uint64, ready uint64) {
 	ready = now
 	entry := r.tableEntryAddr(lineAddr)
 	if _, hit := r.cache.Access(entry, false); hit {
@@ -100,14 +102,15 @@ func (r *Remapper) Lookup(now uint64, lineAddr uint64) (busAddr uint64, ready ui
 		ready = arrive
 		r.cache.Fill(entry, false)
 	}
-	return r.SlotAddr(r.slots[lineAddr]), ready
+	return r.SlotAddr(r.slots[leaf]), ready
 }
 
-// Reshuffle assigns a fresh slot on write-back and updates the table. It
-// returns the new obfuscated address and the cycle the mapping update is
-// consistent (table write issued).
-func (r *Remapper) Reshuffle(now uint64, lineAddr uint64) (busAddr uint64, ready uint64) {
-	r.slots[lineAddr] = r.next()
+// Reshuffle assigns the line at lineAddr, whose leaf index is leaf, a fresh
+// slot on write-back and updates the table. It returns the new obfuscated
+// address and the cycle the mapping update is consistent (table write
+// issued).
+func (r *Remapper) Reshuffle(now uint64, lineAddr uint64, leaf int) (busAddr uint64, ready uint64) {
+	r.slots[leaf] = r.next()
 	entry := r.tableEntryAddr(lineAddr)
 	if _, hit := r.cache.Access(entry, true); hit {
 		r.hits++
@@ -118,7 +121,7 @@ func (r *Remapper) Reshuffle(now uint64, lineAddr uint64) (busAddr uint64, ready
 	// The table write drains behind the line write-back; the new mapping is
 	// known on-chip immediately.
 	r.bus.Transact(now, bus.WriteMeta, entry, 8)
-	return r.SlotAddr(r.slots[lineAddr]), now
+	return r.SlotAddr(r.slots[leaf]), now
 }
 
 func (r *Remapper) busDramRead(start uint64, addr uint64, nbytes int) (uint64, uint64) {

@@ -187,7 +187,11 @@ type Controller struct {
 	macKey []byte      // the MAC tree's key
 	mac    *hmac.Keyed // flat per-line MACs under macKey
 
-	protected []addrRange // each one run of consecutive leaves, in leaf order
+	// protected holds the ranges in protection order. Leaves — the MAC
+	// store's slots and the tree's leaves — number the protected lines in
+	// that order: a range's lines are consecutive leaves from its first.
+	protected []addrRange
+	leaves    int // protected lines
 
 	// seals serves the all-zero protected ranges' seals (see
 	// FinishProtection), or is nil to seal every line afresh; sealKey is
@@ -202,8 +206,6 @@ type Controller struct {
 
 	tree      *mactree.Tree
 	treeCache *cache.Cache
-	leafIdx   map[uint64]int // protected line addr -> tree leaf / MAC index
-	leafAddrs []uint64       // leaf index -> line addr
 
 	ctrCache *cache.Cache
 
@@ -261,7 +263,12 @@ func (c *Controller) SetObserver(s obs.Sink) {
 	c.enc.SetObserver(s, clock)
 }
 
-type addrRange struct{ start, end uint64 }
+// addrRange is one protected range [start, end); leaf is the leaf index of
+// its first line.
+type addrRange struct {
+	start, end uint64
+	leaf       int
+}
 
 func (r addrRange) lines(lineB uint64) int { return int((r.end - r.start) / lineB) }
 
@@ -305,11 +312,10 @@ func New(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []b
 		seals:   zeroSeals,
 		sealKey: zeroSealKey{encKey: string(encKey), macKey: string(macKey),
 			lineB: cfg.LineB, macB: cfg.MacB, macCoversCounter: cfg.MacCoversCounter},
-		leafIdx: map[uint64]int{},
-		ctBuf:   make([]byte, cfg.LineB),
-		ptBuf:   make([]byte, cfg.LineB),
-		msgBuf:  make([]byte, 16+cfg.LineB),
-		macBuf:  make([]byte, cfg.MacB),
+		ctBuf:  make([]byte, cfg.LineB),
+		ptBuf:  make([]byte, cfg.LineB),
+		msgBuf: make([]byte, 16+cfg.LineB),
+		macBuf: make([]byte, cfg.MacB),
 	}
 	c.engineFree = make([]uint64, cfg.MacUnits)
 	if cfg.CtrCacheB > 0 {
@@ -348,15 +354,14 @@ func (c *Controller) Tree() *mactree.Tree { return c.tree }
 // LeafIndex returns the MAC-store / tree-leaf index of a protected line, for
 // adversaries that tamper the integrity metadata rather than the data.
 func (c *Controller) LeafIndex(lineAddr uint64) (int, bool) {
-	idx, ok := c.leafIdx[lineAddr]
-	return idx, ok
+	return c.leafOf(lineAddr)
 }
 
 // MacAddrOf returns the external-memory address of a protected line's stored
 // flat MAC. It reports false in tree mode (per-line MACs live in the tree)
 // or for unprotected lines.
 func (c *Controller) MacAddrOf(lineAddr uint64) (uint64, bool) {
-	idx, ok := c.leafIdx[lineAddr]
+	idx, ok := c.leafOf(lineAddr)
 	if !ok || c.cfg.UseTree {
 		return 0, false
 	}
@@ -382,11 +387,8 @@ func (c *Controller) Protect(start, n uint64) error {
 	if dup < end {
 		return fmt.Errorf("secmem: line %#x protected twice", dup)
 	}
-	c.protected = append(c.protected, addrRange{start, end})
-	for a := start; a < end; a += lb {
-		c.leafIdx[a] = len(c.leafAddrs)
-		c.leafAddrs = append(c.leafAddrs, a)
-	}
+	c.protected = append(c.protected, addrRange{start: start, end: end, leaf: c.leaves})
+	c.leaves += int(n / lb)
 	return nil
 }
 
@@ -421,7 +423,7 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 	lb := uint64(c.cfg.LineB)
 	for _, s := range segs {
 		for a := s.Addr &^ (lb - 1); a < s.Addr+uint64(len(s.Data)); a += lb {
-			if _, ok := c.leafIdx[a]; !ok {
+			if _, ok := c.leafOf(a); !ok {
 				return fmt.Errorf("secmem: segment outside protected region at %#x", max(a, s.Addr))
 			}
 		}
@@ -430,23 +432,23 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 	if c.cfg.UseTree {
 		var err error
 		arity := c.cfg.LineB / c.cfg.MacB
-		if len(c.leafAddrs) == 0 {
+		if c.leaves == 0 {
 			c.tree, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
 		} else {
 			// Build asks for the leaves in index order, and each range is
 			// one run of leaves: leaf i lies in range k while i < end.
 			k, end := -1, 0
-			c.tree, err = mactree.Build(c.macKey, len(c.leafAddrs), arity, c.cfg.MacB, func(i int) []byte {
+			c.tree, err = mactree.Build(c.macKey, c.leaves, arity, c.cfg.MacB, func(i int) []byte {
 				for i >= end {
 					k++
 					end += c.protected[k].lines(lb)
 				}
-				a := c.leafAddrs[i]
+				r := c.protected[k]
+				off := uint64(i-r.leaf) * lb
 				if s := seals[k]; s != nil {
-					off := a - c.protected[k].start
-					return c.authMessage(a, s.ct[off:off+lb])
+					return c.authMessage(r.start+off, s.ct[off:off+lb])
 				}
-				return c.sealLine(a, segs)
+				return c.sealLine(r.start+off, segs)
 			})
 		}
 		if err != nil {
@@ -464,22 +466,19 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 		}
 		c.treeCache = tc
 	} else {
-		i := 0 // first leaf of range k
 		for k, r := range c.protected {
-			n := r.lines(lb)
 			if s := seals[k]; s != nil {
-				c.mem.Write(c.macAddr(i), s.macs)
-			} else {
-				for j := i; j < i+n; j++ {
-					mac := c.mac.Mac(c.sealLine(c.leafAddrs[j], segs))
-					c.mem.Write(c.macAddr(j), mac[:c.cfg.MacB])
-				}
+				c.mem.Write(c.macAddr(r.leaf), s.macs)
+				continue
 			}
-			i += n
+			for a, leaf := r.start, r.leaf; a < r.end; a, leaf = a+lb, leaf+1 {
+				mac := c.mac.Mac(c.sealLine(a, segs))
+				c.mem.Write(c.macAddr(leaf), mac[:c.cfg.MacB])
+			}
 		}
 	}
 	if c.remap != nil {
-		c.remap.Init(c.leafAddrs)
+		c.remap.Init(c.leaves)
 	}
 	return nil
 }
@@ -516,12 +515,32 @@ func (c *Controller) sealLine(lineAddr uint64, segs []Segment) []byte {
 
 // IsProtected reports whether addr lies in a protected range.
 func (c *Controller) IsProtected(addr uint64) bool {
+	_, ok := c.rangeOf(addr)
+	return ok
+}
+
+// rangeOf returns the protected range holding addr. A controller has a
+// handful of ranges (text, data, stack, a probe window), so a scan over
+// them stands in for a per-line index.
+func (c *Controller) rangeOf(addr uint64) (addrRange, bool) {
 	for _, r := range c.protected {
 		if addr >= r.start && addr < r.end {
-			return true
+			return r, true
 		}
 	}
-	return false
+	return addrRange{}, false
+}
+
+// leafOf returns the leaf index of the protected line at lineAddr: its
+// range's first leaf plus the line's offset in the range. An unaligned or
+// unprotected address has none.
+func (c *Controller) leafOf(lineAddr uint64) (int, bool) {
+	lb := uint64(c.cfg.LineB)
+	r, ok := c.rangeOf(lineAddr)
+	if !ok || lineAddr%lb != 0 {
+		return 0, false
+	}
+	return r.leaf + int((lineAddr-r.start)/lb), true
 }
 
 // LoadPlain installs plaintext into a sealed protected region (re-encrypting
@@ -532,7 +551,8 @@ func (c *Controller) LoadPlain(addr uint64, data []byte) error {
 	lb := uint64(c.cfg.LineB)
 	for len(data) > 0 {
 		la := addr &^ (lb - 1)
-		if _, ok := c.leafIdx[la]; !ok {
+		leaf, ok := c.leafOf(la)
+		if !ok {
 			return fmt.Errorf("secmem: LoadPlain outside protected region at %#x", addr)
 		}
 		line, err := c.loadLinePlain(la)
@@ -541,7 +561,7 @@ func (c *Controller) LoadPlain(addr uint64, data []byte) error {
 		}
 		off := int(addr - la)
 		n := copy(line[off:], data)
-		if err := c.storeLine(la, line); err != nil {
+		if err := c.storeLine(la, leaf, line); err != nil {
 			return err
 		}
 		addr += uint64(n)
@@ -551,12 +571,16 @@ func (c *Controller) LoadPlain(addr uint64, data []byte) error {
 }
 
 // ReadPlain reads plaintext back from a protected region (untimed; for
-// loaders, debuggers, and result checking).
+// loaders, debuggers, and result checking). Every line read must be
+// protected: the error names the first that is not.
 func (c *Controller) ReadPlain(addr uint64, n int) ([]byte, error) {
 	lb := uint64(c.cfg.LineB)
 	out := make([]byte, 0, n)
 	for n > 0 {
 		la := addr &^ (lb - 1)
+		if _, ok := c.leafOf(la); !ok {
+			return nil, fmt.Errorf("secmem: ReadPlain of unprotected line %#x", la)
+		}
 		line, err := c.loadLinePlain(la)
 		if err != nil {
 			return nil, err
@@ -580,24 +604,20 @@ func (c *Controller) loadLinePlain(lineAddr uint64) ([]byte, error) {
 	return c.enc.DecryptLine(lineAddr, ct)
 }
 
-// storeLine encrypts and stores a protected line, refreshing MAC/tree
-// (functional only).
-func (c *Controller) storeLine(lineAddr uint64, plaintext []byte) error {
+// storeLine encrypts and stores the protected line at lineAddr, whose leaf
+// index is leaf, refreshing MAC/tree (functional only).
+func (c *Controller) storeLine(lineAddr uint64, leaf int, plaintext []byte) error {
 	ct := c.ctBuf
 	if err := c.enc.EncryptLineInto(ct, lineAddr, plaintext); err != nil {
 		return err
 	}
 	c.mem.Write(lineAddr, ct)
-	idx, ok := c.leafIdx[lineAddr]
-	if !ok {
-		return fmt.Errorf("secmem: store to unprotected line %#x", lineAddr)
-	}
 	if c.tree != nil {
-		_, err := c.tree.SetLeaf(idx, c.authMessage(lineAddr, ct))
+		_, err := c.tree.SetLeaf(leaf, c.authMessage(lineAddr, ct))
 		return err
 	}
 	mac := c.mac.Mac(c.authMessage(lineAddr, ct))
-	c.mem.Write(c.macAddr(idx), mac[:c.cfg.MacB])
+	c.mem.Write(c.macAddr(leaf), mac[:c.cfg.MacB])
 	return nil
 }
 
@@ -633,12 +653,11 @@ func (c *Controller) macAddr(leafIdx int) uint64 {
 // verifyLine checks the stored MAC (or tree path) for a line's current
 // ciphertext. Returns the verdict plus the extra engine work performed
 // beyond the flat per-line MAC (tree levels climbed, uncached node fetches).
-func (c *Controller) verifyLine(lineAddr uint64, ct []byte) (ok bool, treeLevels, nodeFetches int) {
-	idx := c.leafIdx[lineAddr]
+func (c *Controller) verifyLine(lineAddr uint64, leaf int, ct []byte) (ok bool, treeLevels, nodeFetches int) {
 	msg := c.authMessage(lineAddr, ct)
 	if c.tree == nil {
 		stored := c.macBuf
-		c.mem.ReadInto(stored, c.macAddr(idx))
+		c.mem.ReadInto(stored, c.macAddr(leaf))
 		return c.mac.Verify(msg, stored), 0, 0
 	}
 	trusted := func(id mactree.NodeID) bool {
@@ -651,7 +670,7 @@ func (c *Controller) verifyLine(lineAddr uint64, ct []byte) (ok bool, treeLevels
 		}
 		return hit
 	}
-	okv, visited := c.tree.VerifyLeaf(idx, msg, trusted)
+	okv, visited := c.tree.VerifyLeaf(leaf, msg, trusted)
 	// Cache the verified path nodes (only on success: unverified nodes must
 	// never become trusted).
 	fetches := 0
@@ -685,7 +704,8 @@ func (c *Controller) treeNodeAddr(id mactree.NodeID) uint64 {
 // the bus (authen-then-fetch passes the completion cycle of the relevant
 // authentication request; everyone else passes 0).
 func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64) (FetchResult, error) {
-	if _, ok := c.leafIdx[lineAddr]; !ok {
+	leaf, ok := c.leafOf(lineAddr)
+	if !ok {
 		return FetchResult{}, fmt.Errorf("secmem: fetch of unprotected line %#x", lineAddr)
 	}
 	c.stats.Fetches++
@@ -711,7 +731,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 	busStart := start
 	if c.remap != nil {
 		var remapReady uint64
-		busAddr, remapReady = c.remap.Lookup(start, lineAddr)
+		busAddr, remapReady = c.remap.Lookup(start, lineAddr, leaf)
 		busStart = max(busStart, remapReady)
 	}
 	addrDone, dataArrive := c.busDramRead(busStart, busAddr, burst, bus.ReadLine)
@@ -731,7 +751,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 			// it. With [19]-style prediction the pad starts immediately
 			// from the predicted counter and the fetched block only
 			// confirms it.
-			_, ctrArrive := c.busDramRead(start, c.counterAddr(lineAddr), 64, bus.ReadMeta)
+			_, ctrArrive := c.busDramRead(start, c.counterAddr(leaf), 64, bus.ReadMeta)
 			if !c.cfg.CtrPredict {
 				padStart = ctrArrive
 			}
@@ -774,7 +794,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 
 	// Enqueue on the authentication queue: the in-order engine starts this
 	// request when the data has arrived and every earlier request is done.
-	ok, treeLevels, nodeFetches := c.verifyLine(lineAddr, ct)
+	ok, treeLevels, nodeFetches := c.verifyLine(lineAddr, leaf, ct)
 	var authDone uint64
 	switch {
 	case c.cfg.Mode == ModeCBC && c.tree == nil:
@@ -845,8 +865,10 @@ func (c *Controller) ctrKey(lineAddr uint64) uint64 {
 	return lineAddr / uint64(c.cfg.LineB) * 8
 }
 
-func (c *Controller) counterAddr(lineAddr uint64) uint64 {
-	return c.macBase + 0x2000_0000 + uint64(c.leafIdx[lineAddr])*8
+// counterAddr is where the counter of the line with leaf index leaf lives
+// in external memory.
+func (c *Controller) counterAddr(leaf int) uint64 {
+	return c.macBase + 0x2000_0000 + uint64(leaf)*8
 }
 
 // busDramRead performs one address+data transaction: bus command, DRAM
@@ -862,7 +884,8 @@ func (c *Controller) busDramRead(start uint64, addr uint64, nbytes int, kind bus
 // authen-then-write the *pipeline* delays calling this until the store's
 // authentication tag clears; the controller itself writes unconditionally.
 func (c *Controller) WriteBack(now uint64, lineAddr uint64, plaintext []byte) (uint64, error) {
-	if _, ok := c.leafIdx[lineAddr]; !ok {
+	leaf, ok := c.leafOf(lineAddr)
+	if !ok {
 		return 0, fmt.Errorf("secmem: writeback of unprotected line %#x", lineAddr)
 	}
 	c.stats.Writebacks++
@@ -870,7 +893,7 @@ func (c *Controller) WriteBack(now uint64, lineAddr uint64, plaintext []byte) (u
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{Cycle: now, Kind: obs.EvWriteBack, Track: obs.TrackSecmem, Addr: lineAddr})
 	}
-	if err := c.storeLine(lineAddr, plaintext); err != nil {
+	if err := c.storeLine(lineAddr, leaf, plaintext); err != nil {
 		return 0, err
 	}
 	if c.ctrCache != nil {
@@ -884,7 +907,7 @@ func (c *Controller) WriteBack(now uint64, lineAddr uint64, plaintext []byte) (u
 	busStart := now
 	if c.remap != nil {
 		var ready uint64
-		busAddr, ready = c.remap.Reshuffle(now, lineAddr)
+		busAddr, ready = c.remap.Reshuffle(now, lineAddr, leaf)
 		busStart = max(busStart, ready)
 	}
 	_, done := c.bus.Transact(busStart, bus.WriteLine, busAddr, burst)

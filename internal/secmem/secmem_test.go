@@ -124,11 +124,65 @@ func TestLoadPlainRoundTrip(t *testing.T) {
 	if err := r.ctrl.LoadPlain(0x9000, []byte("x")); err == nil {
 		t.Error("LoadPlain outside protection accepted")
 	}
+	// ReadPlain rejects a line outside protection, and a read that runs
+	// past the range's end, naming the first unprotected line.
+	for _, rd := range []struct {
+		addr uint64
+		n    int
+		line string
+	}{{0x9000, 16, "0x9000"}, {0x1ff0, 32, "0x2000"}} {
+		got, err := r.ctrl.ReadPlain(rd.addr, rd.n)
+		if err == nil || !strings.Contains(err.Error(), rd.line) {
+			t.Errorf("ReadPlain(%#x, %d) = %x, %v; want an error naming line %s", rd.addr, rd.n, got, err, rd.line)
+		}
+	}
 }
 
 // sealRegions are protected in the order sim.NewMachineWithRegions
 // protects them: a probe window first, then text, data and stack.
 var sealRegions = [][2]uint64{{0x9000, 256}, {0x1000, 0x200}, {0x4000, 0x80}, {0x7000, 0x400}}
+
+// Leaves number the protected lines in protection order, each range's lines
+// consecutively: LeafIndex and, with flat MACs, MacAddrOf follow that
+// numbering over the sealRegions layout, and both miss for an unaligned
+// address, an unprotected line and the line one past a range's end.
+func TestLeafIndexFollowsProtectionOrder(t *testing.T) {
+	for _, tree := range []bool{false, true} {
+		r := newRig(t, func(c *Config) { c.UseTree = tree })
+		for _, reg := range sealRegions {
+			if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.ctrl.FinishProtection(); err != nil {
+			t.Fatal(err)
+		}
+		lb, macB := uint64(r.ctrl.cfg.LineB), uint64(r.ctrl.cfg.MacB)
+		leaf := 0
+		miss := []uint64{0, 0x8000, 0xffc0}
+		for _, reg := range sealRegions {
+			for a := reg[0]; a < reg[0]+reg[1]; a += lb {
+				if got, ok := r.ctrl.LeafIndex(a); !ok || got != leaf {
+					t.Errorf("tree=%v: LeafIndex(%#x) = %d, %v, want %d", tree, a, got, ok, leaf)
+				}
+				ma, ok := r.ctrl.MacAddrOf(a)
+				if want := MacBase + uint64(leaf)*macB; ok == tree || !tree && ma != want {
+					t.Errorf("tree=%v: MacAddrOf(%#x) = %#x, %v, want %#x, %v", tree, a, ma, ok, want, !tree)
+				}
+				leaf++
+			}
+			miss = append(miss, reg[0]+8, reg[0]+reg[1]-lb+1, reg[0]+reg[1])
+		}
+		for _, a := range miss {
+			if got, ok := r.ctrl.LeafIndex(a); ok {
+				t.Errorf("tree=%v: LeafIndex(%#x) = %d, want a miss", tree, a, got)
+			}
+			if ma, ok := r.ctrl.MacAddrOf(a); ok {
+				t.Errorf("tree=%v: MacAddrOf(%#x) = %#x, want a miss", tree, a, ma)
+			}
+		}
+	}
+}
 
 // Sealing with segments must leave exactly the image a zero seal followed by
 // LoadPlain of each segment does: every protected line's ciphertext and
@@ -188,12 +242,13 @@ func TestFinishProtectionSegmentsMatchLoadPlain(t *testing.T) {
 // one layout — a protected line's ciphertext, counter or flat MAC, a tree
 // node, or the root — or returns "" if they are identical.
 func imageDiff(got, want *rig) string {
-	if len(got.ctrl.leafAddrs) != len(want.ctrl.leafAddrs) {
-		return fmt.Sprintf("%d protected lines, want %d", len(got.ctrl.leafAddrs), len(want.ctrl.leafAddrs))
+	gotLines, wantLines := leafLines(got.ctrl), leafLines(want.ctrl)
+	if len(gotLines) != len(wantLines) {
+		return fmt.Sprintf("%d protected lines, want %d", len(gotLines), len(wantLines))
 	}
 	lineB, macB := want.ctrl.cfg.LineB, want.ctrl.cfg.MacB
-	for i, la := range want.ctrl.leafAddrs {
-		if g := got.ctrl.leafAddrs[i]; g != la {
+	for i, la := range wantLines {
+		if g := gotLines[i]; g != la {
 			return fmt.Sprintf("leaf %d is line %#x, want %#x", i, g, la)
 		}
 		if g, w := got.m.Read(la, lineB), want.m.Read(la, lineB); !bytes.Equal(g, w) {
@@ -227,6 +282,18 @@ func imageDiff(got, want *rig) string {
 		return "tree root differs"
 	}
 	return ""
+}
+
+// leafLines lists a controller's protected lines in leaf order: each
+// protected range's lines, ranges in protection order.
+func leafLines(c *Controller) []uint64 {
+	var out []uint64
+	for _, r := range c.protected {
+		for a := r.start; a < r.end; a += uint64(c.cfg.LineB) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // A Protect rejected for overlapping a protected range changes nothing:

@@ -101,11 +101,48 @@ func BenchmarkNewMachine(b *testing.B) {
 	}
 }
 
+// TestNewMachineAllocs pins machine set-up at a few allocations per
+// structure rather than per cache set or per protected line: carved cache
+// and TLB set arrays, leaf indices derived from the protected ranges, the
+// counter table in 64-line blocks and leaf-indexed re-map slots. A build of
+// a generated campaign program takes about 150 allocations under each
+// configuration; one allocation per set or per line would take thousands.
+// The count does not depend on the hardware.
+func TestNewMachineAllocs(t *testing.T) {
+	p, err := asm.Assemble(diffcheck.GenProgram(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pt   policy.ControlPoint
+		tree bool
+	}{
+		{"baseline/flat", policy.Baseline, false},
+		{"commit+obfuscation/flat", policy.CommitPlusObfuscation, false},
+		{"then-commit/tree", policy.ThenCommit, true},
+	} {
+		cfg := sim.DefaultConfig()
+		cfg.Policy = c.pt
+		cfg.Sec.UseTree = c.tree
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sim.NewMachine(cfg, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per build", c.name, allocs)
+		if allocs > 300 {
+			t.Errorf("%s: NewMachine made %.0f allocations, want at most 300", c.name, allocs)
+		}
+	}
+}
+
 // TestRunSteadyStateAllocs pins the zero-alloc hot loop: once a machine is
 // warm (caches filled, rings and queues at steady occupancy), continuing the
 // run must not allocate per cycle or per instruction. The small budget
-// tolerates stray lazy growth in the secure-memory metadata maps; per-cycle
-// allocation would show up as hundreds of thousands.
+// tolerates what still grows on a warm machine — the authentication queue's
+// slices and MemSystem.lines, the resident L2 lines' authentication state;
+// per-cycle allocation would show up as hundreds of thousands.
 func TestRunSteadyStateAllocs(t *testing.T) { steadyStateAllocs(t, false) }
 
 // TestRunSteadyStateAllocsObserved is the same pin with the observability
