@@ -3,7 +3,7 @@
 // Processor Design" (Shi & Lee, MICRO 2006).
 //
 // The library models an 8-wide out-of-order processor whose external memory
-// is encrypted (counter mode over a from-scratch AES) and integrity-protected
+// is encrypted (AES in counter mode) and integrity-protected
 // (truncated HMAC-SHA256 per line, optionally a CHTree-style MAC tree), with
 // a front-side bus whose address trace is the adversary-visible side channel.
 // The paper's design space — where completed integrity verification must

@@ -31,13 +31,15 @@ func ParseSeedRange(s string) ([]int64, error) {
 	}
 	// h-l+1 overflows int64 for wide ranges (e.g. the full int64 span),
 	// flipping the make cap negative; compute the width in uint64, where
-	// two's-complement subtraction is exact for any l <= h.
-	if width := uint64(h) - uint64(l); width >= MaxSeedRange {
+	// two's-complement subtraction is exact for any l <= h. The loop counts
+	// over the width too: a loop `v <= h` never ends when h is MaxInt64.
+	width := uint64(h) - uint64(l)
+	if width >= MaxSeedRange {
 		return nil, fmt.Errorf("seeds %q: range spans more than %d seeds", s, MaxSeedRange)
 	}
-	out := make([]int64, 0, h-l+1)
-	for v := l; v <= h; v++ {
-		out = append(out, v)
+	out := make([]int64, width+1)
+	for i := range out {
+		out[i] = l + int64(i)
 	}
 	return out, nil
 }

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,4 +46,46 @@ func TestParseSeedRangeOverflow(t *testing.T) {
 			t.Fatalf("%q: error %v does not name the range cap", s, err)
 		}
 	}
+	// A range ending at MaxInt64 must stop there rather than wrap around.
+	got, err := ParseSeedRange("9223372036854775806:9223372036854775807")
+	if err != nil || !reflect.DeepEqual(got, []int64{math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Fatalf("range ending at MaxInt64 = (%v, %v)", got, err)
+	}
+}
+
+// FuzzParseSeedRange: the parser never panics. An accepted range is lo..hi
+// in order, at most MaxSeedRange seeds long; anything else is an error.
+func FuzzParseSeedRange(f *testing.F) {
+	for _, s := range []string{"1:3", "42", " 5 : 5 ", "3:1", "1:2:3", "",
+		"9223372036854775806:9223372036854775807",
+		"-9223372036854775808:-9223372036854775807",
+		"-9223372036854775808:9223372036854775807"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseSeedRange(s)
+		if err != nil {
+			return
+		}
+		if len(got) == 0 || len(got) > MaxSeedRange {
+			t.Fatalf("%q: %d seeds", s, len(got))
+		}
+		lo, hi, ok := strings.Cut(s, ":")
+		if !ok {
+			hi = lo // a bare seed
+		}
+		l, err1 := strconv.ParseInt(strings.TrimSpace(lo), 10, 64)
+		h, err2 := strconv.ParseInt(strings.TrimSpace(hi), 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%q accepted but its bounds do not parse: %v, %v", s, err1, err2)
+		}
+		if uint64(len(got)) != uint64(h)-uint64(l)+1 || got[0] != l {
+			t.Fatalf("%q: %d seeds from %d, want %d..%d", s, len(got), got[0], l, h)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] != got[i-1]+1 {
+				t.Fatalf("%q: seed %d is %d after %d", s, i, got[i], got[i-1])
+			}
+		}
+	})
 }

@@ -42,6 +42,10 @@ type Engine struct {
 	// and fetches walk lines in address order.
 	lastBlk uint64
 	last    *counterBlock
+	// seed is padInto's cipher input. Held here, not on padInto's stack,
+	// because a block passed to the cipher escapes: a local one would cost an
+	// allocation per pad.
+	seed [aes.BlockSize]byte
 
 	sink  obs.Sink
 	clock func() uint64
@@ -132,14 +136,13 @@ func (e *Engine) Pad(addr, ctr uint64) []byte {
 // lineSize bytes. Allocation-free: every external line fetch goes through
 // here.
 func (e *Engine) padInto(dst []byte, addr, ctr uint64) {
-	var block [aes.BlockSize]byte
 	for chunk := 0; chunk < e.PadChunks(); chunk++ {
 		// Seed block: address, counter, chunk index. Unique per
 		// (line, version, chunk) triple, which is what counter-mode security
 		// requires.
-		putUint64(block[0:8], addr)
-		putUint64(block[8:16], ctr+uint64(chunk)<<48)
-		e.cipher.Encrypt(dst[chunk*aes.BlockSize:], block[:])
+		putUint64(e.seed[0:8], addr)
+		putUint64(e.seed[8:16], ctr+uint64(chunk)<<48)
+		e.cipher.Encrypt(dst[chunk*aes.BlockSize:], e.seed[:])
 	}
 }
 

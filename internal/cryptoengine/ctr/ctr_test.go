@@ -158,6 +158,22 @@ func TestPadChunks(t *testing.T) {
 	}
 }
 
+// Every external line fetch and write-back runs a line through the engine,
+// so once a line's counter block exists neither direction may allocate.
+func TestLineIntoDoesNotAllocate(t *testing.T) {
+	e := newEngine(t, 64)
+	pt, ct := make([]byte, 64), make([]byte, 64)
+	if err := e.EncryptLineInto(ct, 0x1000, pt); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = e.EncryptLineInto(ct, 0x1000, pt) }); n != 0 {
+		t.Errorf("EncryptLineInto made %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = e.DecryptLineInto(pt, 0x1000, ct) }); n != 0 {
+		t.Errorf("DecryptLineInto made %.0f allocations, want 0", n)
+	}
+}
+
 // Property: decrypt(encrypt(pt)) == pt for arbitrary lines and addresses.
 func TestQuickRoundTrip(t *testing.T) {
 	e := newEngine(t, 32)

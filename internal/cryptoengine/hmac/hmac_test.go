@@ -140,13 +140,16 @@ func TestQuickTamperDetection(t *testing.T) {
 	}
 }
 
-func TestPaddedBlocksMatchesLineCost(t *testing.T) {
-	// A 64-byte cache line costs 2 hash blocks (64+9 > 64); with the
-	// paper's 74ns hash-unit this is the per-line verification work.
-	if PaddedBlocks(64) != 2 {
-		t.Errorf("PaddedBlocks(64) = %d", PaddedBlocks(64))
+// The simulated authentication engine MACs every external line fetch and
+// verifies every fetched line, so a warm Keyed must not allocate.
+func TestKeyedDoesNotAllocate(t *testing.T) {
+	k := NewKeyed([]byte("processor-integrity-key"))
+	msg := make([]byte, 16+64)
+	sum := k.Mac(msg)
+	if n := testing.AllocsPerRun(100, func() { sum = k.Mac(msg) }); n != 0 {
+		t.Errorf("Keyed.Mac made %.0f allocations, want 0", n)
 	}
-	if PaddedBlocks(32) != 1 {
-		t.Errorf("PaddedBlocks(32) = %d", PaddedBlocks(32))
+	if n := testing.AllocsPerRun(100, func() { k.Verify(msg, sum[:8]) }); n != 0 {
+		t.Errorf("Keyed.Verify made %.0f allocations, want 0", n)
 	}
 }

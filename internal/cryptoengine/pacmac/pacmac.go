@@ -77,13 +77,18 @@ const (
 // key-management ISA; what is under study is where the check sits, not key
 // distribution. Build one with NewSuite or DefaultSuite; the zero Suite has
 // no keys.
+//
+// Copies of a Suite share its HMAC states and message buffer, so a Suite is
+// not safe for concurrent use: each pipeline, interp.Machine and attack
+// builds its own with DefaultSuite.
 type Suite struct {
 	keyA, keyB *hmac.Keyed
+	msg        *[12]byte // Tag's message: a stack array would escape into the MAC
 }
 
 // NewSuite builds a suite from explicit key material.
 func NewSuite(keyA, keyB []byte) Suite {
-	return Suite{keyA: hmac.NewKeyed(keyA), keyB: hmac.NewKeyed(keyB)}
+	return Suite{keyA: hmac.NewKeyed(keyA), keyB: hmac.NewKeyed(keyB), msg: new([12]byte)}
 }
 
 // DefaultSuite returns the well-known per-machine keys, mirroring the fixed
@@ -103,10 +108,9 @@ func (s Suite) key(b bool) *hmac.Keyed {
 // modifier) under the chosen key. Only the address bits of ptr participate:
 // signing an already-signed pointer re-tags the same address.
 func (s Suite) Tag(ptr, mod uint64, keyB bool) uint32 {
-	var msg [12]byte
-	binary.LittleEndian.PutUint32(msg[0:4], uint32(ptr&AddrMask))
-	binary.LittleEndian.PutUint64(msg[4:12], mod)
-	sum := s.key(keyB).Mac(msg[:])
+	binary.LittleEndian.PutUint32(s.msg[0:4], uint32(ptr&AddrMask))
+	binary.LittleEndian.PutUint64(s.msg[4:12], mod)
+	sum := s.key(keyB).Mac(s.msg[:])
 	return binary.LittleEndian.Uint32(sum[:4])
 }
 

@@ -77,3 +77,13 @@ func TestStripAndPoisonLayout(t *testing.T) {
 		t.Error("Poisoned misclassifies")
 	}
 }
+
+// The pipeline and the interpreter sign on every PAC sign or auth
+// instruction, so signing must not allocate.
+func TestSignDoesNotAllocate(t *testing.T) {
+	s := DefaultSuite()
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += s.Sign(0x1_0040, 7, true) }); n != 0 {
+		t.Errorf("Sign made %.0f allocations, want 0", n)
+	}
+}

@@ -308,3 +308,51 @@ func TestRegister(t *testing.T) {
 		t.Error("Names() missing registered entry")
 	}
 }
+
+// fuzzSeeds are every registered name, the policy-set names, and a few
+// compositions and lists.
+func fuzzSeeds(f *testing.F) {
+	for _, s := range append(Names(), "ci", "full", "pac", "lattice",
+		"then-commit+fetch", "commit+obfuscation", "authen-then-", "issue+issue",
+		"baseline,authen-only", "then-pac, then-fpac+pac") {
+		f.Add(s)
+	}
+}
+
+// FuzzParse: Parse never panics, and an accepted name's canonical rendering
+// parses back to the same point.
+func FuzzParse(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		back, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %v, but its rendering %q does not parse: %v", s, p, p.String(), err)
+		}
+		if back.Normalize() != p.Normalize() {
+			t.Fatalf("Parse(%q) = %+v, but Parse(%q) = %+v", s, p, p.String(), back)
+		}
+	})
+}
+
+// FuzzParseSet: ParseSet never panics, and an accepted set never names one
+// point twice.
+func FuzzParseSet(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, s string) {
+		set, err := ParseSet(s)
+		if err != nil {
+			return
+		}
+		seen := map[ControlPoint]int{}
+		for i, p := range set {
+			if j, dup := seen[p.Normalize()]; dup {
+				t.Fatalf("ParseSet(%q): points %d and %d are both %v", s, j, i, p)
+			}
+			seen[p.Normalize()] = i
+		}
+	})
+}
