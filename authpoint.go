@@ -21,8 +21,7 @@
 //	PolicyCommitPlusObfuscation authen-then-commit+obfuscation
 //
 // Arbitrary lattice points compose with ComposePolicy or parse from their
-// canonical names ("authen-then-issue+obfuscation") with ParsePolicy. The
-// legacy Scheme enum remains as a deprecated shim over the same layer.
+// canonical names ("authen-then-issue+obfuscation") with ParsePolicy.
 //
 // Quick start:
 //
@@ -58,11 +57,6 @@ type (
 	// ControlPoint is a composable authentication control point: the policy
 	// layer's value type (orthogonal gate dimensions, lattice-composable).
 	ControlPoint = policy.ControlPoint
-	// Scheme selects the authentication control point.
-	//
-	// Deprecated: Scheme is a closed enum kept for compatibility; new code
-	// should set Config.Policy to a ControlPoint.
-	Scheme = sim.Scheme
 	// Machine is an assembled secure-processor system.
 	Machine = sim.Machine
 	// Result summarizes a run.
@@ -73,17 +67,6 @@ type (
 	Region = sim.Region
 	// Program is an assembled binary image.
 	Program = asm.Program
-)
-
-// Authentication control points (Section 4.2/4.3 of the paper).
-const (
-	SchemeBaseline              = sim.SchemeBaseline
-	SchemeThenIssue             = sim.SchemeThenIssue
-	SchemeThenWrite             = sim.SchemeThenWrite
-	SchemeThenCommit            = sim.SchemeThenCommit
-	SchemeThenFetch             = sim.SchemeThenFetch
-	SchemeCommitPlusFetch       = sim.SchemeCommitPlusFetch
-	SchemeCommitPlusObfuscation = sim.SchemeCommitPlusObfuscation
 )
 
 // Stop reasons.
@@ -126,18 +109,8 @@ func Policies() []ControlPoint {
 	return out
 }
 
-// Schemes lists every scheme in presentation order.
-//
-// Deprecated: use Policies.
-var Schemes = sim.Schemes
-
-// ParseScheme resolves a name to the legacy Scheme enum.
-//
-// Deprecated: use ParsePolicy, which also accepts composed lattice points.
-func ParseScheme(name string) (Scheme, error) { return sim.ParseScheme(name) }
-
 // DefaultConfig returns the paper's Table 3 machine (256KB L2, 128-entry
-// RUU, 80ns decrypt, 74ns MAC), baseline scheme.
+// RUU, 80ns decrypt, 74ns MAC) under the baseline policy.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
 // Assemble assembles authpoint assembly into a Program.

@@ -22,7 +22,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeCommitPlusFetch
+	cfg.Policy = authpoint.PolicyCommitPlusFetch
 	m, err := authpoint.NewMachine(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestPublicAPIWorkloadCatalog(t *testing.T) {
 		t.Fatal("swimx lookup")
 	}
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeThenWrite
+	cfg.Policy = authpoint.PolicyThenWrite
 	meas, err := authpoint.Measure(authpoint.Spec{
 		Workload: w, Config: cfg, WarmupInsts: 4_000, MeasureInsts: 10_000,
 	})
@@ -87,9 +87,6 @@ func TestPublicAPIAttack(t *testing.T) {
 }
 
 func TestSchemesList(t *testing.T) {
-	if len(authpoint.Schemes) != 7 {
-		t.Fatalf("schemes %d", len(authpoint.Schemes))
-	}
 	params := authpoint.DefaultExperimentParams()
 	if len(params.Workloads) != 18 {
 		t.Fatalf("default params workloads %d", len(params.Workloads))

@@ -207,7 +207,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		cfg := authpoint.DefaultConfig()
-		cfg.Scheme = authpoint.SchemeThenCommit
+		cfg.Policy = authpoint.PolicyThenCommit
 		cfg.MaxInsts = 50_000
 		m, err := authpoint.NewMachine(cfg, prog)
 		if err != nil {
@@ -238,7 +238,7 @@ func benchSim(b *testing.B, attach func(*sim.Machine)) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
-		cfg.Scheme = sim.SchemeThenCommit
+		cfg.Policy = policy.ThenCommit
 		cfg.MaxInsts = 50_000
 		m, err := sim.NewMachine(cfg, prog)
 		if err != nil {

@@ -13,7 +13,6 @@
 //	authbench -experiment fig8 -cpuprofile cpu.pprof     # profile the hot path
 //	authbench -experiment table2 -metrics                # per-policy stall/gap summaries
 //	authbench -experiment lattice                        # full composable-policy sweep -> BENCH_lattice.json
-//	authbench -trace smoke.json -trace-scheme commit+fetch   # traced smoke run, then exit
 //
 // Experiments: table1 table2 table3 fig6 fig7a fig7b fig7c fig7d fig8 fig9
 // fig10 fig11 fig12 fig13 ablations lattice bench all
@@ -50,22 +49,11 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
 		metrics    = flag.Bool("metrics", false, "collect per-cell metrics; print a per-scheme stall/gap summary after each experiment (and embed snapshots in -json cells)")
-		traceOut   = flag.String("trace", "", "run one short traced sim, write Chrome/Perfetto trace-event JSON here, and exit (skips experiments)")
-		traceSch   = flag.String("trace-scheme", "commit+fetch", "control point for the -trace run (any policy name)")
 		latticeOut = flag.String("lattice-out", "BENCH_lattice.json", "output path for the lattice experiment record")
-		traceLoad  = flag.String("trace-workload", "mcfx", "workload for the -trace run")
-		traceInsts = flag.Uint64("trace-insts", 60_000, "instruction budget for the -trace run (after workload init)")
 		teleOut    = flag.String("telemetry", "", "stream a JSONL run ledger (one record per sweep cell) to this path")
 		progress   = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
 	)
 	flag.Parse()
-
-	if *traceOut != "" {
-		if err := runTracedSmoke(*traceOut, *traceSch, *traceLoad, *traceInsts); err != nil {
-			fatalf("trace: %v", err)
-		}
-		return
-	}
 
 	p := experiments.DefaultParams()
 	if *quick {
@@ -131,7 +119,7 @@ func main() {
 			fatalf("%s: %v", e, err)
 		}
 	}
-	fmt.Printf("\n(total wall time %v, %d workers)\n", time.Since(start).Round(time.Second), *parallel)
+	fmt.Fprintf(os.Stderr, "\n(total wall time %v, %d workers)\n", time.Since(start).Round(time.Second), *parallel)
 
 	if err := prof.WriteHeap(*memprofile); err != nil {
 		fatalf("%v", err)

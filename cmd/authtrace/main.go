@@ -35,7 +35,7 @@ func main() {
 		skip       = flag.Uint64("skip", 0, "skip this many commits before tracing")
 		gap        = flag.Bool("gap", false, "print commit-gap histogram instead of a trace")
 		maxInsts   = flag.Uint64("maxinsts", 500_000, "instruction budget")
-		validate   = flag.String("validate", "", "validate a trace-event JSON file (from authsim/authbench -trace) and exit")
+		validate   = flag.String("validate", "", "validate a trace-event JSON file (from authsim -trace) and exit")
 	)
 	flag.Parse()
 

@@ -21,7 +21,7 @@ func Example() {
 		panic(err)
 	}
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeCommitPlusFetch
+	cfg.Policy = authpoint.PolicyCommitPlusFetch
 	m, err := authpoint.NewMachine(cfg, prog)
 	if err != nil {
 		panic(err)
@@ -44,7 +44,7 @@ func ExampleMachine_tamperDetection() {
 			halt
 	`)
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeThenCommit
+	cfg.Policy = authpoint.PolicyThenCommit
 	m, _ := authpoint.NewMachine(cfg, prog)
 	m.Memory.XorRange(prog.TextBase, []byte{0x04}) // flip one ciphertext bit
 	res, _ := m.Run()
@@ -69,7 +69,7 @@ func ExamplePointerConversion() {
 func ExampleMeasure() {
 	w, _ := authpoint.WorkloadByName("gapx")
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeThenWrite
+	cfg.Policy = authpoint.PolicyThenWrite
 	meas, err := authpoint.Measure(authpoint.Spec{
 		Workload: w, Config: cfg, WarmupInsts: 5_000, MeasureInsts: 20_000,
 	})

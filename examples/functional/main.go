@@ -67,7 +67,7 @@ func main() {
 
 	// Phase 2: cycle-accurate on the secure machine.
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeCommitPlusFetch
+	cfg.Policy = authpoint.PolicyCommitPlusFetch
 	m, err := authpoint.NewMachine(cfg, prog)
 	if err != nil {
 		log.Fatal(err)

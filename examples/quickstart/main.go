@@ -47,11 +47,11 @@ func main() {
 	// Run under the paper's recommended secure point and under the
 	// conservative one; every memory line the program touches is decrypted
 	// with real AES counter mode and verified with real HMAC-SHA256.
-	for _, scheme := range []authpoint.Scheme{
-		authpoint.SchemeThenCommit,
-		authpoint.SchemeThenIssue,
+	for _, p := range []authpoint.ControlPoint{
+		authpoint.PolicyThenCommit,
+		authpoint.PolicyThenIssue,
 	} {
-		m, err := authpoint.NewMachine(configFor(scheme), prog)
+		m, err := authpoint.NewMachine(configFor(p), prog)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,12 +60,12 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-20s: %v after %d cycles (IPC %.3f), dot product = %d\n",
-			scheme, res.Reason, res.Cycles, res.IPC, m.Core.OutLog()[0].Val)
+			p, res.Reason, res.Cycles, res.IPC, m.Core.OutLog()[0].Val)
 	}
 
 	// Now the point of the whole architecture: flip one bit of ciphertext
 	// in external memory and run again.
-	m, err := authpoint.NewMachine(configFor(authpoint.SchemeThenCommit), prog)
+	m, err := authpoint.NewMachine(configFor(authpoint.PolicyThenCommit), prog)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func main() {
 	fmt.Println()
 }
 
-func configFor(s authpoint.Scheme) authpoint.Config {
+func configFor(p authpoint.ControlPoint) authpoint.Config {
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = s
+	cfg.Policy = p
 	return cfg
 }

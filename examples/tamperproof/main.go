@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := authpoint.DefaultConfig()
-	cfg.Scheme = authpoint.SchemeCommitPlusFetch
+	cfg.Policy = authpoint.PolicyCommitPlusFetch
 
 	// 1. Privacy: what an adversary dumping the DIMMs sees.
 	m, err := authpoint.NewMachine(cfg, prog)

@@ -76,14 +76,6 @@ func (g *CFG) IndexFor(pc uint64) int {
 	return i
 }
 
-// BlockAt returns the block containing text index i, or nil.
-func (g *CFG) BlockAt(i int) *Block {
-	if i < 0 || i >= len(g.blockOf) {
-		return nil
-	}
-	return g.Blocks[g.blockOf[i]]
-}
-
 // branchTargetIndex resolves a pc-relative control transfer at index i to a
 // text index, or -1 when the target leaves the text section (it would fault
 // at fetch).

@@ -12,7 +12,7 @@ import (
 
 // This file is the soundness half of the differential contract between the
 // static analysis and the cycle-level simulator: every leak an adversary
-// actually observes on the bus in a SchemeBaseline run of an exploit's
+// actually observes on the bus in a baseline-policy run of an exploit's
 // effective program must be covered by an authlint finding of the matching
 // kind — and, where the victim's symbols let us locate the leak, by a
 // finding at the leaking site itself. (The precision half — data-oblivious

@@ -12,10 +12,10 @@ import (
 // the plaintext the core actually executes after the ciphertext tampering
 // lands. Under counter-mode malleability XORing old^new into the ciphertext
 // yields exactly the new plaintext, so patching the assembled image is
-// bit-identical to what a tampered SchemeBaseline run decrypts and executes.
-// Static analysis (internal/analysis) lints these programs, and the
-// differential tests cross-check its findings against the bus traces of real
-// runs.
+// bit-identical to what a tampered run under the baseline policy decrypts
+// and executes. Static analysis (internal/analysis) lints these programs,
+// and the differential tests cross-check its findings against the bus
+// traces of real runs.
 
 // pointerConversionSecret is the address-like value the §3.2.1 adversary is
 // after; it lands in the probe window so its disclosure is observable.
@@ -183,9 +183,9 @@ func spliceText(p *asm.Program, at int, words []uint32) error {
 }
 
 // Kernels returns the effective program of every implemented exploit, plus
-// the untampered passive victim. Each is what a SchemeBaseline machine
-// executes once the corresponding attack's ciphertext manipulation (if any)
-// has landed.
+// the untampered passive victim. Each is what a machine under the baseline
+// policy executes once the corresponding attack's ciphertext manipulation
+// (if any) has landed.
 func Kernels() ([]Kernel, error) {
 	var out []Kernel
 	add := func(name, channel string, needsProbe bool, build func() (*asm.Program, error)) error {

@@ -36,9 +36,6 @@ func NewEngine(encKey, macKey []byte, lineSize int) (*Engine, error) {
 	return &Engine{enc: e, mac: m, lineSize: lineSize}, nil
 }
 
-// LineSize returns the line size in bytes.
-func (e *Engine) LineSize() int { return e.lineSize }
-
 // Chunks returns N, the number of 128-bit chunks per line. Table 1 expresses
 // both CBC latencies in terms of N: decrypting chunk n costs (n+1) serial
 // cipher operations after the fetch; the MAC costs N serial operations.

@@ -100,9 +100,6 @@ func (e *Engine) counter(addr uint64, create bool) *uint64 {
 	return &b[i]
 }
 
-// LineSize returns the engine's line size in bytes.
-func (e *Engine) LineSize() int { return e.lineSize }
-
 // PadChunks returns the number of AES invocations needed to produce the pad
 // for one line. A pipelined hardware unit produces them in parallel, so the
 // timing model charges one decryption latency regardless; the count is used

@@ -123,9 +123,6 @@ func (t *Tree) nodeCount(level int) int { return len(t.levels[level]) / t.macSiz
 // Arity returns the tree fan-out.
 func (t *Tree) Arity() int { return t.arity }
 
-// MacSize returns the digest size per node in bytes.
-func (t *Tree) MacSize() int { return t.macSize }
-
 // node returns the stored digest of a node.
 func (t *Tree) node(level, index int) []byte {
 	return t.levels[level][index*t.macSize : (index+1)*t.macSize]

@@ -6,7 +6,6 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/bus"
-	"authpoint/internal/dram"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
@@ -188,6 +187,3 @@ func RenderFig6(w io.Writer, rows []Fig6Result) {
 	fmt.Fprintln(w, "(then-fetch grants the dependent fetch earlier: it stalls only on already-queued")
 	fmt.Fprintln(w, " verification requests, not on verification of its own address operand)")
 }
-
-// DRAMConfigSanity asserts Table 3's DRAM numbers are the ones instantiated.
-func DRAMConfigSanity() dram.Config { return dram.Default() }

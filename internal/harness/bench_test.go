@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 	"authpoint/internal/workload"
 )
@@ -33,7 +34,7 @@ func BenchmarkMeasureCell(b *testing.B) {
 		b.Fatal("missing workload")
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	spec := Spec{Workload: w, Config: cfg, WarmupInsts: 4_000, MeasureInsts: 12_000}
 	b.ResetTimer()
 	var cycles uint64
@@ -57,9 +58,9 @@ func benchSpecs(b *testing.B) []Spec {
 		if !ok {
 			b.Fatalf("missing workload %s", name)
 		}
-		for _, scheme := range []sim.Scheme{sim.SchemeBaseline, sim.SchemeThenIssue, sim.SchemeThenCommit, sim.SchemeCommitPlusFetch} {
+		for _, pt := range []policy.ControlPoint{policy.Baseline, policy.ThenIssue, policy.ThenCommit, policy.CommitPlusFetch} {
 			cfg := sim.DefaultConfig()
-			cfg.Scheme = scheme
+			cfg.Policy = pt
 			specs = append(specs, Spec{Workload: w, Config: cfg, WarmupInsts: 4_000, MeasureInsts: 12_000})
 		}
 	}

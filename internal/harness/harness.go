@@ -38,8 +38,8 @@ const (
 // Measurement is the outcome of one run.
 type Measurement struct {
 	Name string
-	// Policy is the resolved control point the cell ran under (the spec's
-	// Policy, or its deprecated Scheme translated through the registry).
+	// Policy is the resolved control point the cell ran under: the spec's
+	// Policy, normalized.
 	Policy policy.ControlPoint
 	IPC    float64 // measured-window IPC
 	Cycles uint64  // measured-window cycles

@@ -14,7 +14,7 @@ func TestMeasureBasics(t *testing.T) {
 		t.Fatal("missing workload")
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	m, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: 5_000, MeasureInsts: 20_000})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestMeasureSkipsInitPhase(t *testing.T) {
 		t.Fatal("missing workload")
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeBaseline
+	cfg.Policy = policy.Baseline
 	m, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: 5_000, MeasureInsts: 30_000})
 	if err != nil {
 		t.Fatal(err)

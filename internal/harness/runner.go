@@ -174,10 +174,9 @@ func (r *Runner) runOne(s Spec) Outcome {
 // running it at most once per (workload, config, windows) key per Runner.
 // The reported cached flag is true when the measurement already existed.
 func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
-	// Zero both the policy and the deprecated scheme shim so a baseline
-	// expressed either way lands on the same memo entry.
+	// Callers such as NormalizedIPC pass a config under any policy; the
+	// baseline runs, and is memoized, with the policy zeroed.
 	s.Config.Policy = policy.ControlPoint{}
-	s.Config.Scheme = sim.SchemeBaseline
 	key := baseKey{w: s.Workload, cfg: s.Config, warmup: s.WarmupInsts, measure: s.MeasureInsts,
 		metrics: s.Metrics}
 	// Normalize defaulted windows so explicit-default and zero specs share
@@ -215,7 +214,6 @@ func (r *Runner) NormalizedIPC(w workload.Workload, cfg sim.Config, p policy.Con
 		return 0, err
 	}
 	cfg.Policy = p
-	cfg.Scheme = sim.SchemeBaseline
 	ms, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
 	if err != nil {
 		return 0, err

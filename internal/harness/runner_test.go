@@ -23,9 +23,9 @@ func smallSpecs(t *testing.T) []Spec {
 		if !ok {
 			t.Fatalf("missing workload %s", name)
 		}
-		for _, scheme := range []sim.Scheme{sim.SchemeBaseline, sim.SchemeThenCommit, sim.SchemeThenIssue} {
+		for _, pt := range []policy.ControlPoint{policy.Baseline, policy.ThenCommit, policy.ThenIssue} {
 			cfg := sim.DefaultConfig()
-			cfg.Scheme = scheme
+			cfg.Policy = pt
 			specs = append(specs, Spec{Workload: w, Config: cfg, WarmupInsts: 4_000, MeasureInsts: 12_000})
 		}
 	}
@@ -58,7 +58,7 @@ func TestRunAllDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(so[i].Measurement, po[i].Measurement) {
 			t.Errorf("cell %d (%s/%v): parallel measurement differs from serial:\nserial:   %+v\nparallel: %+v",
-				i, specs[i].Workload.Name, specs[i].Config.Scheme,
+				i, specs[i].Workload.Name, specs[i].Config.Policy,
 				so[i].Measurement, po[i].Measurement)
 		}
 	}
@@ -85,7 +85,7 @@ func TestRunAllBaselineMemo(t *testing.T) {
 		t.Errorf("baseline sims after repeat sweep: %d want 2 (memo missed)", got)
 	}
 	for i := range specs {
-		if specs[i].Config.Scheme != sim.SchemeBaseline {
+		if specs[i].Config.Policy != policy.Baseline {
 			continue
 		}
 		if !out2[i].Cached {
@@ -133,7 +133,7 @@ func TestRunAllFailFast(t *testing.T) {
 	good, _ := workload.ByName("gapx")
 	bad := workload.Workload{Name: "brokenx", Source: "bogus r1"}
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	var specs []Spec
 	specs = append(specs, Spec{Workload: bad, Config: cfg, WarmupInsts: 1_000, MeasureInsts: 1_000})
 	for i := 0; i < 6; i++ {

@@ -379,15 +379,6 @@ func Encode(inst Inst) (uint32, error) {
 	return w, nil
 }
 
-// MustEncode is Encode but panics on error; for tests and generators.
-func MustEncode(inst Inst) uint32 {
-	w, err := Encode(inst)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Decode unpacks a 32-bit instruction word. Decoding never fails: invalid
 // opcodes decode to an Inst with an invalid Op, which the pipeline raises as
 // an illegal-instruction fault at execute. This mirrors real hardware and is

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func runReport(t *testing.T, mutate func(*sim.Config)) string {
 		buf: .space 32768
 	`)
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -67,7 +68,7 @@ func TestReportOptionalSections(t *testing.T) {
 		t.Errorf("tree section missing:\n%s", out)
 	}
 	out = runReport(t, func(c *sim.Config) {
-		c.Scheme = sim.SchemeCommitPlusObfuscation
+		c.Policy = policy.CommitPlusObfuscation
 	})
 	if !strings.Contains(out, "remap cache:") {
 		t.Errorf("remap section missing:\n%s", out)
@@ -77,7 +78,7 @@ func TestReportOptionalSections(t *testing.T) {
 func TestReportSecurityFault(t *testing.T) {
 	p := asm.MustAssemble("_start:\n la r1, x\n ld r2, 0(r1)\n halt\n.data\nx: .word 1")
 	cfg := sim.DefaultConfig()
-	cfg.Scheme = sim.SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	m, err := sim.NewMachine(cfg, p)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 )
 
 // The drain variant of authen-then-fetch is strictly more conservative than
@@ -28,7 +29,7 @@ func TestFetchDrainVariantSlower(t *testing.T) {
 	run := func(drain bool) uint64 {
 		p := asm.MustAssemble(src)
 		cfg := DefaultConfig()
-		cfg.Scheme = SchemeThenFetch
+		cfg.Policy = policy.ThenFetch
 		cfg.Mem.FetchDrain = drain
 		m, err := NewMachine(cfg, p)
 		if err != nil {
@@ -64,7 +65,7 @@ func TestThenWriteHoldsStores(t *testing.T) {
 	`
 	p := asm.MustAssemble(src)
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeThenWrite
+	cfg.Policy = policy.ThenWrite
 	m, err := NewMachine(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestPrefetchAtRegionEdge(t *testing.T) {
 	`
 	p := asm.MustAssemble(src)
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	cfg.Mem.NextLinePrefetch = true
 	m, err := NewMachine(cfg, p)
 	if err != nil {
@@ -134,7 +135,7 @@ func TestMSHRBoundThrottles(t *testing.T) {
 		arr: .space 131072
 		`)
 		cfg := DefaultConfig()
-		cfg.Scheme = SchemeBaseline
+		cfg.Policy = policy.Baseline
 		cfg.Mem.MSHRs = mshrs
 		m, err := NewMachine(cfg, p)
 		if err != nil {

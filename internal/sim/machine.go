@@ -15,115 +15,6 @@ import (
 	"authpoint/internal/secmem"
 )
 
-// Scheme names one of the paper's seven evaluated control points.
-//
-// Deprecated: Scheme is a closed enum kept as a thin shim over the open
-// policy layer; it resolves through the policy registry (see Policy and
-// Config.ControlPoint). New code should set Config.Policy with a
-// policy.ControlPoint, which also expresses compositions the enum cannot
-// (then-write+fetch, then-issue+obfuscation, any 3-way combo).
-type Scheme int
-
-// The evaluated design points (Section 4.2 + 4.3 of the paper).
-const (
-	// SchemeBaseline is decryption only, no integrity verification — the
-	// normalization baseline of every figure.
-	SchemeBaseline Scheme = iota
-	// SchemeThenIssue gates instruction issue and operand use on completed
-	// verification (authen-then-issue).
-	SchemeThenIssue
-	// SchemeThenWrite holds committed stores until their authentication tag
-	// clears (authen-then-write).
-	SchemeThenWrite
-	// SchemeThenCommit gates instruction retirement on verification of the
-	// instruction and its operands (authen-then-commit).
-	SchemeThenCommit
-	// SchemeThenFetch holds new external fetches until the authentication
-	// queue has drained the requests outstanding at fetch creation
-	// (authen-then-fetch).
-	SchemeThenFetch
-	// SchemeCommitPlusFetch combines then-commit and then-fetch — the
-	// paper's recommended secure-and-fast point.
-	SchemeCommitPlusFetch
-	// SchemeCommitPlusObfuscation combines then-commit with HIDE-style
-	// address obfuscation (re-map cache).
-	SchemeCommitPlusObfuscation
-)
-
-// Schemes lists every scheme in presentation order.
-var Schemes = []Scheme{
-	SchemeBaseline, SchemeThenIssue, SchemeThenWrite, SchemeThenCommit,
-	SchemeThenFetch, SchemeCommitPlusFetch, SchemeCommitPlusObfuscation,
-}
-
-func (s Scheme) String() string {
-	switch s {
-	case SchemeBaseline:
-		return "baseline"
-	case SchemeThenIssue:
-		return "authen-then-issue"
-	case SchemeThenWrite:
-		return "authen-then-write"
-	case SchemeThenCommit:
-		return "authen-then-commit"
-	case SchemeThenFetch:
-		return "authen-then-fetch"
-	case SchemeCommitPlusFetch:
-		return "commit+fetch"
-	case SchemeCommitPlusObfuscation:
-		return "commit+obfuscation"
-	}
-	return "?"
-}
-
-// Policy maps the legacy enum value onto its lattice point.
-func (s Scheme) Policy() policy.ControlPoint {
-	switch s {
-	case SchemeThenIssue:
-		return policy.ThenIssue
-	case SchemeThenWrite:
-		return policy.ThenWrite
-	case SchemeThenCommit:
-		return policy.ThenCommit
-	case SchemeThenFetch:
-		return policy.ThenFetch
-	case SchemeCommitPlusFetch:
-		return policy.CommitPlusFetch
-	case SchemeCommitPlusObfuscation:
-		return policy.CommitPlusObfuscation
-	}
-	return policy.Baseline
-}
-
-// ParseScheme resolves a scheme name through the policy registry, so the
-// `-scheme` flags and `-json` output are guaranteed mutually consistent:
-// every Scheme.String() rendering parses back to the same enum value (the
-// legacy "commit+fetch" short names included). Names that resolve to a
-// lattice point outside the legacy seven are rejected here — use
-// policy.Parse and Config.Policy for those.
-func ParseScheme(name string) (Scheme, error) {
-	p, err := policy.Parse(name)
-	if err != nil {
-		return 0, err
-	}
-	if s, ok := SchemeForPolicy(p); ok {
-		return s, nil
-	}
-	return 0, fmt.Errorf("sim: %q is not one of the legacy schemes %v (set Config.Policy for composed control points)", name, Schemes)
-}
-
-// SchemeForPolicy maps a lattice point back onto the legacy enum, when the
-// point is one of the seven evaluated schemes.
-func SchemeForPolicy(p policy.ControlPoint) (Scheme, bool) {
-	p = p.Normalize()
-	for _, s := range Schemes {
-		if s.Policy() == p {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // Config is the full machine configuration.
 type Config struct {
 	Pipeline pipeline.Config
@@ -138,12 +29,6 @@ type Config struct {
 	// overwritten from this policy when the machine is built — they are set
 	// only through the policy layer.
 	Policy policy.ControlPoint
-
-	// Scheme is the legacy closed enum of the paper's seven points.
-	//
-	// Deprecated: kept as a shim; it is consulted only when Policy is the
-	// zero value, and resolves through the policy registry. Set Policy.
-	Scheme Scheme
 
 	// StackB is the protected stack region size.
 	StackB uint64
@@ -160,7 +45,7 @@ type Config struct {
 	TraceBus bool
 }
 
-// DefaultConfig returns the paper's Table 3 machine, baseline scheme.
+// DefaultConfig returns the paper's Table 3 machine under the baseline policy.
 func DefaultConfig() Config {
 	return Config{
 		Pipeline:       pipeline.DefaultConfig(),
@@ -168,20 +53,15 @@ func DefaultConfig() Config {
 		Sec:            secmem.DefaultConfig(),
 		DRAM:           dram.Default(),
 		Bus:            bus.Default(),
-		Scheme:         SchemeBaseline,
 		StackB:         64 << 10,
 		WatchdogCycles: 2_000_000,
 		TraceBus:       false,
 	}
 }
 
-// ControlPoint resolves the effective policy: Policy when set, otherwise
-// the deprecated Scheme shim through the registry. The result is
-// normalized (any gate implies Authenticate).
+// ControlPoint returns the effective policy: Policy, normalized (any gate
+// implies Authenticate).
 func (c Config) ControlPoint() policy.ControlPoint {
-	if c.Policy == (policy.ControlPoint{}) {
-		return c.Scheme.Policy()
-	}
 	return c.Policy.Normalize()
 }
 

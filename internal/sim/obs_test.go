@@ -7,6 +7,7 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/obs"
+	"authpoint/internal/policy"
 )
 
 // A full-auth (then-commit + then-fetch) run with an observer attached must
@@ -28,7 +29,7 @@ func TestTracedFullAuthRun(t *testing.T) {
 	arr: .space 16384
 	`)
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeCommitPlusFetch
+	cfg.Policy = policy.CommitPlusFetch
 	m, err := NewMachine(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestObserverDoesNotPerturbTiming(t *testing.T) {
 	run := func(observe bool) Result {
 		p := asm.MustAssemble(src)
 		cfg := DefaultConfig()
-		cfg.Scheme = SchemeThenCommit
+		cfg.Policy = policy.ThenCommit
 		m, err := NewMachine(cfg, p)
 		if err != nil {
 			t.Fatal(err)

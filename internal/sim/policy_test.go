@@ -4,14 +4,19 @@ import (
 	"reflect"
 	"testing"
 
-	"authpoint/internal/asm"
 	"authpoint/internal/policy"
-	"authpoint/internal/workload"
 )
 
+// paperPoints are the paper's seven evaluated control points in
+// presentation order: the baseline plus the six gated points.
+var paperPoints = []policy.ControlPoint{
+	policy.Baseline, policy.ThenIssue, policy.ThenWrite, policy.ThenCommit,
+	policy.ThenFetch, policy.CommitPlusFetch, policy.CommitPlusObfuscation,
+}
+
 // legacyApply is the pre-refactor applyScheme switch, kept verbatim as the
-// reference: the policy layer must translate every legacy scheme into
-// exactly these component knobs.
+// reference: the policy layer must translate each of the paper's seven
+// points into exactly these component knobs.
 func legacyApply(c *Config) {
 	c.Sec.Authenticate = true
 	c.Sec.Remap = false
@@ -20,129 +25,51 @@ func legacyApply(c *Config) {
 	c.Pipeline.StoreWaitAuth = false
 	c.Mem.GateFetch = false
 	c.Mem.UseAtAuth = false
-	switch c.Scheme {
-	case SchemeBaseline:
+	switch c.Policy {
+	case policy.Baseline:
 		c.Sec.Authenticate = false
-	case SchemeThenIssue:
+	case policy.ThenIssue:
 		c.Pipeline.GateIssue = true
 		c.Mem.UseAtAuth = true
-	case SchemeThenWrite:
+	case policy.ThenWrite:
 		c.Pipeline.StoreWaitAuth = true
-	case SchemeThenCommit:
+	case policy.ThenCommit:
 		c.Pipeline.GateCommit = true
-	case SchemeThenFetch:
+	case policy.ThenFetch:
 		c.Mem.GateFetch = true
-	case SchemeCommitPlusFetch:
+	case policy.CommitPlusFetch:
 		c.Pipeline.GateCommit = true
 		c.Mem.GateFetch = true
-	case SchemeCommitPlusObfuscation:
+	case policy.CommitPlusObfuscation:
 		c.Pipeline.GateCommit = true
 		c.Sec.Remap = true
 	}
 }
 
 // TestPolicyKnobEquivalence pins that applyPolicy reproduces the
-// pre-refactor knob settings for all seven legacy schemes, bit for bit —
+// pre-refactor knob settings for the paper's seven points, bit for bit —
 // the config-level half of the cycle-identical equivalence guarantee.
 func TestPolicyKnobEquivalence(t *testing.T) {
-	for _, s := range Schemes {
+	for _, p := range paperPoints {
 		want := DefaultConfig()
-		want.Scheme = s
+		want.Policy = p
 		legacyApply(&want)
 
 		got := DefaultConfig()
-		got.Scheme = s
+		got.Policy = p
 		got.applyPolicy()
-		// applyPolicy additionally records the resolved policy; mirror that
-		// on the reference before comparing whole structs.
-		want.Policy = s.Policy()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: config diverges from legacy applyScheme:\ngot  %+v\nwant %+v", s, got, want)
+			t.Errorf("%v: config diverges from legacy applyScheme:\ngot  %+v\nwant %+v", p, got, want)
 		}
 	}
 }
 
-// TestSchemePolicyCycleIdentical is the equivalence pin: configuring a
-// machine through the deprecated Scheme shim and through the policy layer
-// directly must be cycle-identical — same IPC, cycles, stop reason, and
-// stall counters — for each legacy scheme on the workload smoke set.
-func TestSchemePolicyCycleIdentical(t *testing.T) {
-	smoke := []string{"mcfx", "swimx"}
-	for _, name := range smoke {
-		w, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("missing workload %s", name)
-		}
-		p, err := asm.Assemble(w.Source)
-		if err != nil {
-			t.Fatalf("assemble %s: %v", name, err)
-		}
-		for _, s := range Schemes {
-			run := func(mutate func(*Config)) Result {
-				t.Helper()
-				cfg := DefaultConfig()
-				cfg.MaxInsts = 20_000
-				mutate(&cfg)
-				m, err := NewMachine(cfg, p)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, s, err)
-				}
-				res, err := m.Run()
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, s, err)
-				}
-				return res
-			}
-			viaScheme := run(func(c *Config) { c.Scheme = s })
-			viaPolicy := run(func(c *Config) { c.Policy = s.Policy() })
-			if !reflect.DeepEqual(viaScheme, viaPolicy) {
-				t.Errorf("%s %v: scheme shim and policy runs diverge:\nscheme %+v\npolicy %+v",
-					name, s, viaScheme, viaPolicy)
-			}
-		}
-	}
-}
-
-// TestParseSchemeRoundTrip pins Scheme.String/ParseScheme symmetry: every
-// -json rendering is a valid -scheme flag resolving to the same value.
-func TestParseSchemeRoundTrip(t *testing.T) {
-	for _, s := range Schemes {
-		got, err := ParseScheme(s.String())
-		if err != nil {
-			t.Errorf("ParseScheme(%q): %v", s, err)
-			continue
-		}
-		if got != s {
-			t.Errorf("ParseScheme(%q) = %v, want %v", s.String(), got, s)
-		}
-	}
-	// Canonical policy spellings resolve to the same enum values too.
-	if s, err := ParseScheme("authen-then-commit+fetch"); err != nil || s != SchemeCommitPlusFetch {
-		t.Errorf("canonical commit+fetch: %v %v", s, err)
-	}
-	// Non-legacy lattice points are rejected with a pointer to Policy.
-	if _, err := ParseScheme("authen-then-write+fetch"); err == nil {
-		t.Error("ParseScheme should reject non-legacy compositions")
-	}
-	if _, err := ParseScheme("no-such-scheme"); err == nil {
-		t.Error("ParseScheme should reject unknown names")
-	}
-}
-
-// TestConfigControlPointResolution pins the shim precedence: Policy wins
-// when non-zero, Scheme is consulted otherwise, zero-zero is the baseline.
+// TestConfigControlPointResolution pins that the zero config is the
+// baseline and that a denormalized Policy resolves to its normalized point.
 func TestConfigControlPointResolution(t *testing.T) {
 	var cfg Config
 	if got := cfg.ControlPoint(); got != policy.Baseline {
 		t.Errorf("zero config resolves to %v", got)
-	}
-	cfg.Scheme = SchemeThenCommit
-	if got := cfg.ControlPoint(); got != policy.ThenCommit {
-		t.Errorf("scheme shim resolves to %v", got)
-	}
-	cfg.Policy = policy.Compose(policy.ThenWrite, policy.ThenFetch)
-	if got := cfg.ControlPoint(); got != policy.Compose(policy.ThenWrite, policy.ThenFetch) {
-		t.Errorf("policy should win over scheme: %v", got)
 	}
 	// A denormalized literal (gate without Authenticate) resolves to the
 	// normalized point.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 )
 
 // Prefetching a sequential stream should cut demand-miss latency; the
@@ -31,7 +32,7 @@ func TestNextLinePrefetch(t *testing.T) {
 	run := func(pf bool) (Result, uint64) {
 		p := asm.MustAssemble(src)
 		cfg := DefaultConfig()
-		cfg.Scheme = SchemeBaseline
+		cfg.Policy = policy.Baseline
 		cfg.Mem.NextLinePrefetch = pf
 		m, err := NewMachine(cfg, p)
 		if err != nil {

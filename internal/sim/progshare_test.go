@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 	"authpoint/internal/workload"
 )
 
@@ -55,30 +56,30 @@ func TestProgramImmutable(t *testing.T) {
 	snap := snapshotProg(p)
 
 	var wg sync.WaitGroup
-	for _, scheme := range []Scheme{SchemeBaseline, SchemeThenCommit, SchemeCommitPlusObfuscation} {
+	for _, pt := range []policy.ControlPoint{policy.Baseline, policy.ThenCommit, policy.CommitPlusObfuscation} {
 		wg.Add(1)
-		go func(scheme Scheme) {
+		go func(pt policy.ControlPoint) {
 			defer wg.Done()
 			cfg := DefaultConfig()
-			cfg.Scheme = scheme
+			cfg.Policy = pt
 			cfg.MaxInsts = 8_000
 			m, err := NewMachine(cfg, p)
 			if err != nil {
-				t.Errorf("%v: %v", scheme, err)
+				t.Errorf("%v: %v", pt, err)
 				return
 			}
 			res, err := m.Run()
 			if err != nil {
-				t.Errorf("%v: %v", scheme, err)
+				t.Errorf("%v: %v", pt, err)
 				return
 			}
 			if res.Reason != StopMaxInsts {
-				t.Errorf("%v: stopped with %v", scheme, res.Reason)
+				t.Errorf("%v: stopped with %v", pt, res.Reason)
 			}
 			if res.Sec.Writebacks == 0 {
-				t.Errorf("%v: workload produced no external writebacks; test lost its teeth", scheme)
+				t.Errorf("%v: workload produced no external writebacks; test lost its teeth", pt)
 			}
-		}(scheme)
+		}(pt)
 	}
 	wg.Wait()
 

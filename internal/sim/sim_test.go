@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/policy"
 )
 
 func mustMachine(t *testing.T, cfg Config, src string) *Machine {
@@ -44,24 +45,24 @@ func TestFullSystemFactorial(t *testing.T) {
 		.data
 		result: .word 0
 	`
-	for _, scheme := range Schemes {
+	for _, pt := range paperPoints {
 		cfg := DefaultConfig()
-		cfg.Scheme = scheme
+		cfg.Policy = pt
 		m := mustMachine(t, cfg, src)
 		res := mustRun(t, m)
 		if res.Reason != StopHalt {
-			t.Fatalf("%v: stopped with %v", scheme, res.Reason)
+			t.Fatalf("%v: stopped with %v", pt, res.Reason)
 		}
 		// Wait for the store buffer then check architectural memory.
 		got := m.Shadow.ReadUint(m.Prog.Symbols["result"], 8)
 		if got != 5040 {
-			t.Errorf("%v: 7! = %d want 5040", scheme, got)
+			t.Errorf("%v: 7! = %d want 5040", pt, got)
 		}
 		// The value must also round-trip through the protected (encrypted)
 		// external memory if the line was written back... (it may still sit
 		// dirty in cache; shadow is the architectural truth).
 		if res.IPC <= 0 {
-			t.Errorf("%v: IPC %v", scheme, res.IPC)
+			t.Errorf("%v: IPC %v", pt, res.IPC)
 		}
 	}
 }
@@ -110,36 +111,36 @@ func TestSchemePerformanceRanking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cycles := map[Scheme]uint64{}
-	for _, scheme := range Schemes {
+	cycles := map[policy.ControlPoint]uint64{}
+	for _, pt := range paperPoints {
 		cfg := DefaultConfig()
-		cfg.Scheme = scheme
+		cfg.Policy = pt
 		m := mustMachine(t, cfg, memWorkload(1))
 		res := mustRun(t, m)
 		if res.Reason != StopHalt {
-			t.Fatalf("%v: %v", scheme, res.Reason)
+			t.Fatalf("%v: %v", pt, res.Reason)
 		}
-		cycles[scheme] = res.Cycles
+		cycles[pt] = res.Cycles
 	}
 	t.Logf("cycles: %v", cycles)
-	base := cycles[SchemeBaseline]
+	base := cycles[policy.Baseline]
 	// The paper's ordering (Figure 7): baseline fastest; then-write close
 	// behind; then-commit next; then-fetch and commit+fetch slower;
 	// then-issue and obfuscation+commit slowest.
-	if !(base <= cycles[SchemeThenWrite]) {
-		t.Errorf("baseline (%d) should beat then-write (%d)", base, cycles[SchemeThenWrite])
+	if !(base <= cycles[policy.ThenWrite]) {
+		t.Errorf("baseline (%d) should beat then-write (%d)", base, cycles[policy.ThenWrite])
 	}
-	if !(cycles[SchemeThenWrite] <= cycles[SchemeThenCommit]) {
-		t.Errorf("then-write (%d) should beat then-commit (%d)", cycles[SchemeThenWrite], cycles[SchemeThenCommit])
+	if !(cycles[policy.ThenWrite] <= cycles[policy.ThenCommit]) {
+		t.Errorf("then-write (%d) should beat then-commit (%d)", cycles[policy.ThenWrite], cycles[policy.ThenCommit])
 	}
-	if !(cycles[SchemeThenCommit] <= cycles[SchemeCommitPlusFetch]) {
-		t.Errorf("then-commit (%d) should beat commit+fetch (%d)", cycles[SchemeThenCommit], cycles[SchemeCommitPlusFetch])
+	if !(cycles[policy.ThenCommit] <= cycles[policy.CommitPlusFetch]) {
+		t.Errorf("then-commit (%d) should beat commit+fetch (%d)", cycles[policy.ThenCommit], cycles[policy.CommitPlusFetch])
 	}
-	if !(cycles[SchemeThenCommit] <= cycles[SchemeThenIssue]) {
-		t.Errorf("then-commit (%d) should beat then-issue (%d)", cycles[SchemeThenCommit], cycles[SchemeThenIssue])
+	if !(cycles[policy.ThenCommit] <= cycles[policy.ThenIssue]) {
+		t.Errorf("then-commit (%d) should beat then-issue (%d)", cycles[policy.ThenCommit], cycles[policy.ThenIssue])
 	}
-	if !(base < cycles[SchemeThenIssue]) {
-		t.Errorf("then-issue (%d) must cost more than baseline (%d)", cycles[SchemeThenIssue], base)
+	if !(base < cycles[policy.ThenIssue]) {
+		t.Errorf("then-issue (%d) must cost more than baseline (%d)", cycles[policy.ThenIssue], base)
 	}
 }
 
@@ -172,14 +173,14 @@ const sideChannelVictim = `
 	secretp: .word 0x1000   ; innocent pointer to text
 `
 
-func runSideChannel(t *testing.T, scheme Scheme) (Result, []uint64) {
+func runSideChannel(t *testing.T, pt policy.ControlPoint) (Result, []uint64) {
 	t.Helper()
 	p, err := asm.Assemble(sideChannelVictim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Scheme = scheme
+	cfg.Policy = pt
 	cfg.TraceBus = true
 	m, err := NewMachineWithRegions(cfg, p, []Region{{probeBase, 1 << 20}})
 	if err != nil {
@@ -202,24 +203,24 @@ func TestSideChannelMatrix(t *testing.T) {
 	// Table 2, "prevent active fetch address side-channel disclose":
 	// then-issue and commit+fetch prevent; then-write and then-commit do not.
 	cases := []struct {
-		scheme    Scheme
+		pt        policy.ControlPoint
 		wantLeak  bool
 		wantFault bool
 	}{
-		{SchemeBaseline, true, false}, // no verification at all
-		{SchemeThenWrite, true, true},
-		{SchemeThenCommit, true, true},
-		{SchemeThenIssue, false, true},
-		{SchemeCommitPlusFetch, false, true},
+		{policy.Baseline, true, false}, // no verification at all
+		{policy.ThenWrite, true, true},
+		{policy.ThenCommit, true, true},
+		{policy.ThenIssue, false, true},
+		{policy.CommitPlusFetch, false, true},
 	}
 	for _, c := range cases {
-		res, leaked := runSideChannel(t, c.scheme)
+		res, leaked := runSideChannel(t, c.pt)
 		if got := len(leaked) > 0; got != c.wantLeak {
 			t.Errorf("%v: leak=%v want %v (leaked addrs %x, reason %v)",
-				c.scheme, got, c.wantLeak, leaked, res.Reason)
+				c.pt, got, c.wantLeak, leaked, res.Reason)
 		}
 		if got := res.Reason == StopSecurityFault; got != c.wantFault {
-			t.Errorf("%v: fault=%v want %v (reason %v)", c.scheme, got, c.wantFault, res.Reason)
+			t.Errorf("%v: fault=%v want %v (reason %v)", c.pt, got, c.wantFault, res.Reason)
 		}
 		if len(leaked) > 0 {
 			// The leak carries the secret: the line address of the probe.
@@ -230,8 +231,8 @@ func TestSideChannelMatrix(t *testing.T) {
 					found = true
 				}
 			}
-			if !found && c.scheme != SchemeBaseline {
-				t.Errorf("%v: leak did not contain secret-derived line %#x: %x", c.scheme, wantLine, leaked)
+			if !found && c.pt != policy.Baseline {
+				t.Errorf("%v: leak did not contain secret-derived line %#x: %x", c.pt, wantLine, leaked)
 			}
 		}
 	}
@@ -239,7 +240,7 @@ func TestSideChannelMatrix(t *testing.T) {
 
 func TestObfuscationHidesAddresses(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeCommitPlusObfuscation
+	cfg.Policy = policy.CommitPlusObfuscation
 	cfg.TraceBus = true
 	m := mustMachine(t, cfg, memWorkload(1))
 	res := mustRun(t, m)
@@ -266,7 +267,7 @@ func TestTamperedCodeFaultsBeforeHalt(t *testing.T) {
 		x: .word 0
 	`
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	m := mustMachine(t, cfg, src)
 	// Flip a bit in the encrypted text.
 	m.Memory.XorRange(m.Prog.TextBase, []byte{0x40})
@@ -288,7 +289,7 @@ func TestBaselineExecutesTamperedCode(t *testing.T) {
 			halt
 	`
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeBaseline
+	cfg.Policy = policy.Baseline
 	m := mustMachine(t, cfg, src)
 	// Flip the immediate of the ADDI from 1 to 3 (bit 17 of the word =
 	// byte 2 bit 1 of imm16).
@@ -319,7 +320,7 @@ func TestWatchdogFires(t *testing.T) {
 
 func TestTreeSchemeRuns(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Scheme = SchemeThenCommit
+	cfg.Policy = policy.ThenCommit
 	cfg.Sec.UseTree = true
 	m := mustMachine(t, cfg, memWorkload(1))
 	res := mustRun(t, m)
@@ -327,7 +328,7 @@ func TestTreeSchemeRuns(t *testing.T) {
 		t.Fatalf("reason %v", res.Reason)
 	}
 	flat := DefaultConfig()
-	flat.Scheme = SchemeThenCommit
+	flat.Policy = policy.ThenCommit
 	m2 := mustMachine(t, flat, memWorkload(1))
 	res2 := mustRun(t, m2)
 	if res.Cycles <= res2.Cycles {
@@ -340,12 +341,12 @@ func TestSmallerRUUSlower(t *testing.T) {
 		t.Skip("long")
 	}
 	big := DefaultConfig()
-	big.Scheme = SchemeThenCommit
+	big.Policy = policy.ThenCommit
 	mBig := mustMachine(t, big, memWorkload(1))
 	resBig := mustRun(t, mBig)
 
 	small := DefaultConfig()
-	small.Scheme = SchemeThenCommit
+	small.Policy = policy.ThenCommit
 	small.Pipeline.RUUSize = 64
 	small.Pipeline.LSQSize = 32
 	mSmall := mustMachine(t, small, memWorkload(1))
@@ -360,12 +361,12 @@ func TestLargerL2Faster(t *testing.T) {
 		t.Skip("long")
 	}
 	small := DefaultConfig()
-	small.Scheme = SchemeThenIssue
+	small.Policy = policy.ThenIssue
 	mS := mustMachine(t, small, memWorkload(2))
 	resS := mustRun(t, mS)
 
 	big := DefaultConfig()
-	big.Scheme = SchemeThenIssue
+	big.Policy = policy.ThenIssue
 	big.Mem.L2B = 1 << 20
 	big.Mem.L2Lat = 8
 	mB := mustMachine(t, big, memWorkload(2))

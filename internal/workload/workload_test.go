@@ -6,6 +6,7 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/pipeline"
+	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
 
@@ -82,7 +83,7 @@ func TestAllWorkloadsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := sim.DefaultConfig()
-			cfg.Scheme = sim.SchemeThenCommit
+			cfg.Policy = policy.ThenCommit
 			cfg.MaxInsts = 30_000
 			m, err := sim.NewMachine(cfg, p)
 			if err != nil {
