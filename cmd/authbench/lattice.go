@@ -48,9 +48,6 @@ type latticeRecord struct {
 func runLatticeExperiment(w io.Writer, p experiments.Params, path string) error {
 	points := policy.Lattice()
 	r := &harness.Runner{Parallelism: parallelism}
-	if benchRec != nil {
-		r.OnProgress = benchRec.observe
-	}
 	p.Runner = r
 
 	sw, err := experiments.RunSweep("lattice sweep: all 1- and 2-gate compositions", p, points, nil)

@@ -9,13 +9,12 @@
 //	authbench -experiment fig7a                # one artifact
 //	authbench -experiment table2 -quick        # fast smoke versions
 //	authbench -experiment fig7a -parallel 8    # pin the worker pool
-//	authbench -experiment bench -json BENCH_sweep.json   # serial-vs-parallel record
 //	authbench -experiment fig8 -cpuprofile cpu.pprof     # profile the hot path
 //	authbench -experiment table2 -metrics                # per-policy stall/gap summaries
 //	authbench -experiment lattice                        # full composable-policy sweep -> BENCH_lattice.json
 //
 // Experiments: table1 table2 table3 fig6 fig7a fig7b fig7c fig7d fig8 fig9
-// fig10 fig11 fig12 fig13 ablations lattice bench all
+// fig10 fig11 fig12 fig13 ablations lattice all
 package main
 
 import (
@@ -45,10 +44,9 @@ func main() {
 		loadList   = flag.String("workloads", "", "comma-separated workload subset (default: all 18)")
 		bars       = flag.Bool("bars", false, "render normalized-IPC sweeps as bar groups (figure-style)")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "sweep worker pool size (1 = serial)")
-		jsonOut    = flag.String("json", "", "write a machine-readable bench record to this path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
-		metrics    = flag.Bool("metrics", false, "collect per-cell metrics; print a per-scheme stall/gap summary after each experiment (and embed snapshots in -json cells)")
+		metrics    = flag.Bool("metrics", false, "collect per-cell metrics; print a per-scheme stall/gap summary after each experiment")
 		latticeOut = flag.String("lattice-out", "BENCH_lattice.json", "output path for the lattice experiment record")
 		teleOut    = flag.String("telemetry", "", "stream a JSONL run ledger (one record per sweep cell) to this path")
 		progress   = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
@@ -83,9 +81,6 @@ func main() {
 	}
 	defer stopProf()
 
-	if *jsonOut != "" {
-		benchRec = newBenchRecorder(*parallel)
-	}
 	if *teleOut != "" {
 		l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authbench:"+*exp, *parallel))
 		if err != nil {
@@ -105,7 +100,7 @@ func main() {
 	sweepRunner = &harness.Runner{Parallelism: *parallel, CollectMetrics: *metrics,
 		Ledger: runLedger, Meter: runMeter}
 	collectMetrics = *metrics
-	if benchRec != nil || collectMetrics {
+	if collectMetrics {
 		sweepRunner.OnProgress = observeProgress
 	}
 	p.Runner = sweepRunner
@@ -124,12 +119,6 @@ func main() {
 	if err := prof.WriteHeap(*memprofile); err != nil {
 		fatalf("%v", err)
 	}
-	if benchRec != nil {
-		if err := benchRec.write(*jsonOut); err != nil {
-			fatalf("json: %v", err)
-		}
-		fmt.Printf("(bench record written to %s)\n", *jsonOut)
-	}
 }
 
 // Shared state the experiment dispatcher reads (set once in main before any
@@ -138,32 +127,26 @@ var (
 	// sweepRunner executes every sweep's cells; its baseline memo spans all
 	// experiments in the invocation.
 	sweepRunner *harness.Runner
-	// benchRec is non-nil when -json is set.
-	benchRec *benchRecorder
 	// collectMetrics mirrors the -metrics flag.
 	collectMetrics bool
 	// metricsAgg is non-nil while a -metrics leaf experiment runs; run()
 	// swaps in a fresh aggregator per experiment and renders it after.
 	metricsAgg *report.Aggregator
-	// parallelism mirrors the -parallel flag for the bench experiment.
+	// parallelism mirrors the -parallel flag for the lattice experiment's
+	// fresh runner.
 	parallelism int
 	// runLedger and runMeter are the -telemetry ledger and -progress meter;
-	// nil when the flags are off. The bench experiment's fresh per-leg
-	// runners attach them too, so every cell of every leg lands in one
-	// ledger with campaign-unique sequence numbers.
+	// nil when the flags are off.
 	runLedger *telemetry.Ledger
 	runMeter  *telemetry.Meter
 )
 
-// observeProgress fans the shared Runner's progress stream out to the bench
-// recorder and the metrics aggregator (either may be nil). It reads the
-// globals at call time so run() can swap in a fresh aggregator per leaf
-// experiment. Memoized baseline cells share a single snapshot, so the
-// aggregator skips Cached outcomes to avoid counting it once per scheme row.
+// observeProgress feeds the shared Runner's progress stream to the metrics
+// aggregator. It reads the global at call time so run() can swap in a fresh
+// aggregator per leaf experiment. Memoized baseline cells share a single
+// snapshot, so the aggregator skips Cached outcomes to avoid counting it once
+// per scheme row.
 func observeProgress(p harness.Progress) {
-	if benchRec != nil {
-		benchRec.observe(p)
-	}
 	o := p.Outcome
 	if metricsAgg != nil && o.Err == nil && !o.Cached {
 		// Bounds always match across cells (fixed bucket sets), so the only
@@ -193,17 +176,11 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// run dispatches one experiment name, recording a bench section around each
-// leaf experiment when -json is active and a per-scheme metrics summary when
-// -metrics is active.
+// run dispatches one experiment name, printing a per-scheme metrics summary
+// after each leaf experiment when -metrics is active.
 func run(name string, p experiments.Params) error {
-	switch name {
-	case "all", "bench":
+	if name == "all" {
 		return runLeaf(name, p)
-	}
-	if benchRec != nil {
-		benchRec.begin(name)
-		defer benchRec.end(sweepRunner)
 	}
 	if collectMetrics {
 		metricsAgg = report.NewAggregator()
@@ -236,10 +213,6 @@ func runLeaf(name string, p experiments.Params) error {
 			}
 		}
 		return nil
-
-	case "bench":
-		section("Sweep bench: serial vs parallel wall time, byte-identical output")
-		return runBenchExperiment(benchRec, parallelism)
 
 	case "lattice":
 		section("Lattice: normalized IPC across the composable control-point space")
@@ -342,7 +315,7 @@ func runLeaf(name string, p experiments.Params) error {
 		}
 
 	default:
-		return fmt.Errorf("unknown experiment (want table1..3, fig6..fig13, ablations, lattice, bench, or all)")
+		return fmt.Errorf("unknown experiment (want table1..3, fig6..fig13, ablations, lattice, or all)")
 	}
 	return nil
 }

@@ -1,28 +1,17 @@
 // Command authstat mines campaign telemetry: the JSONL run ledgers streamed
-// by authbench/authfuzz/authverify (-telemetry) and the checked-in BENCH_*
-// records. It answers the questions the raw artifacts bury: where did the
-// host time go, which cells are slowest, and has the fast path regressed
-// against the recorded baseline.
+// by authbench/authfuzz/authverify (-telemetry). It answers the questions the
+// raw ledger buries: where did the host time go, and which cells are slowest.
 //
 // Usage:
 //
-//	authstat summary <ledger.jsonl>              # per-policy host-cost breakdown
+//	authstat summary [-top N] <ledger.jsonl>     # per-policy host-cost breakdown
 //	authstat validate <ledger.jsonl>             # schema + invariant check (CI)
-//	authstat diff <BENCH_fastpath.json> -against <ledger.jsonl> [-threshold 3]
 //
-// diff compares a fresh bench ledger against the recorded fast-path cost
-// per (workload, policy) cell and fails when any cell slowed by more than
-// the threshold ratio — the CI regression gate over host cost. Ratios are
-// compared, not absolute ns/cycle: absolute cost is hardware-dependent, but
-// a cell that got 3x slower relative to its recorded cost on any host is a
-// regression signal worth a look.
-//
-// The exit status is 0 when clean, 1 on validation failure or a diff over
-// threshold, and 2 on usage errors.
+// The exit status is 0 when clean, 1 on validation failure, and 2 on usage
+// errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,17 +28,15 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: authstat <summary|validate|diff> ...")
+		fatalf("usage: authstat <summary|validate> ...")
 	}
 	switch os.Args[1] {
 	case "summary":
 		cmdSummary(os.Args[2:])
 	case "validate":
 		cmdValidate(os.Args[2:])
-	case "diff":
-		cmdDiff(os.Args[2:])
 	default:
-		fatalf("unknown command %q (want summary, validate, or diff)", os.Args[1])
+		fatalf("unknown command %q (want summary or validate)", os.Args[1])
 	}
 }
 
@@ -95,7 +82,7 @@ func bucketOf(ns int64) int {
 
 func cmdSummary(args []string) {
 	fs := flag.NewFlagSet("summary", flag.ExitOnError)
-	topN := fs.Int("top", 10, "how many slowest cells to list")
+	topN := fs.Uint("top", 10, "how many slowest cells to list")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fatalf("usage: authstat summary [-top N] <ledger.jsonl>")
@@ -243,7 +230,7 @@ func cmdSummary(args []string) {
 		}
 	}
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].HostNs > slow[j].HostNs })
-	if len(slow) > *topN {
+	if uint(len(slow)) > *topN {
 		slow = slow[:*topN]
 	}
 	fmt.Printf("\nslowest %d cells:\n", len(slow))
@@ -276,155 +263,4 @@ func cmdValidate(args []string) {
 	}
 	fmt.Printf("%s: valid %s ledger, campaign %q, %d records\n",
 		fs.Arg(0), lf.Header.Schema, lf.Header.Campaign, len(lf.Records))
-}
-
-// ------------------------------------------------------------------- diff --
-
-// fastpathRecord mirrors the slice of BENCH_fastpath.json the diff needs.
-type fastpathRecord struct {
-	Schema      string `json:"schema"`
-	Experiments []struct {
-		Name  string `json:"name"`
-		Cells []struct {
-			Workload string  `json:"workload"`
-			Scheme   string  `json:"scheme"`
-			Before   float64 `json:"host_ns_per_sim_cycle_before"`
-			After    float64 `json:"host_ns_per_sim_cycle_after"`
-		} `json:"cells"`
-	} `json:"experiments"`
-}
-
-// cellCost accumulates cycle-weighted ns/cycle for one (workload, policy).
-type cellCost struct {
-	weightedNs float64 // sum of ns/cycle * cycles
-	cycles     float64
-}
-
-func (c *cellCost) add(nsPerCycle float64, cycles uint64) {
-	c.weightedNs += nsPerCycle * float64(cycles)
-	c.cycles += float64(cycles)
-}
-
-func (c *cellCost) perCycle() float64 {
-	if c.cycles == 0 {
-		return 0
-	}
-	return c.weightedNs / c.cycles
-}
-
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	against := fs.String("against", "", "fresh ledger (JSONL) to compare against the record")
-	threshold := fs.Float64("threshold", 3.0, "fail when any cell's fresh/recorded host-cost ratio exceeds this")
-	// Accept the natural `diff <record> -against <ledger>` order: peel the
-	// leading positional off before flag parsing (which stops at it).
-	record := ""
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		record, args = args[0], args[1:]
-	}
-	fs.Parse(args)
-	if record == "" && fs.NArg() == 1 {
-		record = fs.Arg(0)
-	} else if fs.NArg() != 0 {
-		record = ""
-	}
-	if record == "" || *against == "" {
-		fatalf("usage: authstat diff <BENCH_fastpath.json> -against <ledger.jsonl> [-threshold N]")
-	}
-
-	data, err := os.ReadFile(record)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var rec fastpathRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		fatalf("%s: %v", record, err)
-	}
-	if rec.Schema != "authbench/fastpath/v1" {
-		fatalf("%s: schema %q, want authbench/fastpath/v1", record, rec.Schema)
-	}
-	recorded := map[[2]string]*cellCost{}
-	before := map[[2]string]*cellCost{}
-	for _, e := range rec.Experiments {
-		for _, c := range e.Cells {
-			key := [2]string{c.Workload, c.Scheme}
-			// The record does not carry per-cell cycles; weight equally.
-			if recorded[key] == nil {
-				recorded[key], before[key] = &cellCost{}, &cellCost{}
-			}
-			recorded[key].add(c.After, 1)
-			before[key].add(c.Before, 1)
-		}
-	}
-
-	lf, err := telemetry.ReadFile(*against)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fresh := map[[2]string]*cellCost{}
-	for _, r := range lf.Records {
-		if r.Kind != "bench" || r.Cached || r.Err != "" || r.SimCycles == 0 {
-			continue
-		}
-		key := [2]string{r.Workload, r.Policy}
-		if fresh[key] == nil {
-			fresh[key] = &cellCost{}
-		}
-		fresh[key].add(float64(r.HostNs)/float64(r.SimCycles), r.SimCycles)
-	}
-	if len(fresh) == 0 {
-		fatalf("%s: no fresh bench records (run authbench -experiment bench -telemetry ...)", *against)
-	}
-
-	keys := make([][2]string, 0, len(recorded))
-	for k := range recorded {
-		if fresh[k] != nil {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		fatalf("no (workload, policy) cells in common between record and ledger")
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-
-	fmt.Printf("%-10s %-38s %9s %9s %7s %9s\n",
-		"workload", "policy", "recorded", "fresh", "ratio", "speedup")
-	worst := 0.0
-	worstKey := [2]string{}
-	var sumSpeedup float64
-	for _, k := range keys {
-		rc, fc, bc := recorded[k].perCycle(), fresh[k].perCycle(), before[k].perCycle()
-		ratio := 0.0
-		if rc > 0 {
-			ratio = fc / rc
-		}
-		// The fresh speedup the fast path still delivers over the recorded
-		// per-cycle reference core — the record's headline, recomputed.
-		speedup := 0.0
-		if fc > 0 {
-			speedup = bc / fc
-		}
-		sumSpeedup += speedup
-		mark := ""
-		if ratio > *threshold {
-			mark = "  <-- over threshold"
-		}
-		if ratio > worst {
-			worst, worstKey = ratio, k
-		}
-		fmt.Printf("%-10s %-38s %9.1f %9.1f %7.2f %8.2fx%s\n",
-			k[0], k[1], rc, fc, ratio, speedup, mark)
-	}
-	fmt.Printf("\n%d cells compared; worst fresh/recorded ratio %.2f (%s under %s); mean fresh speedup over reference core %.2fx\n",
-		len(keys), worst, worstKey[0], worstKey[1], sumSpeedup/float64(len(keys)))
-	if worst > *threshold {
-		fmt.Fprintf(os.Stderr, "authstat: REGRESSION: host cost ratio %.2f exceeds threshold %.2f\n", worst, *threshold)
-		os.Exit(1)
-	}
-	fmt.Printf("ok: all ratios within threshold %.2f\n", *threshold)
 }

@@ -1,10 +1,9 @@
 // Package aes is the block cipher of the secure processor model's memory
-// encryption (counter mode, package ctr) and of the CBC/CBC-MAC comparison
-// scheme (package cbc): AES (FIPS 197) with a 128-, 192- or 256-bit key,
-// computed by the standard library's crypto/aes, which uses the host's AES
-// instructions where it has them. The simulator's timing model charges the
-// latency of a pipelined hardware unit (the paper's reference: ~80ns for
-// 256-bit Rijndael), not the host's.
+// encryption (counter mode, package ctr): AES (FIPS 197) with a 128-, 192- or
+// 256-bit key, computed by the standard library's crypto/aes, which uses the
+// host's AES instructions where it has them. The simulator's timing model
+// charges the latency of a pipelined hardware unit (the paper's reference:
+// ~80ns for 256-bit Rijndael), not the host's.
 package aes
 
 import (
@@ -15,9 +14,11 @@ import (
 // BlockSize is the AES block size in bytes (128 bits, all key lengths).
 const BlockSize = aes.BlockSize
 
-// Cipher is an expanded-key AES instance for one key.
+// Cipher is an expanded-key AES instance for one key. It counts the blocks
+// it encrypts or decrypts, so a Cipher is not safe for concurrent use.
 type Cipher struct {
-	b cipher.Block
+	b      cipher.Block
+	blocks uint64
 }
 
 // New creates a Cipher. The key must be 16, 24, or 32 bytes
@@ -43,8 +44,17 @@ func MustNew(key []byte) *Cipher {
 // same block but must not partially overlap; a short block or a partial
 // overlap panics. Both slices escape to the heap, so a caller on a hot path
 // passes buffers it reuses rather than stack arrays.
-func (c *Cipher) Encrypt(dst, src []byte) { c.b.Encrypt(dst, src) }
+func (c *Cipher) Encrypt(dst, src []byte) {
+	c.blocks++
+	c.b.Encrypt(dst, src)
+}
 
 // Decrypt decrypts the 16-byte block src into dst, under the same rules as
 // Encrypt.
-func (c *Cipher) Decrypt(dst, src []byte) { c.b.Decrypt(dst, src) }
+func (c *Cipher) Decrypt(dst, src []byte) {
+	c.blocks++
+	c.b.Decrypt(dst, src)
+}
+
+// Blocks returns how many blocks the Cipher has encrypted or decrypted.
+func (c *Cipher) Blocks() uint64 { return c.blocks }

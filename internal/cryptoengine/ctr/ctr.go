@@ -106,6 +106,10 @@ func (e *Engine) counter(addr uint64, create bool) *uint64 {
 // by throughput-limited configurations.
 func (e *Engine) PadChunks() int { return e.lineSize / aes.BlockSize }
 
+// AESBlocks returns how many AES blocks the engine has encrypted: PadChunks
+// per line encrypted or decrypted.
+func (e *Engine) AESBlocks() uint64 { return e.cipher.Blocks() }
+
 // Counter returns the current write counter of the line holding addr. A
 // counter belongs to its line, not to a byte address: every address in one
 // line reads the same counter, and callers pass the line address. A line

@@ -20,10 +20,11 @@ const Size = sha256.Size
 // states after the key's inner and outer pad blocks and every later one
 // restores them, so a MAC costs only the compressions of the message and of
 // the inner digest. Mac and Verify reuse the one hash state and sum buffer,
-// so a Keyed is not safe for concurrent use.
+// and count the MACs computed, so a Keyed is not safe for concurrent use.
 type Keyed struct {
-	h   hash.Hash
-	sum [Size]byte // the buffer the hash sums into
+	h    hash.Hash
+	sum  [Size]byte // the buffer the hash sums into
+	macs uint64
 }
 
 // NewKeyed returns the HMAC-SHA256 state for key.
@@ -35,6 +36,7 @@ func NewKeyed(key []byte) *Keyed { return &Keyed{h: hmac.New(sha256.New, key)} }
 // escapes to the heap, so a hot caller passes a buffer it reuses rather than
 // a stack array.
 func (k *Keyed) Mac(msg []byte) [Size]byte {
+	k.macs++
 	k.h.Reset()
 	k.h.Write(msg)
 	var out [Size]byte
@@ -52,6 +54,9 @@ func (k *Keyed) Verify(msg, mac []byte) bool {
 	want := k.Mac(msg)
 	return subtle.ConstantTimeCompare(want[:len(mac)], mac) == 1
 }
+
+// MACs returns how many MACs the Keyed has computed; Verify computes one.
+func (k *Keyed) MACs() uint64 { return k.macs }
 
 // Mac computes HMAC-SHA256(key, msg) for a one-off key; callers that MAC
 // repeatedly under one key hold a Keyed instead.

@@ -245,6 +245,10 @@ func (t *Tree) TamperNode(id NodeID, mask []byte) {
 	}
 }
 
+// MACs returns how many MACs the tree has computed: one per leaf and
+// internal node built, rewritten or checked, and one per root.
+func (t *Tree) MACs() uint64 { return t.mac.MACs() }
+
 // Root returns a copy of the trusted root digest.
 func (t *Tree) Root() []byte { return append([]byte(nil), t.root...) }
 

@@ -63,18 +63,6 @@ func TestMeasureDefaults(t *testing.T) {
 	}
 }
 
-func TestNormalizedIPC(t *testing.T) {
-	w, _ := workload.ByName("lucasx")
-	cfg := sim.DefaultConfig()
-	n, err := NormalizedIPC(w, cfg, policy.ThenIssue, 5_000, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 || n > 1.05 {
-		t.Errorf("normalized IPC %.3f out of range", n)
-	}
-}
-
 func TestMeasureRejectsBrokenWorkload(t *testing.T) {
 	w := workload.Workload{Name: "broken", Source: "bogus r1"}
 	if _, err := Measure(Spec{Workload: w, Config: sim.DefaultConfig()}); err == nil {

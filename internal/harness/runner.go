@@ -8,7 +8,6 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/campaign"
-	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 	"authpoint/internal/telemetry"
 	"authpoint/internal/workload"
@@ -79,8 +78,8 @@ type Runner struct {
 	baselineSims atomic.Int64
 }
 
-// DefaultRunner is the process-wide runner used by the package-level
-// helpers; its baseline memo spans every experiment in the process.
+// DefaultRunner is the process-wide runner of every experiment whose Params
+// name no runner; its baseline memo spans every experiment in the process.
 var DefaultRunner = &Runner{}
 
 type baseKey struct {
@@ -174,9 +173,6 @@ func (r *Runner) runOne(s Spec) Outcome {
 // running it at most once per (workload, config, windows) key per Runner.
 // The reported cached flag is true when the measurement already existed.
 func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
-	// Callers such as NormalizedIPC pass a config under any policy; the
-	// baseline runs, and is memoized, with the policy zeroed.
-	s.Config.Policy = policy.ControlPoint{}
 	key := baseKey{w: s.Workload, cfg: s.Config, warmup: s.WarmupInsts, measure: s.MeasureInsts,
 		metrics: s.Metrics}
 	// Normalize defaulted windows so explicit-default and zero specs share
@@ -196,32 +192,6 @@ func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
 		ent.m, ent.err = Measure(s)
 	})
 	return ent.m, !ran, ent.err
-}
-
-// Baseline exposes the memoized decrypt-only measurement for direct callers
-// (cmd/, tests) that previously paid a fresh baseline per scheme.
-func (r *Runner) Baseline(w workload.Workload, cfg sim.Config, warmup, measure uint64) (Measurement, error) {
-	m, _, err := r.baseline(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
-	return m, err
-}
-
-// NormalizedIPC is the memoized version of the package-level helper: the
-// baseline leg comes from the memo, so sweeping k policies over one workload
-// costs k+1 measurements, not 2k.
-func (r *Runner) NormalizedIPC(w workload.Workload, cfg sim.Config, p policy.ControlPoint, warmup, measure uint64) (float64, error) {
-	mb, err := r.Baseline(w, cfg, warmup, measure)
-	if err != nil {
-		return 0, err
-	}
-	cfg.Policy = p
-	ms, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
-	if err != nil {
-		return 0, err
-	}
-	if mb.IPC == 0 {
-		return 0, baselineZeroErr(w.Name)
-	}
-	return ms.IPC / mb.IPC, nil
 }
 
 // --- assembled-image cache -------------------------------------------------

@@ -97,35 +97,6 @@ func TestRunAllBaselineMemo(t *testing.T) {
 	}
 }
 
-// TestNormalizedIPCUsesMemo: after a sweep measured a workload's baseline,
-// NormalizedIPC on the same runner must not re-measure it (k+1, not 2k, for
-// direct callers too).
-func TestNormalizedIPCUsesMemo(t *testing.T) {
-	w, _ := workload.ByName("gapx")
-	cfg := sim.DefaultConfig()
-	r := &Runner{Parallelism: 2}
-	if _, err := r.Baseline(w, cfg, 4_000, 12_000); err != nil {
-		t.Fatal(err)
-	}
-	before := r.BaselineSims()
-	n1, err := r.NormalizedIPC(w, cfg, policy.ThenCommit, 4_000, 12_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := r.NormalizedIPC(w, cfg, policy.ThenIssue, 4_000, 12_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.BaselineSims(); got != before {
-		t.Errorf("NormalizedIPC re-ran the baseline: %d sims, want %d", got, before)
-	}
-	for _, n := range []float64{n1, n2} {
-		if n <= 0 || n > 1.05 {
-			t.Errorf("normalized IPC %.3f out of range", n)
-		}
-	}
-}
-
 // TestRunAllFailFast: a broken cell cancels the sweep; the returned error is
 // the failing cell's, and cells after it are either finished or skipped with
 // the context error — never silently zero.

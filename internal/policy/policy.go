@@ -17,7 +17,7 @@
 //	              instruction itself (subsumes PAC)
 //
 // plus Authenticate=false for the decrypt-only normalization baseline (the
-// zero ControlPoint). Canonical points live in a registry keyed by name;
+// zero ControlPoint). Canonical points live in a fixed table of names;
 // Parse additionally accepts any composition spelled from the gate grammar
 // ("authen-then-commit+fetch", "then-write+fetch", "commit+obfuscation").
 package policy
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ControlPoint is one point of the authentication control-point lattice:
@@ -204,8 +203,10 @@ func (p *ControlPoint) UnmarshalText(b []byte) error {
 // "commit+obfuscation") parse through the grammar. Unknown names error with
 // the registered canonical names.
 func Parse(name string) (ControlPoint, error) {
-	if p, ok := Lookup(name); ok {
-		return p, nil
+	for _, e := range registry {
+		if e.Name == name {
+			return e.Point, nil
+		}
 	}
 	body := strings.TrimPrefix(name, "authen-then-")
 	body = strings.TrimPrefix(body, "then-")
@@ -246,74 +247,32 @@ type Entry struct {
 	Doc string
 }
 
-var (
-	regMu   sync.RWMutex
-	regList []Entry
-	regName map[string]ControlPoint
-)
-
-// Register adds a canonical name for a control point. Names must be unique;
-// the composition grammar keeps working alongside registered names, so a
-// registration only adds an alias and a listing entry, never semantics.
-func Register(name string, p ControlPoint, doc string) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regName[name]; dup {
-		return fmt.Errorf("policy: %q already registered", name)
-	}
-	p = p.Normalize()
-	regName[name] = p
-	regList = append(regList, Entry{Name: name, Point: p, Doc: doc})
-	return nil
+// registry is the fixed table of canonical names, in presentation order:
+// authsim -scheme all and Parse's error message list the points in this
+// order. Every point is already normalized.
+var registry = []Entry{
+	{"baseline", Baseline, "decryption only, no integrity verification (normalization baseline)"},
+	{"authen-then-issue", ThenIssue, "verification gates instruction issue and operand use"},
+	{"authen-then-write", ThenWrite, "committed stores wait for their authentication tag"},
+	{"authen-then-commit", ThenCommit, "verification gates instruction retirement"},
+	{"authen-then-fetch", ThenFetch, "new external fetches wait for the auth queue to drain"},
+	{"authen-then-commit+fetch", CommitPlusFetch, "then-commit plus then-fetch — the paper's recommended point"},
+	{"authen-then-commit+obfuscation", CommitPlusObfuscation, "then-commit plus HIDE-style address obfuscation"},
+	{"authen-only", AuthOnly, "verify every line but gate nothing (detection without containment)"},
+	{"authen-then-pac", ThenPAC, "pointer authentication: failed auth poisons the pointer, faulting at its next use"},
+	{"authen-then-fpac", ThenFPAC, "FPAC pointer authentication: failed auth faults at the auth instruction"},
 }
 
-// MustRegister is Register that panics on error (init-time registration).
-func MustRegister(name string, p ControlPoint, doc string) {
-	if err := Register(name, p, doc); err != nil {
-		panic(err)
-	}
-}
+// Registered returns the canonical entries in table order.
+func Registered() []Entry { return append([]Entry(nil), registry...) }
 
-// Lookup resolves a registered canonical name.
-func Lookup(name string) (ControlPoint, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := regName[name]
-	return p, ok
-}
-
-// Registered returns the canonical entries in registration order.
-func Registered() []Entry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Entry, len(regList))
-	copy(out, regList)
-	return out
-}
-
-// Names returns the registered canonical names in registration order.
+// Names returns the canonical names in table order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regList))
-	for i, e := range regList {
+	out := make([]string, len(registry))
+	for i, e := range registry {
 		out[i] = e.Name
 	}
 	return out
-}
-
-func init() {
-	regName = map[string]ControlPoint{}
-	MustRegister("baseline", Baseline, "decryption only, no integrity verification (normalization baseline)")
-	MustRegister("authen-then-issue", ThenIssue, "verification gates instruction issue and operand use")
-	MustRegister("authen-then-write", ThenWrite, "committed stores wait for their authentication tag")
-	MustRegister("authen-then-commit", ThenCommit, "verification gates instruction retirement")
-	MustRegister("authen-then-fetch", ThenFetch, "new external fetches wait for the auth queue to drain")
-	MustRegister("authen-then-commit+fetch", CommitPlusFetch, "then-commit plus then-fetch — the paper's recommended point")
-	MustRegister("authen-then-commit+obfuscation", CommitPlusObfuscation, "then-commit plus HIDE-style address obfuscation")
-	MustRegister("authen-only", AuthOnly, "verify every line but gate nothing (detection without containment)")
-	MustRegister("authen-then-pac", ThenPAC, "pointer authentication: failed auth poisons the pointer, faulting at its next use")
-	MustRegister("authen-then-fpac", ThenFPAC, "FPAC pointer authentication: failed auth faults at the auth instruction")
 }
 
 // --- machine knobs ----------------------------------------------------------

@@ -286,35 +286,12 @@ func TestParseSetDuplicates(t *testing.T) {
 	}
 }
 
-func TestRegister(t *testing.T) {
-	custom := Compose(ThenWrite, ThenFetch)
-	if err := Register("test-write+fetch", custom, "test entry"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse("test-write+fetch")
-	if err != nil || got != custom {
-		t.Fatalf("registered name: %v %v", got, err)
-	}
-	if err := Register("test-write+fetch", custom, "dup"); err == nil {
-		t.Error("duplicate registration should fail")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-write+fetch" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Names() missing registered entry")
-	}
-}
-
 // fuzzSeeds are every registered name, the policy-set names, and a few
 // compositions and lists.
 func fuzzSeeds(f *testing.F) {
 	for _, s := range append(Names(), "ci", "full", "pac", "lattice",
 		"then-commit+fetch", "commit+obfuscation", "authen-then-", "issue+issue",
-		"baseline,authen-only", "then-pac, then-fpac+pac") {
+		"baseline,authen-only", "then-pac, then-fpac+pac", "write+fetch") {
 		f.Add(s)
 	}
 }

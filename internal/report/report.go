@@ -1,7 +1,7 @@
 // Package report renders a full post-run machine report: pipeline,
 // caches, TLBs, DRAM, bus, and secure-memory statistics with derived rates.
-// It is the human-readable face of a simulation result, shared by authsim
-// and the examples.
+// It is the human-readable face of a simulation result; authsim -v prints
+// it.
 package report
 
 import (
@@ -55,7 +55,8 @@ func Write(w io.Writer, m *sim.Machine, res sim.Result) {
 	itlb, dtlb := m.MS.TLBs()
 	ih, im := itlb.Stats()
 	dh, dm := dtlb.Stats()
-	p("tlb: I %.5f miss  D %.5f miss", rate(im, ih+im), rate(dm, dh+dm))
+	p("tlb: I hits %d misses %d (%.5f miss)  D hits %d misses %d (%.5f miss)",
+		ih, im, rate(im, ih+im), dh, dm, rate(dm, dh+dm))
 
 	d := m.DRAM.Stats()
 	p("dram: row-hits %d  row-empty %d  row-conflicts %d  bank-queueing %d cycles",
@@ -67,6 +68,7 @@ func Write(w io.Writer, m *sim.Machine, res sim.Result) {
 	p("secure memory:")
 	p("  fetches %d  writebacks %d  auth-requests %d  auth-failures %d",
 		s.Fetches, s.Writebacks, s.AuthRequests, s.AuthFailures)
+	p("  crypto: aes-blocks %d  macs %d", s.AESBlocks, s.MACs)
 	if m.MS.Prefetches > 0 {
 		p("  next-line prefetches: %d", m.MS.Prefetches)
 	}
@@ -87,6 +89,7 @@ func Write(w io.Writer, m *sim.Machine, res sim.Result) {
 		p("  tree: node fetches %d  node-cache hits %d", s.TreeNodeFetch, s.TreeCacheHits)
 	}
 	if m.Ctrl.Config().Remap {
-		p("  remap cache: %.4f miss", rate(s.RemapMisses, s.RemapHits+s.RemapMisses))
+		p("  remap cache: hits %d misses %d (%.4f miss)",
+			s.RemapHits, s.RemapMisses, rate(s.RemapMisses, s.RemapHits+s.RemapMisses))
 	}
 }

@@ -49,7 +49,7 @@ func TestReportSections(t *testing.T) {
 	for _, want := range []string{
 		"run: halt", "pipeline:", "cache L1I", "cache L1D", "cache L2",
 		"tlb:", "dram:", "bus:", "secure memory:", "auth-requests",
-		"decrypt->verify gap",
+		"crypto: aes-blocks", "decrypt->verify gap",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

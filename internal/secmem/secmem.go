@@ -167,6 +167,12 @@ type Stats struct {
 	// AuthWaitCycles accumulates authDone - plainReady over all fetches:
 	// the raw decrypt/verify gap of Table 1, as realized under load.
 	AuthWaitCycles uint64
+	// AESBlocks and MACs count the host crypto work of this controller's
+	// own engines: counter-mode pad blocks, and flat-line plus MAC-tree
+	// MACs. Seals served from the all-zero memo are not counted, so the
+	// counts do not depend on whether the memo was cold or warm.
+	AESBlocks uint64
+	MACs      uint64
 }
 
 // Fault describes the first failed verification.
@@ -1004,12 +1010,18 @@ func (c *Controller) NextEventAt(now uint64) uint64 {
 	return ^uint64(0)
 }
 
-// Stats returns a copy of the counters (remap stats folded in).
+// Stats returns a copy of the counters (remap stats and crypto work folded
+// in).
 func (c *Controller) Stats() Stats {
 	s := c.stats
 	if c.remap != nil {
 		s.RemapHits = c.remap.hits
 		s.RemapMisses = c.remap.misses
+	}
+	s.AESBlocks = c.enc.AESBlocks()
+	s.MACs = c.mac.MACs()
+	if c.tree != nil {
+		s.MACs += c.tree.MACs()
 	}
 	return s
 }

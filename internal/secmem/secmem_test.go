@@ -680,6 +680,56 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// The crypto work counts mean what Stats documents: a flat-MAC fetch or
+// write-back is one line of pad blocks and one MAC, a tree-mode fetch MACs
+// each node it hashes, and a seal served from the all-zero memo counts the
+// same whether the memo was cold or warm.
+func TestStatsCountCryptoWork(t *testing.T) {
+	blocks := uint64(DefaultConfig().LineB / 16)
+	delta := func(r *rig, op func()) (aesBlocks, macs uint64) {
+		t.Helper()
+		before := r.ctrl.Stats()
+		op()
+		after := r.ctrl.Stats()
+		return after.AESBlocks - before.AESBlocks, after.MACs - before.MACs
+	}
+
+	flat := newRig(t, nil)
+	protect(t, flat, 0x1000, 4096)
+	if a, m := delta(flat, func() { flat.ctrl.Fetch(0, 0x1000, 0) }); a != blocks || m != 1 {
+		t.Errorf("flat fetch: %d AES blocks, %d MACs; want %d, 1", a, m, blocks)
+	}
+	if a, m := delta(flat, func() { flat.ctrl.WriteBack(500, 0x1000, make([]byte, 64)) }); a != blocks || m != 1 {
+		t.Errorf("flat write-back: %d AES blocks, %d MACs; want %d, 1", a, m, blocks)
+	}
+
+	tree := newRig(t, func(c *Config) { c.UseTree = true })
+	protect(t, tree, 0x1000, 1<<14)
+	// A cold walk hashes the leaf, a node at every stored level above it
+	// and the root; the neighbour's walk stops at their shared parent,
+	// which the first walk left in the node cache.
+	cold := uint64(tree.ctrl.Tree().Levels() + 1)
+	if a, m := delta(tree, func() { tree.ctrl.Fetch(0, 0x1000, 0) }); a != blocks || m != cold {
+		t.Errorf("cold tree fetch: %d AES blocks, %d MACs; want %d, %d", a, m, blocks, cold)
+	}
+	if a, m := delta(tree, func() { tree.ctrl.Fetch(1000, 0x1040, 0) }); a != blocks || m != 2 {
+		t.Errorf("warm tree fetch: %d AES blocks, %d MACs; want %d, 2", a, m, blocks)
+	}
+
+	for _, useTree := range []bool{false, true} {
+		mutate := func(c *Config) { c.UseTree = useTree }
+		memo := newSealMemo(zeroSealCapB)
+		cold, warm := mustSeal(t, memo, mutate).ctrl.Stats(), mustSeal(t, memo, mutate).ctrl.Stats()
+		if cold.AESBlocks == 0 || cold.MACs == 0 {
+			t.Errorf("tree=%v: sealing the segments counted %d AES blocks, %d MACs", useTree, cold.AESBlocks, cold.MACs)
+		}
+		if cold.AESBlocks != warm.AESBlocks || cold.MACs != warm.MACs {
+			t.Errorf("tree=%v: cold memo counts %d AES blocks, %d MACs; warm %d, %d",
+				useTree, cold.AESBlocks, cold.MACs, warm.AESBlocks, warm.MACs)
+		}
+	}
+}
+
 func TestCBCModeTiming(t *testing.T) {
 	ctr := newRig(t, nil)
 	protect(t, ctr, 0x1000, 4096)

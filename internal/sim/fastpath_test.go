@@ -73,7 +73,7 @@ func TestFastSlowRandomPrograms(t *testing.T) {
 }
 
 // TestFastSlowWorkloads pins cycle identity on the real workload kernels
-// across the seven legacy schemes and the full 31-point lattice.
+// across the full 95-point lattice.
 func TestFastSlowWorkloads(t *testing.T) {
 	points := policy.FullLattice()
 	if testing.Short() {
