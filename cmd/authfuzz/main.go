@@ -21,7 +21,8 @@
 //
 // The exit status is 0 when every check is clean (every replay matches), 1
 // when any divergence, invariant violation, or replay mismatch is found,
-// and 2 on usage errors.
+// and 2 on usage errors and when the campaign could not record its
+// results: a -cache write or the sweep itself failed.
 package main
 
 import (

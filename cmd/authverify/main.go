@@ -28,7 +28,8 @@
 //
 // The exit status is 0 when every cell is clean/imprecise/licensed (every
 // replay matches), 1 when any unsound verdict, kernel pin violation, or
-// replay mismatch is found, and 2 on usage errors.
+// replay mismatch is found, and 2 on usage errors and when the campaign
+// could not record its results: a -cache write or the sweep itself failed.
 package main
 
 import (

@@ -71,12 +71,25 @@ type Bus struct {
 // which SetTracing controls).
 func (b *Bus) SetObserver(s obs.Sink) { b.sink = s }
 
-// New validates cfg and builds the bus.
+// New validates cfg and builds the bus: Reset on a zero Bus.
 func New(cfg Config) (*Bus, error) {
-	if cfg.CorePerBus <= 0 || cfg.BusBytes <= 0 || cfg.AddrBeats <= 0 {
-		return nil, fmt.Errorf("bus: non-positive config %+v", cfg)
+	b := new(Bus)
+	if err := b.Reset(cfg); err != nil {
+		return nil, err
 	}
-	return &Bus{cfg: cfg, tracing: true}, nil
+	return b, nil
+}
+
+// Reset returns the bus to its initial state under cfg: free, idle, tracing
+// on with an empty trace, and no observer. The trace keeps its storage, so
+// a slice Trace returned before the Reset must no longer be read. On an
+// error the bus is unusable.
+func (b *Bus) Reset(cfg Config) error {
+	if cfg.CorePerBus <= 0 || cfg.BusBytes <= 0 || cfg.AddrBeats <= 0 {
+		return fmt.Errorf("bus: non-positive config %+v", cfg)
+	}
+	*b = Bus{cfg: cfg, trace: b.trace[:0], tracing: true}
+	return nil
 }
 
 // MustNew is New but panics on error.

@@ -48,6 +48,12 @@ type Cache struct {
 	order [][]int  // LRU order: order[s][0] = MRU way
 	stats Stats
 
+	// filled lists, once each, the sets Fill has written since the last
+	// Reset, and filledBits marks them: every other set is still in its
+	// reset state, so Reset clears only these.
+	filled     []int32
+	filledBits []uint64
+
 	sink  obs.Sink
 	track obs.Track
 	clock func() uint64
@@ -62,26 +68,52 @@ func (c *Cache) SetObserver(s obs.Sink, track obs.Track, clock func() uint64) {
 	c.clock = clock
 }
 
-// New validates cfg and builds the cache.
+// New validates cfg and builds the cache: Reset on a zero Cache.
 func New(cfg Config) (*Cache, error) {
+	c := new(Cache)
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset empties the cache and shapes it for cfg: every line invalid, every
+// set's LRU order reset, the counters zeroed and the observer detached. A
+// cache whose geometry cfg keeps keeps its set arrays and clears only the
+// sets filled since the last Reset, so emptying it costs what its last run
+// touched, not its capacity. On an error the cache is unusable.
+func (c *Cache) Reset(cfg Config) error {
 	if cfg.SizeB <= 0 || cfg.LineB <= 0 || cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: non-positive geometry %+v", cfg.Name, cfg)
+		return fmt.Errorf("cache %s: non-positive geometry %+v", cfg.Name, cfg)
 	}
 	if cfg.SizeB%(cfg.LineB*cfg.Ways) != 0 {
-		return nil, fmt.Errorf("cache %s: size %d not divisible by line*ways %d", cfg.Name, cfg.SizeB, cfg.LineB*cfg.Ways)
+		return fmt.Errorf("cache %s: size %d not divisible by line*ways %d", cfg.Name, cfg.SizeB, cfg.LineB*cfg.Ways)
 	}
 	if cfg.LineB&(cfg.LineB-1) != 0 {
-		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB)
+		return fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB)
 	}
 	sets := cfg.SizeB / (cfg.LineB * cfg.Ways)
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+	}
+	same := c.lines != nil && sets == c.sets && cfg.Ways == c.cfg.Ways
+	c.cfg, c.sets, c.stats = cfg, sets, Stats{}
+	c.sink, c.track, c.clock = nil, 0, nil
+	if same {
+		for _, s := range c.filled {
+			clear(c.lines[s])
+			for w := range c.order[s] {
+				c.order[s][w] = w
+			}
+		}
+		c.filled = c.filled[:0]
+		clear(c.filledBits)
+		return nil
 	}
 	// Each set's ways and LRU order are cut from one backing array per
 	// table, so a cache costs the same few allocations whatever its set
 	// count. Lookups keep the [set][way] index: a flat lines[s*ways+w]
 	// index measured slower per lookup.
-	c := &Cache{cfg: cfg, sets: sets}
 	c.lines = make([][]Line, sets)
 	c.order = make([][]int, sets)
 	lines := make([]Line, sets*cfg.Ways)
@@ -94,7 +126,9 @@ func New(cfg Config) (*Cache, error) {
 			c.order[s][w] = w
 		}
 	}
-	return c, nil
+	c.filled = c.filled[:0]
+	c.filledBits = make([]uint64, (sets+63)/64)
+	return nil
 }
 
 // MustNew is New but panics on error.
@@ -166,6 +200,10 @@ type Victim struct {
 // marks the new line dirty.
 func (c *Cache) Fill(addr uint64, write bool) (*Line, *Victim) {
 	set, tag := c.index(addr)
+	if bit := uint64(1) << (set & 63); c.filledBits[set>>6]&bit == 0 {
+		c.filledBits[set>>6] |= bit
+		c.filled = append(c.filled, int32(set))
+	}
 	way := c.order[set][c.cfg.Ways-1]
 	l := &c.lines[set][way]
 	var ev *Victim

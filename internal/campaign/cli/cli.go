@@ -3,7 +3,8 @@
 // campaign run needs — seeds, policies, budget, result cache, resume
 // checkpoint, ledger, meter and CPU profile — sweeps cells through the
 // campaign engine, prints the verdict and cache summary, and exits with the
-// campaign's status: 0 clean, 1 findings, 2 bad input.
+// campaign's status: 0 clean, 1 findings, 2 bad input or a campaign that
+// could not record its results.
 package cli
 
 import (
@@ -50,6 +51,8 @@ type Session struct {
 	cancel   context.CancelFunc
 	done     map[campaign.CellID]string
 	stopProf func()
+	// failed records that a result-store write or the sweep itself failed.
+	failed bool
 }
 
 // New registers the shared campaign flags on the command line for command
@@ -146,7 +149,9 @@ func sameFile(a, b string) bool {
 // session's budget, resume checkpoint, ledger and meter, then prints the
 // resume line, one line per cell under -v (line), the header (detail is
 // appended to its mode), the verdict counts in the order verdicts lists
-// them, and the cache summary. It returns the findings in report order.
+// them, and the cache summary. It returns the findings in report order. A
+// failed result-store write, or a sweep that failed for any reason but the
+// budget running out, is printed to stderr and makes Exit exit 2.
 func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C, detail string, verdicts []V, line func(telemetry.Record) string) []R {
 	start := time.Now()
 	rep, err := campaign.Sweep(s.ctx, ch, cells, s.done, s.parallel, s.Obs)
@@ -190,10 +195,12 @@ func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C
 			s.Name, s.Store.Hits(), s.Store.Misses(), s.Store.Puts(), s.Store.Dir())
 		if cerr := s.Store.Err(); cerr != nil {
 			fmt.Fprintf(os.Stderr, "%s: cache: %v\n", s.Name, cerr)
+			s.failed = true
 		}
 	}
 	if err != nil && err != context.DeadlineExceeded {
 		fmt.Fprintf(os.Stderr, "%s: sweep: %v\n", s.Name, err)
+		s.failed = true
 	}
 	return rep.Findings
 }
@@ -239,8 +246,8 @@ func (s *Session) Close() {
 	}
 }
 
-// Exit flushes the profiles and exits 1 when the campaign found anything,
-// else 0. The command exits through os.Exit, so the profiles are flushed
+// Exit flushes the profiles and exits with the campaign's status (see
+// status). The command exits through os.Exit, so the profiles are flushed
 // here rather than in deferred calls.
 func (s *Session) Exit(bad bool) {
 	s.cancel()
@@ -248,10 +255,20 @@ func (s *Session) Exit(bad bool) {
 	if err := prof.WriteHeap(s.memprofile); err != nil {
 		s.Fatalf("%v", err)
 	}
-	if bad {
-		os.Exit(1)
+	os.Exit(s.status(bad))
+}
+
+// status is the campaign's exit status: 2 when a result-store write or the
+// sweep failed, as when the store does not open at Start — the campaign did
+// not record what it checked — else 1 when it found anything (bad), else 0.
+func (s *Session) status(bad bool) int {
+	switch {
+	case s.failed:
+		return 2
+	case bad:
+		return 1
 	}
-	os.Exit(0)
+	return 0
 }
 
 // ReplayFiles replays each finding file named on the command line with

@@ -336,6 +336,9 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 	if err != nil {
 		return View{}, err
 	}
+	// The view holds only values copied out of the machine, so a later run
+	// may rebuild it.
+	defer m.Release()
 	col := &busCollector{}
 	var hub *obs.Hub
 	if metricsSink != nil {

@@ -42,6 +42,9 @@ type Engine struct {
 	// and fetches walk lines in address order.
 	lastBlk uint64
 	last    *counterBlock
+	// free holds the counter blocks of the run before the last Reset, for
+	// reuse.
+	free []*counterBlock
 	// seed is padInto's cipher input. Held here, not on padInto's stack,
 	// because a block passed to the cipher escapes: a local one would cost an
 	// allocation per pad.
@@ -77,27 +80,59 @@ func NewEngine(key []byte, lineSize int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cipher: c, lineSize: lineSize, blocks: map[uint64]*counterBlock{}, lastBlk: ^uint64(0)}, nil
+	e := &Engine{cipher: c, lineSize: lineSize, blocks: map[uint64]*counterBlock{}}
+	e.Reset()
+	return e, nil
+}
+
+// Reset sets every line's counter back to 0, as in a new engine, and
+// detaches the observer. The key schedule and AESBlocks's count stay. The
+// engine keeps its counter blocks for later counters, clearing each as it
+// reuses it, as mem.Memory keeps its pages.
+func (e *Engine) Reset() {
+	clear(e.free[:cap(e.free)])
+	e.free = e.free[:0]
+	for _, b := range e.blocks {
+		e.free = append(e.free, b)
+	}
+	clear(e.blocks)
+	e.lastBlk, e.last = ^uint64(0), nil
+	e.sink, e.clock = nil, nil
 }
 
 // counter returns the slot holding the write counter of addr's line, or nil
 // if its block was never written and create is false.
 func (e *Engine) counter(addr uint64, create bool) *uint64 {
 	line := addr / uint64(e.lineSize)
-	blk, i := line/blockLines, line%blockLines
+	b := e.block(line/blockLines, create)
+	if b == nil {
+		return nil
+	}
+	return &b[line%blockLines]
+}
+
+// block returns counter block blk, or nil if it was never written and
+// create is false.
+func (e *Engine) block(blk uint64, create bool) *counterBlock {
 	if blk == e.lastBlk {
-		return &e.last[i]
+		return e.last
 	}
 	b, ok := e.blocks[blk]
 	if !ok {
 		if !create {
 			return nil
 		}
-		b = new(counterBlock)
+		if n := len(e.free); n > 0 {
+			b = e.free[n-1]
+			e.free = e.free[:n-1]
+			*b = counterBlock{}
+		} else {
+			b = new(counterBlock)
+		}
 		e.blocks[blk] = b
 	}
 	e.lastBlk, e.last = blk, b
-	return &b[i]
+	return b
 }
 
 // PadChunks returns the number of AES invocations needed to produce the pad
@@ -125,6 +160,18 @@ func (e *Engine) Counter(addr uint64) uint64 {
 // sealing and by replay-attack tests that roll a counter back). As with
 // Counter, the counter is the line's: callers pass the line address.
 func (e *Engine) SetCounter(addr, ctr uint64) { *e.counter(addr, true) = ctr }
+
+// SetCounters sets the write counters of consecutive lines, the first the
+// line holding addr: line i's counter to ctrs[i]. It is SetCounter line by
+// line, a counter block at a time.
+func (e *Engine) SetCounters(addr uint64, ctrs []uint64) {
+	line := addr / uint64(e.lineSize)
+	for len(ctrs) > 0 {
+		n := copy(e.block(line/blockLines, true)[line%blockLines:], ctrs)
+		ctrs = ctrs[n:]
+		line += uint64(n)
+	}
+}
 
 // Pad computes the one-time pad for the line at addr under counter ctr.
 func (e *Engine) Pad(addr, ctr uint64) []byte {

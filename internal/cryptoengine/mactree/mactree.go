@@ -34,6 +34,7 @@ type NodeID struct {
 // is not safe for concurrent use, VerifyLeaf included: every MAC is built in
 // one reused message buffer.
 type Tree struct {
+	key       []byte
 	mac       *hmac.Keyed
 	arity     int
 	macSize   int
@@ -87,8 +88,8 @@ func alloc(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 	if macSize <= 0 || macSize > hmac.Size {
 		return nil, fmt.Errorf("mactree: macSize must be in 1..%d, got %d", hmac.Size, macSize)
 	}
-	t := &Tree{mac: hmac.NewKeyed(key), arity: arity, macSize: macSize, numLeaves: numLeaves,
-		root: make([]byte, macSize)}
+	t := &Tree{key: append([]byte(nil), key...), mac: hmac.NewKeyed(key), arity: arity, macSize: macSize,
+		numLeaves: numLeaves, root: make([]byte, macSize)}
 	n := numLeaves
 	for {
 		t.levels = append(t.levels, make([]byte, n*macSize))
@@ -98,6 +99,33 @@ func alloc(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 		n = (n + arity - 1) / arity
 	}
 	return t, nil
+}
+
+// Clone returns a tree that shares no mutable state with t: the same key, shape,
+// node digests and root, its own HMAC state, and a MACs count of zero.
+// Cloning computes no MAC.
+func (t *Tree) Clone() *Tree {
+	c := &Tree{key: t.key, mac: hmac.NewKeyed(t.key), arity: t.arity, macSize: t.macSize,
+		numLeaves: t.numLeaves, root: append([]byte(nil), t.root...), levels: make([][]byte, len(t.levels))}
+	n := 0
+	for _, l := range t.levels {
+		n += len(l)
+	}
+	nodes := make([]byte, 0, n)
+	for i, l := range t.levels {
+		nodes = append(nodes, l...)
+		c.levels[i] = nodes[len(nodes)-len(l) : len(nodes) : len(nodes)]
+	}
+	return c
+}
+
+// Bytes returns the bytes of t's node digests and root.
+func (t *Tree) Bytes() int {
+	n := len(t.root)
+	for _, l := range t.levels {
+		n += len(l)
+	}
+	return n
 }
 
 // rebuild recomputes every internal node from the leaf digests, bottom-up,

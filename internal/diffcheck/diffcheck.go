@@ -320,6 +320,9 @@ func check(src string, opt Options) Result {
 		res.Divergence = "machine: " + err.Error()
 		return res
 	}
+	// The result holds only values copied out of the machine, so a later
+	// cell may rebuild it.
+	defer m.Release()
 	if opt.Tamper {
 		entryLine := p.Entry &^ 63
 		switch opt.TamperSite {

@@ -201,6 +201,23 @@ func TestDecodeReproRejects(t *testing.T) {
 	if _, err := DecodeRepro([]byte(`{"schema":"` + ReproSchema + `"}`)); err == nil {
 		t.Error("empty source accepted")
 	}
+	// A site outside Sites() would replay as an entry tamper, and a site on
+	// an untampered repro would be ignored: NewRepro writes neither.
+	for _, body := range []string{
+		`"tamper":true,"tamper_site":"bogus"`,
+		`"tamper_site":"data"`,
+		`"tamper":false,"tamper_site":"entry"`,
+	} {
+		if _, err := DecodeRepro([]byte(`{"schema":"` + ReproSchema + `","source":"halt",` + body + `}`)); err == nil {
+			t.Errorf("repro with %s accepted", body)
+		}
+	}
+	for _, site := range Sites() {
+		body := `{"schema":"` + ReproSchema + `","source":"halt","tamper":true,"tamper_site":"` + string(site) + `"}`
+		if _, err := DecodeRepro([]byte(body)); err != nil {
+			t.Errorf("repro tampered at %s rejected: %v", site, err)
+		}
+	}
 }
 
 func TestSweepBudgetExpiry(t *testing.T) {

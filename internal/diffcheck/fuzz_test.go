@@ -1,6 +1,10 @@
 package diffcheck
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"authpoint/internal/policy"
@@ -43,6 +47,44 @@ func FuzzDiffLattice(f *testing.F) {
 		if tamper && pol.IsBaseline() != (res.Verdict == VerdictUndetected) {
 			t.Fatalf("seed %d under %v: tamper verdict %s does not match baseline-ness",
 				seed, pol, res.Verdict)
+		}
+	})
+}
+
+// FuzzDecodeRepro feeds arbitrary bytes to the .repro decoder, seeded with
+// the checked-in corpus. It must not panic or hang. An accepted repro names
+// a tamper site only when tampered, and only one of Sites(); and its
+// encoding reaches a fixed point: encoding what the encoding decodes to
+// gives the same bytes. (Bytes, not structs: an accepted file may spell a
+// value the encoder writes differently, such as a field it omits.)
+func FuzzDecodeRepro(f *testing.F) {
+	paths, err := filepath.Glob("testdata/*.repro")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no corpus: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":"` + ReproSchema + `","source":"halt","tamper":true,"tamper_site":"bogus"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeRepro(data)
+		if err != nil {
+			return
+		}
+		if site := TamperSite(r.TamperSite); site != "" && (!r.Tamper || !slices.Contains(Sites(), site)) {
+			t.Fatalf("accepted tamper=%v site %q", r.Tamper, site)
+		}
+		enc := r.Encode()
+		again, err := DecodeRepro(enc)
+		if err != nil {
+			t.Fatalf("own encoding rejected: %v\n%s", err, enc)
+		}
+		if enc2 := again.Encode(); !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding not a fixed point:\n%s\nthen\n%s", enc, enc2)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"authpoint/internal/policy"
 )
@@ -81,7 +82,10 @@ func (r *Repro) Encode() []byte {
 	return append(b, '\n')
 }
 
-// DecodeRepro parses and schema-checks a repro file.
+// DecodeRepro parses and schema-checks a repro file. Its tamper site must
+// be one of Sites(), or empty for entry, and only a tampered repro names
+// one: NewRepro writes no other form, and Check would treat an unknown
+// site as entry.
 func DecodeRepro(data []byte) (*Repro, error) {
 	var r Repro
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -92,6 +96,14 @@ func DecodeRepro(data []byte) (*Repro, error) {
 	}
 	if r.Source == "" {
 		return nil, fmt.Errorf("diffcheck: repro has no source")
+	}
+	if r.TamperSite != "" {
+		if !r.Tamper {
+			return nil, fmt.Errorf("diffcheck: untampered repro names tamper site %q", r.TamperSite)
+		}
+		if !slices.Contains(Sites(), TamperSite(r.TamperSite)) {
+			return nil, fmt.Errorf("diffcheck: repro tamper site %q: want one of %v", r.TamperSite, Sites())
+		}
 	}
 	return &r, nil
 }

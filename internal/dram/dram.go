@@ -83,19 +83,34 @@ type DRAM struct {
 	stats   Stats
 }
 
-// New validates cfg and builds the model.
+// New validates cfg and builds the model: Reset on a zero DRAM.
 func New(cfg Config) (*DRAM, error) {
-	if cfg.Banks <= 0 || cfg.RowBytes <= 0 || cfg.CorePerBus <= 0 || cfg.BusBytes <= 0 {
-		return nil, fmt.Errorf("dram: non-positive geometry %+v", cfg)
-	}
-	if cfg.CASBus < 0 || cfg.RCDBus < 0 || cfg.RPBus < 0 {
-		return nil, fmt.Errorf("dram: negative timing %+v", cfg)
-	}
-	d := &DRAM{cfg: cfg, banks: make([]bank, cfg.Banks)}
-	for i := range d.banks {
-		d.banks[i].openRow = -1
+	d := new(DRAM)
+	if err := d.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// Reset returns the model to its power-on state under cfg: every bank
+// precharged and idle, the data bus free and the counters zeroed. It keeps
+// the bank array when the bank count is unchanged. On an error the model is
+// unusable.
+func (d *DRAM) Reset(cfg Config) error {
+	if cfg.Banks <= 0 || cfg.RowBytes <= 0 || cfg.CorePerBus <= 0 || cfg.BusBytes <= 0 {
+		return fmt.Errorf("dram: non-positive geometry %+v", cfg)
+	}
+	if cfg.CASBus < 0 || cfg.RCDBus < 0 || cfg.RPBus < 0 {
+		return fmt.Errorf("dram: negative timing %+v", cfg)
+	}
+	if len(d.banks) != cfg.Banks {
+		d.banks = make([]bank, cfg.Banks)
+	}
+	for i := range d.banks {
+		d.banks[i] = bank{openRow: -1}
+	}
+	d.cfg, d.busFree, d.stats = cfg, 0, Stats{}
+	return nil
 }
 
 // MustNew is New but panics on error.

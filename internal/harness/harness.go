@@ -69,6 +69,9 @@ func Measure(spec Spec) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, fmt.Errorf("harness: %s: %w", spec.Workload.Name, err)
 	}
+	// The measurement holds only values copied out of the machine, so a
+	// later cell may rebuild it.
+	defer m.Release()
 	res, err := m.Run()
 	if err != nil {
 		return Measurement{}, fmt.Errorf("harness: %s warmup: %w", spec.Workload.Name, err)

@@ -10,6 +10,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the virtual/physical page size (4KB, the paper's §3.3 premise:
@@ -26,11 +27,44 @@ type Memory struct {
 	// this keeps the hot path off the map.
 	lastPN   uint64
 	lastPage []byte
+	// free holds the pages of the run before the last Reset, for reuse.
+	free [][]byte
 }
 
 // New creates an empty memory.
 func New() *Memory {
-	return &Memory{pages: map[uint64][]byte{}, lastPN: ^uint64(0)}
+	m := &Memory{pages: map[uint64][]byte{}}
+	m.Reset()
+	return m
+}
+
+// Reset empties the memory: every page reads as zero again. The memory
+// keeps the pages it held for later writes, clearing each as it reuses it,
+// so a memory reused for a run of the same size allocates nothing. Pages
+// kept at the Reset before and not reused since are dropped.
+func (m *Memory) Reset() {
+	clear(m.free[:cap(m.free)])
+	m.free = m.free[:0]
+	for _, p := range m.pages {
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
+	m.lastPN, m.lastPage = ^uint64(0), nil
+}
+
+// PageCount returns how many pages have been written since New or the last
+// Reset.
+func (m *Memory) PageCount() int { return len(m.pages) }
+
+// Pages returns the page numbers of every page written since New or the
+// last Reset, in ascending order.
+func (m *Memory) Pages() []uint64 {
+	out := make([]uint64, 0, len(m.pages))
+	for pn := range m.pages {
+		out = append(out, pn)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func (m *Memory) page(addr uint64, create bool) []byte {
@@ -43,10 +77,27 @@ func (m *Memory) page(addr uint64, create bool) []byte {
 		if !create {
 			return nil
 		}
-		p = make([]byte, PageSize)
-		m.pages[pn] = p
+		p = m.newPage(pn, false)
 	}
 	m.lastPN, m.lastPage = pn, p
+	return p
+}
+
+// newPage maps a page at page number pn, reusing a free one if it has one.
+// A reused page is cleared unless whole says the caller overwrites all of
+// it.
+func (m *Memory) newPage(pn uint64, whole bool) []byte {
+	var p []byte
+	if n := len(m.free); n > 0 {
+		p = m.free[n-1]
+		m.free = m.free[:n-1]
+		if !whole {
+			clear(p)
+		}
+	} else {
+		p = make([]byte, PageSize)
+	}
+	m.pages[pn] = p
 	return p
 }
 
@@ -93,7 +144,11 @@ func (m *Memory) ReadInto(dst []byte, addr uint64) {
 func (m *Memory) Write(addr uint64, data []byte) {
 	for len(data) > 0 {
 		off := addr & (PageSize - 1)
-		n := copy(m.page(addr, true)[off:], data)
+		p := m.page(addr, false)
+		if p == nil {
+			p = m.newPage(addr>>PageShift, off == 0 && len(data) >= PageSize)
+		}
+		n := copy(p[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -143,6 +198,14 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{valid: map[uint64]bool{}}
 }
 
+// Reset unmaps every page, re-enables translation checking and empties the
+// fault log, keeping the page map's storage.
+func (s *AddressSpace) Reset() {
+	clear(s.valid)
+	s.Disabled = false
+	s.faultLog = s.faultLog[:0]
+}
+
 // MapRange marks [addr, addr+n) valid.
 func (s *AddressSpace) MapRange(addr uint64, n uint64) {
 	if n == 0 {
@@ -187,29 +250,46 @@ type TLB struct {
 	miss  uint64
 }
 
-// NewTLB creates a TLB with the given total entries and associativity.
+// NewTLB creates a TLB with the given total entries and associativity:
+// Reset on a zero TLB.
 func NewTLB(entries, ways int) (*TLB, error) {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		return nil, fmt.Errorf("mem: bad TLB shape entries=%d ways=%d", entries, ways)
+	t := new(TLB)
+	if err := t.Reset(entries, ways); err != nil {
+		return nil, err
 	}
-	// As in cache.New, every set's tags and LRU order are cut from one
-	// backing array per table.
+	return t, nil
+}
+
+// Reset empties the TLB and shapes it for entries and ways, zeroing its
+// counters. A TLB of the same shape keeps its tables. On an error the TLB
+// is unusable.
+func (t *TLB) Reset(entries, ways int) error {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+		return fmt.Errorf("mem: bad TLB shape entries=%d ways=%d", entries, ways)
+	}
 	sets := entries / ways
-	t := &TLB{sets: sets, ways: ways}
-	t.tags = make([][]uint64, sets)
-	t.order = make([][]int, sets)
-	tags := make([]uint64, entries)
-	order := make([]int, entries)
+	if t.tags == nil || sets != t.sets || ways != t.ways {
+		// As in cache.New, every set's tags and LRU order are cut from one
+		// backing array per table.
+		t.sets, t.ways = sets, ways
+		t.tags = make([][]uint64, sets)
+		t.order = make([][]int, sets)
+		tags := make([]uint64, entries)
+		order := make([]int, entries)
+		for s := 0; s < sets; s++ {
+			lo, hi := s*ways, (s+1)*ways
+			t.tags[s] = tags[lo:hi:hi]
+			t.order[s] = order[lo:hi:hi]
+		}
+	}
 	for s := 0; s < sets; s++ {
-		lo, hi := s*ways, (s+1)*ways
-		t.tags[s] = tags[lo:hi:hi]
-		t.order[s] = order[lo:hi:hi]
 		for w := 0; w < ways; w++ {
 			t.tags[s][w] = ^uint64(0)
 			t.order[s][w] = w
 		}
 	}
-	return t, nil
+	t.hits, t.miss = 0, 0
+	return nil
 }
 
 // Lookup probes the TLB for addr's page, filling on miss, and reports hit.

@@ -32,6 +32,14 @@ func DefaultPredictorConfig() PredictorConfig {
 // NewPredictor builds a predictor. Entry counts are rounded up to powers of
 // two.
 func NewPredictor(cfg PredictorConfig) *Predictor {
+	p := new(Predictor)
+	p.reset(cfg)
+	return p
+}
+
+// reset returns the predictor to the state NewPredictor leaves for cfg,
+// keeping its tables' storage when their sizes are unchanged.
+func (p *Predictor) reset(cfg PredictorConfig) {
 	pow2 := func(n int) int {
 		p := 1
 		for p < n {
@@ -42,13 +50,13 @@ func NewPredictor(cfg PredictorConfig) *Predictor {
 	bimodal := pow2(max(cfg.BimodalEntries, 2))
 	btb := pow2(max(cfg.BTBEntries, cfg.BTBWays))
 	ways := max(cfg.BTBWays, 1)
-	p := &Predictor{
-		bimodal: make([]uint8, bimodal),
-		btbTags: make([]uint64, btb),
-		btbTgts: make([]uint64, btb),
+	*p = Predictor{
+		bimodal: resize(p.bimodal, bimodal),
+		btbTags: resize(p.btbTags, btb),
+		btbTgts: resize(p.btbTgts, btb),
 		btbWays: ways,
 		btbSets: btb / ways,
-		ras:     make([]uint64, max(cfg.RASEntries, 1)),
+		ras:     resize(p.ras, max(cfg.RASEntries, 1)),
 	}
 	for i := range p.bimodal {
 		p.bimodal[i] = 1 // weakly not-taken
@@ -56,7 +64,17 @@ func NewPredictor(cfg PredictorConfig) *Predictor {
 	for i := range p.btbTags {
 		p.btbTags[i] = ^uint64(0)
 	}
-	return p
+	clear(p.btbTgts)
+	clear(p.ras)
+}
+
+// resize returns b with length n, reusing its storage if it can; the
+// elements are not cleared.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 func (p *Predictor) bimodalIdx(pc uint64) int {

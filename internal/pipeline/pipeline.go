@@ -307,26 +307,69 @@ func (c *Core) stallEnd(r obs.StallReason) {
 	c.sink.Emit(obs.Event{Cycle: c.now, Kind: obs.EvStallEnd, Track: obs.TrackCore, A: uint64(r)})
 }
 
-// New builds a core with architectural state zeroed and PC at entry.
+// New builds a core with architectural state zeroed and PC at entry: Reset
+// on a zero Core.
 func New(cfg Config, mem MemPort, entryPC uint64) (*Core, error) {
+	c := new(Core)
+	if err := c.Reset(cfg, mem, entryPC); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset returns the core to the state New leaves under cfg: architectural
+// state zeroed, PC at entry, every RUU and IFQ slot, occupancy mask and
+// predictor table empty, counters zeroed, and no observer, perf block, µop
+// cache or commit hook. The RUU, the IFQ, the masks and the predictor keep
+// their storage when cfg keeps their sizes, and RUU slots keep their
+// consumer lists' backing arrays. On an error the core is unusable.
+func (c *Core) Reset(cfg Config, mem MemPort, entryPC uint64) error {
 	if cfg.RUUSize <= 0 || cfg.LSQSize <= 0 || cfg.IFQSize <= 0 {
-		return nil, fmt.Errorf("pipeline: non-positive queue sizes %+v", cfg)
+		return fmt.Errorf("pipeline: non-positive queue sizes %+v", cfg)
 	}
 	if cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.CommitWidth <= 0 {
-		return nil, fmt.Errorf("pipeline: non-positive widths %+v", cfg)
+		return fmt.Errorf("pipeline: non-positive widths %+v", cfg)
 	}
+	// Dispatch writes the RUU from slot 0 on, so a core that dispatched n
+	// entries used at most its first n slots.
+	used := len(c.ruu)
+	if c.nextSeq < uint64(used) {
+		used = int(c.nextSeq)
+	}
+	ruu := c.ruu
+	if len(ruu) != cfg.RUUSize {
+		ruu, used = make([]entry, cfg.RUUSize), 0
+	}
+	for i := range ruu[:used] {
+		ruu[i] = entry{consumers: ruu[i].consumers[:0]}
+	}
+	ifq := c.ifq
+	if len(ifq) != cfg.IFQSize {
+		ifq = make([]fetchedInst, cfg.IFQSize)
+	}
+	clear(ifq)
 	words := (cfg.RUUSize + 63) / 64
-	c := &Core{
+	bp, pacs := c.bp, c.pacs
+	if bp == nil {
+		bp = NewPredictor(cfg.Predictor)
+	} else {
+		bp.reset(cfg.Predictor)
+	}
+	if pacs == (pacmac.Suite{}) {
+		pacs = pacmac.DefaultSuite()
+	}
+	*c = Core{
 		cfg:       cfg,
 		mem:       mem,
-		bp:        NewPredictor(cfg.Predictor),
-		pacs:      pacmac.DefaultSuite(),
+		bp:        bp,
+		pacs:      pacs,
 		pc:        entryPC,
-		ruu:       make([]entry, cfg.RUUSize),
-		ifq:       make([]fetchedInst, cfg.IFQSize),
-		waitMask:  make([]uint64, words),
-		issueMask: make([]uint64, words),
-		storeMask: make([]uint64, words),
+		ruu:       ruu,
+		ifq:       ifq,
+		waitMask:  resizeMask(c.waitMask, words),
+		issueMask: resizeMask(c.issueMask, words),
+		storeMask: resizeMask(c.storeMask, words),
+		outLog:    c.outLog[:0],
 	}
 	for i := range c.renameInt {
 		c.renameInt[i] = -1
@@ -334,7 +377,15 @@ func New(cfg Config, mem MemPort, entryPC uint64) (*Core, error) {
 	for i := range c.renameFP {
 		c.renameFP[i] = -1
 	}
-	return c, nil
+	return nil
+}
+
+// resizeMask returns an all-clear mask of n words, reusing m's storage if
+// it can.
+func resizeMask(m []uint64, n int) []uint64 {
+	m = resize(m, n)
+	clear(m)
+	return m
 }
 
 // SetReg initializes an architectural integer register (loader use).

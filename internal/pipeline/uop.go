@@ -135,8 +135,8 @@ func DecodeUop(w uint32) Uop {
 }
 
 // UopCache holds the pre-decoded micro-ops of one program's static text,
-// indexed by PC. It is immutable after construction and safe to share
-// between machines running the same image.
+// indexed by PC. Only Reset changes it; a core's fetch copies the Uop it
+// looks up.
 type UopCache struct {
 	base  uint64
 	words []uint32
@@ -144,16 +144,34 @@ type UopCache struct {
 }
 
 // NewUopCache decodes every word of a text image (little-endian, as the
-// memory system reads it) rooted at base.
+// memory system reads it) rooted at base: Reset on a zero UopCache.
 func NewUopCache(base uint64, text []byte) *UopCache {
+	uc := new(UopCache)
+	uc.Reset(base, text)
+	return uc
+}
+
+// Reset re-targets the cache at another text image rooted at base. Words
+// the cache already holds at the same PC keep their decoded µops, so a
+// machine rebuilt for the same program decodes nothing.
+func (uc *UopCache) Reset(base uint64, text []byte) {
 	n := len(text) / 4
-	uc := &UopCache{base: base, words: make([]uint32, n), uops: make([]Uop, n)}
+	keep := 0
+	if base == uc.base {
+		keep = min(n, len(uc.words))
+	}
+	if cap(uc.words) < n {
+		uc.words, uc.uops, keep = make([]uint32, n), make([]Uop, n), 0
+	}
+	uc.base, uc.words, uc.uops = base, uc.words[:n], uc.uops[:n]
 	for i := 0; i < n; i++ {
 		w := binary.LittleEndian.Uint32(text[i*4:])
+		if i < keep && uc.words[i] == w {
+			continue
+		}
 		uc.words[i] = w
 		uc.uops[i] = DecodeUop(w)
 	}
-	return uc
 }
 
 // Lookup returns the cached micro-op for pc iff word matches the encoding

@@ -33,28 +33,42 @@ type Remapper struct {
 	misses uint64
 }
 
-// NewRemapper builds the remapper with the configured re-map cache size.
+// NewRemapper builds the remapper with the configured re-map cache size:
+// Reset on a zero Remapper.
 func NewRemapper(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) (*Remapper, error) {
+	r := new(Remapper)
+	if err := r.Reset(cfg, m, b, d); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset returns the remapper to the state NewRemapper leaves, keeping its
+// re-map cache's and slot table's storage. On an error the remapper is
+// unusable.
+func (r *Remapper) Reset(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) error {
 	// Each re-map cache line holds lineB/8 packed 8-byte table entries, so
 	// the cache geometry mirrors a normal data cache over the table region.
-	c, err := cache.New(cache.Config{
+	c, err := resetCache(r.cache, cache.Config{
 		Name:  "remap",
 		SizeB: cfg.RemapCacheB,
 		LineB: cfg.LineB,
 		Ways:  max(1, cfg.RemapCacheWays),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Remapper{
+	*r = Remapper{
 		lineB:   cfg.LineB,
+		slots:   r.slots[:0],
 		lcg:     0x9e3779b97f4a7c15,
 		cache:   c,
 		mem:     m,
 		bus:     b,
 		dram:    d,
 		tblBase: RemapBase + 0x1000_0000,
-	}, nil
+	}
+	return nil
 }
 
 // Init assigns each of the controller's leaves — its protected lines, in
@@ -65,7 +79,7 @@ func (r *Remapper) Init(leaves int) {
 	if r.nSlots == 0 {
 		r.nSlots = 1
 	}
-	r.slots = make([]uint64, leaves)
+	r.slots = resize(r.slots, leaves)
 	for i := range r.slots {
 		r.slots[i] = r.next()
 	}

@@ -18,8 +18,10 @@
 package secmem
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"authpoint/internal/bus"
 	"authpoint/internal/cache"
@@ -169,8 +171,10 @@ type Stats struct {
 	AuthWaitCycles uint64
 	// AESBlocks and MACs count the host crypto work of this controller's
 	// own engines: counter-mode pad blocks, and flat-line plus MAC-tree
-	// MACs. Seals served from the all-zero memo are not counted, so the
-	// counts do not depend on whether the memo was cold or warm.
+	// MACs. Seals served from the all-zero memo are not counted. A seal
+	// served from the sealed-image memo counts the work of the seal that
+	// filled the entry, so the counts do not depend on whether either memo
+	// was cold or warm.
 	AESBlocks uint64
 	MACs      uint64
 }
@@ -199,11 +203,22 @@ type Controller struct {
 	protected []addrRange
 	leaves    int // protected lines
 
-	// seals serves the all-zero protected ranges' seals (see
-	// FinishProtection), or is nil to seal every line afresh; sealKey is
-	// this controller's part of their key.
-	seals   *sealMemo
-	sealKey zeroSealKey
+	// seals serves the all-zero protected ranges' seals and images whole
+	// sealed layouts (see FinishProtection); either is nil to seal every
+	// line afresh. sealKey is this controller's part of their keys, and
+	// keyHash, keyBuf and keySum compute the rest of an image's.
+	seals   *memo[zeroSealKey, *zeroSeal]
+	images  *memo[imageKey, *sealedImage]
+	sealKey sealParams
+	keyHash hash.Hash
+	keyBuf  []byte
+	keySum  [sha256.Size]byte
+
+	// sealWork is the crypto work of the seal: done by the engines, or
+	// replayed from the image memo. workBase is the engines' running
+	// totals when the seal finished; Stats reports sealWork plus the work
+	// since.
+	sealWork, workBase cryptoWork
 
 	// MAC store: macs[lineAddr] would be the natural model, but the MACs
 	// live in external memory so they can be tampered with; we place them at
@@ -215,7 +230,10 @@ type Controller struct {
 
 	ctrCache *cache.Cache
 
-	remap *Remapper
+	// remap is the address obfuscation, nil when off; remapper keeps the
+	// last one built, for reuse by Reset.
+	remap    *Remapper
+	remapper *Remapper
 
 	// Authentication queue state. Requests complete strictly in order;
 	// doneCycle[i] is when request i+1 (1-based idx) completed, okFlag[i]
@@ -263,7 +281,7 @@ func (c *Controller) SetObserver(s obs.Sink) {
 	if c.ctrCache != nil {
 		c.ctrCache.SetObserver(s, obs.TrackCtrCache, clock)
 	}
-	if c.treeCache != nil {
+	if c.tree != nil {
 		c.treeCache.SetObserver(s, obs.TrackTreeCache, clock)
 	}
 	c.enc.SetObserver(s, clock)
@@ -285,62 +303,104 @@ const MacBase = 0x8000_0000
 // RemapBase is where remapped (obfuscated) line slots live.
 const RemapBase = 0x4000_0000
 
-// New builds a controller over the given memory, bus, and DRAM models.
+// New builds a controller over the given memory, bus, and DRAM models:
+// Reset on a zero Controller.
 func New(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []byte) (*Controller, error) {
+	c := new(Controller)
+	if err := c.Reset(cfg, m, b, d, encKey, macKey); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset returns the controller to the state New leaves, under cfg, over
+// the given memory, bus and DRAM: nothing protected, no counters, an empty
+// authentication queue, zero stats and no observer. It keeps what the new
+// configuration allows: the crypto engines' key states when the keys and
+// line size are unchanged, and the caches' and buffers' storage. On an
+// error the controller is unusable.
+func (c *Controller) Reset(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []byte) error {
 	if cfg.LineB <= 0 || cfg.LineB&(cfg.LineB-1) != 0 {
-		return nil, fmt.Errorf("secmem: line size %d not a power of two", cfg.LineB)
+		return fmt.Errorf("secmem: line size %d not a power of two", cfg.LineB)
 	}
 	if cfg.DecryptLat < 0 || cfg.MacLat < 0 {
-		return nil, fmt.Errorf("secmem: negative crypto latency")
+		return fmt.Errorf("secmem: negative crypto latency")
 	}
 	if cfg.MacB <= 0 || cfg.MacB > 32 {
-		return nil, fmt.Errorf("secmem: bad MAC size %d", cfg.MacB)
+		return fmt.Errorf("secmem: bad MAC size %d", cfg.MacB)
 	}
 	if cfg.MacUnits == 0 {
 		cfg.MacUnits = 1
 	}
 	if cfg.MacUnits < 0 {
-		return nil, fmt.Errorf("secmem: negative MacUnits")
+		return fmt.Errorf("secmem: negative MacUnits")
 	}
-	enc, err := ctr.NewEngine(encKey, cfg.LineB)
-	if err != nil {
-		return nil, err
+	if c.enc == nil || c.sealKey.encKey != string(encKey) || c.sealKey.lineB != cfg.LineB {
+		enc, err := ctr.NewEngine(encKey, cfg.LineB)
+		if err != nil {
+			return err
+		}
+		c.enc, c.sealKey.encKey = enc, string(encKey)
+	} else {
+		c.enc.Reset()
 	}
-	c := &Controller{
-		cfg:     cfg,
-		mem:     m,
-		bus:     b,
-		dram:    d,
-		enc:     enc,
-		macKey:  append([]byte(nil), macKey...),
-		mac:     hmac.NewKeyed(macKey),
-		macBase: MacBase,
-		seals:   zeroSeals,
-		sealKey: zeroSealKey{encKey: string(encKey), macKey: string(macKey),
-			lineB: cfg.LineB, macB: cfg.MacB, macCoversCounter: cfg.MacCoversCounter},
-		ctBuf:  make([]byte, cfg.LineB),
-		ptBuf:  make([]byte, cfg.LineB),
-		msgBuf: make([]byte, 16+cfg.LineB),
-		macBuf: make([]byte, cfg.MacB),
+	if c.mac == nil || c.sealKey.macKey != string(macKey) {
+		c.mac, c.macKey, c.sealKey.macKey = hmac.NewKeyed(macKey), append([]byte(nil), macKey...), string(macKey)
 	}
-	c.engineFree = make([]uint64, cfg.MacUnits)
+	var err error
 	if cfg.CtrCacheB > 0 {
-		cc, err := cache.New(cache.Config{
+		if c.ctrCache, err = resetCache(c.ctrCache, cache.Config{
 			Name: "ctr", SizeB: cfg.CtrCacheB, LineB: cfg.LineB, Ways: max(1, cfg.CtrCacheWays),
-		})
-		if err != nil {
-			return nil, err
+		}); err != nil {
+			return err
 		}
-		c.ctrCache = cc
+	} else {
+		c.ctrCache = nil
 	}
+	c.remap = nil
 	if cfg.Remap {
-		r, err := NewRemapper(cfg, m, b, d)
-		if err != nil {
-			return nil, err
+		if c.remapper == nil {
+			c.remapper, err = NewRemapper(cfg, m, b, d)
+		} else {
+			err = c.remapper.Reset(cfg, m, b, d)
 		}
-		c.remap = r
+		if err != nil {
+			return err
+		}
+		c.remap = c.remapper
 	}
-	return c, nil
+	if c.keyHash == nil {
+		c.keyHash = sha256.New()
+	}
+	c.cfg, c.mem, c.bus, c.dram = cfg, m, b, d
+	c.sealKey.lineB, c.sealKey.macB, c.sealKey.macCoversCounter = cfg.LineB, cfg.MacB, cfg.MacCoversCounter
+	c.seals, c.images = zeroSeals, sealedImages
+	c.protected, c.leaves, c.macBase, c.tree = c.protected[:0], 0, MacBase, nil
+	c.ctBuf, c.ptBuf = resize(c.ctBuf, cfg.LineB), resize(c.ptBuf, cfg.LineB)
+	c.msgBuf, c.macBuf = resize(c.msgBuf, 16+cfg.LineB), resize(c.macBuf, cfg.MacB)
+	c.doneCycle, c.okFlag, c.arriveCycle = c.doneCycle[:0], c.okFlag[:0], c.arriveCycle[:0]
+	c.engineFree = resize(c.engineFree, cfg.MacUnits)
+	clear(c.engineFree)
+	c.fault, c.modelErr, c.updateFree = nil, nil, 0
+	c.sink, c.obsNow, c.stats = nil, 0, Stats{}
+	c.sealWork, c.workBase = cryptoWork{}, c.work()
+	return nil
+}
+
+// resetCache empties c for cfg, or builds a cache for cfg if c is nil.
+func resetCache(c *cache.Cache, cfg cache.Config) (*cache.Cache, error) {
+	if c == nil {
+		return cache.New(cfg)
+	}
+	return c, c.Reset(cfg)
+}
+
+// resize returns b with length n, reusing its storage if it can.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // Config returns the controller configuration.
@@ -415,16 +475,22 @@ type Segment struct {
 // plus one for each non-empty segment that touches it (2 for a loaded line of
 // a program image).
 //
-// A protected range that no segment touches is all zeroes at counter 1, so
-// its ciphertext and flat MACs depend only on the keys, the line and MAC
-// sizes, MacCoversCounter and the range. Such a range is copied from a
-// process-wide memo — a machine's stack is the same range in every machine
-// a campaign builds — rather than encrypted and MACed line by line; the
-// image is bit-identical either way. In tree mode only the ciphertext comes
-// from the memo: each leaf digest mixes in the leaf's index.
+// Two process-wide memos serve seals instead, and the image is
+// bit-identical either way. The sealed-image memo holds whole sealed
+// layouts, keyed on everything the seal reads: the keys, the line and MAC
+// sizes, MacCoversCounter, the MAC mode, the protected ranges and every
+// segment byte. A hit copies the entry's ciphertext, counters, flat MACs
+// and tree into the controller. On a miss, a protected range that no
+// segment touches is all zeroes at counter 1, so its ciphertext and flat
+// MACs depend only on the seal parameters and the range: the all-zero memo
+// serves it — a machine's stack is the same range in every machine a
+// campaign builds — and the rest is sealed line by line, in tree mode every
+// leaf digest too, since each mixes in the leaf's index. The sealed layout
+// then fills the image memo. Stats counts the same crypto work on a hit as
+// on the miss that filled the entry.
 //
 // Call it once, after every Protect and before Fetch and SetObserver:
-// sealing is unobserved, and lines served from the memo emit no EvCryptOp.
+// sealing is unobserved, and lines served from a memo emit no EvCryptOp.
 func (c *Controller) FinishProtection(segs ...Segment) error {
 	lb := uint64(c.cfg.LineB)
 	for _, s := range segs {
@@ -434,46 +500,52 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 			}
 		}
 	}
-	seals := c.installZeroSeals(segs)
-	if c.cfg.UseTree {
-		var err error
-		arity := c.cfg.LineB / c.cfg.MacB
-		if c.leaves == 0 {
-			c.tree, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
-		} else {
-			// Build asks for the leaves in index order, and each range is
-			// one run of leaves: leaf i lies in range k while i < end.
-			k, end := -1, 0
-			c.tree, err = mactree.Build(c.macKey, c.leaves, arity, c.cfg.MacB, func(i int) []byte {
-				for i >= end {
-					k++
-					end += c.protected[k].lines(lb)
-				}
-				r := c.protected[k]
-				off := uint64(i-r.leaf) * lb
-				if s := seals[k]; s != nil {
-					return c.authMessage(r.start+off, s.ct[off:off+lb])
-				}
-				return c.sealLine(r.start+off, segs)
-			})
-		}
-		if err != nil {
+	var key imageKey
+	var img *sealedImage
+	if c.images != nil {
+		key = c.imageKey(segs)
+		img, _ = c.images.get(key)
+	}
+	if img != nil {
+		c.restore(img)
+		c.sealWork = img.work
+	} else {
+		before := c.work()
+		zero := c.installZeroSeals(segs)
+		if err := c.seal(segs, zero); err != nil {
 			return err
 		}
+		c.sealWork = c.work().minus(before)
+		if n := c.imageBytes(zero); c.images != nil && n <= c.images.capB {
+			c.images.put(key, c.sealedImage(zero, c.sealWork), n)
+		}
+	}
+	if c.cfg.UseTree {
 		// The node cache holds 64-byte sibling groups (eight digests), the
 		// granularity the verification actually consumes: computing a
 		// parent requires the whole group, and neighbouring leaves share
 		// their upper-level groups.
-		tc, err := cache.New(cache.Config{
+		var err error
+		if c.treeCache, err = resetCache(c.treeCache, cache.Config{
 			Name: "treecache", SizeB: c.cfg.TreeCacheB, LineB: 64, Ways: 4,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		c.treeCache = tc
-	} else {
+	}
+	if c.remap != nil {
+		c.remap.Init(c.leaves)
+	}
+	c.workBase = c.work()
+	return nil
+}
+
+// seal seals every protected line the all-zero memo did not serve (zero
+// holds its entries, by range) and the MAC tree or the flat MACs.
+func (c *Controller) seal(segs []Segment, zero []*zeroSeal) error {
+	lb := uint64(c.cfg.LineB)
+	if !c.cfg.UseTree {
 		for k, r := range c.protected {
-			if s := seals[k]; s != nil {
+			if s := zero[k]; s != nil {
 				c.mem.Write(c.macAddr(r.leaf), s.macs)
 				continue
 			}
@@ -482,11 +554,30 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 				c.mem.Write(c.macAddr(leaf), mac[:c.cfg.MacB])
 			}
 		}
+		return nil
 	}
-	if c.remap != nil {
-		c.remap.Init(c.leaves)
+	var err error
+	arity := c.cfg.LineB / c.cfg.MacB
+	if c.leaves == 0 {
+		c.tree, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
+		return err
 	}
-	return nil
+	// Build asks for the leaves in index order, and each range is one run
+	// of leaves: leaf i lies in range k while i < end.
+	k, end := -1, 0
+	c.tree, err = mactree.Build(c.macKey, c.leaves, arity, c.cfg.MacB, func(i int) []byte {
+		for i >= end {
+			k++
+			end += c.protected[k].lines(lb)
+		}
+		r := c.protected[k]
+		off := uint64(i-r.leaf) * lb
+		if s := zero[k]; s != nil {
+			return c.authMessage(r.start+off, s.ct[off:off+lb])
+		}
+		return c.sealLine(r.start+off, segs)
+	})
+	return err
 }
 
 // sealLine encrypts the protected line at lineAddr with its initial
@@ -1018,10 +1109,8 @@ func (c *Controller) Stats() Stats {
 		s.RemapHits = c.remap.hits
 		s.RemapMisses = c.remap.misses
 	}
-	s.AESBlocks = c.enc.AESBlocks()
-	s.MACs = c.mac.MACs()
-	if c.tree != nil {
-		s.MACs += c.tree.MACs()
-	}
+	w := c.work().minus(c.workBase)
+	s.AESBlocks = c.sealWork.aes + w.aes
+	s.MACs = c.sealWork.macs + w.macs
 	return s
 }

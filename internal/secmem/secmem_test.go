@@ -49,6 +49,9 @@ func buildRig(mutate func(*Config)) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A rig seals every layout afresh unless a test hands it a memo: a hit
+	// in the process-wide image memo would test the memo, not the seal.
+	ctrl.images = nil
 	return &rig{m: m, b: b, d: d, ctrl: ctrl}, nil
 }
 
@@ -716,16 +719,35 @@ func TestStatsCountCryptoWork(t *testing.T) {
 		t.Errorf("warm tree fetch: %d AES blocks, %d MACs; want %d, 2", a, m, blocks)
 	}
 
+	// A build counts the same crypto work whether the all-zero memo was
+	// cold or warm, and whether the image memo served its whole layout;
+	// a fetch after a warm build counts as after a cold one.
 	for _, useTree := range []bool{false, true} {
 		mutate := func(c *Config) { c.UseTree = useTree }
-		memo := newSealMemo(zeroSealCapB)
-		cold, warm := mustSeal(t, memo, mutate).ctrl.Stats(), mustSeal(t, memo, mutate).ctrl.Stats()
-		if cold.AESBlocks == 0 || cold.MACs == 0 {
-			t.Errorf("tree=%v: sealing the segments counted %d AES blocks, %d MACs", useTree, cold.AESBlocks, cold.MACs)
+		zero, images := newZeroMemo(zeroSealCapB), newImageMemo(imageCapB)
+		cold := mustSeal(t, zero, nil, mutate)
+		builds := []struct {
+			name string
+			r    *rig
+		}{
+			{"warm all-zero memo", mustSeal(t, zero, nil, mutate)},
+			{"image memo miss", mustSeal(t, zero, images, mutate)},
+			{"image memo hit", mustSeal(t, zero, images, mutate)},
 		}
-		if cold.AESBlocks != warm.AESBlocks || cold.MACs != warm.MACs {
-			t.Errorf("tree=%v: cold memo counts %d AES blocks, %d MACs; warm %d, %d",
-				useTree, cold.AESBlocks, cold.MACs, warm.AESBlocks, warm.MACs)
+		cs := cold.ctrl.Stats()
+		if cs.AESBlocks == 0 || cs.MACs == 0 {
+			t.Errorf("tree=%v: sealing the segments counted %d AES blocks, %d MACs", useTree, cs.AESBlocks, cs.MACs)
+		}
+		ca, cm := delta(cold, func() { cold.ctrl.Fetch(0, 0x1000, 0) })
+		for _, b := range builds {
+			if s := b.r.ctrl.Stats(); s.AESBlocks != cs.AESBlocks || s.MACs != cs.MACs {
+				t.Errorf("tree=%v: cold build counts %d AES blocks, %d MACs; %s %d, %d",
+					useTree, cs.AESBlocks, cs.MACs, b.name, s.AESBlocks, s.MACs)
+			}
+			if a, m := delta(b.r, func() { b.r.ctrl.Fetch(0, 0x1000, 0) }); a != ca || m != cm {
+				t.Errorf("tree=%v: fetch after the %s counts %d AES blocks, %d MACs; after the cold build %d, %d",
+					useTree, b.name, a, m, ca, cm)
+			}
 		}
 	}
 }

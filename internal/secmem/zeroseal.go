@@ -1,79 +1,61 @@
 package secmem
 
 import (
-	"sync"
-
 	"authpoint/internal/cryptoengine/ctr"
 	"authpoint/internal/cryptoengine/hmac"
 )
 
-// zeroSealCapB bounds the bytes the memo holds. Entries are never evicted:
-// once an entry would push the memo past the cap, FinishProtection seals
-// that range line by line, as it would without the memo. A 64 KB stack
-// takes 72 KB under the reference configuration, a 1 MB probe window
-// 1.125 MB.
+// zeroSealCapB bounds the bytes the all-zero memo holds. A 64 KB stack
+// takes 80 KB under the reference configuration, a 1 MB probe window
+// 1.25 MB.
 const zeroSealCapB = 16 << 20
 
-// zeroSealKey is everything the seal of an all-zero protected range depends
-// on: the two keys, the line and MAC sizes, whether the MAC covers the
-// counter, and the range.
-type zeroSealKey struct {
+// sealParams is what the seal of every line depends on besides its address
+// and plaintext: the two keys, the line and MAC sizes, and whether the MAC
+// covers the counter.
+type sealParams struct {
 	encKey, macKey   string
 	lineB, macB      int
 	macCoversCounter bool
-	start, end       uint64
 }
 
-// zeroSeal is the sealed form of an all-zero protected range: each line's
-// ciphertext at counter 1 and each line's truncated flat MAC, both in
-// address order. An entry is never modified once built; controllers copy
-// it into their own memory and MAC store and never alias it.
-type zeroSeal struct{ ct, macs []byte }
+// zeroSealKey is everything the seal of an all-zero protected range
+// depends on: the seal parameters and the range.
+type zeroSealKey struct {
+	sealParams
+	start, end uint64
+}
 
-// sealMemo memoizes zeroSeals by key. It is a cache of a pure function of
-// its key, so a hit returns exactly what a miss computes, whichever
-// controller, test or goroutine filled it.
-type sealMemo struct {
-	mu      sync.Mutex
-	entries map[zeroSealKey]*zeroSeal
-	bytes   int // held by entries, at most capB
-	capB    int
+func (k zeroSealKey) lines() int { return int(k.end-k.start) / k.lineB }
+
+// size is the bytes k's entry holds.
+func (k zeroSealKey) size() int { return k.lines() * (k.lineB + k.macB + 8) }
+
+// zeroSeal is the sealed form of an all-zero protected range, in address
+// order: each line's ciphertext at counter 1, its counter, and its
+// truncated flat MAC.
+type zeroSeal struct {
+	ct   []byte
+	ctrs []uint64
+	macs []byte
 }
 
 // zeroSeals is the process-wide memo every controller starts with: a
 // machine's stack, and any probe window, is the same all-zero range under
 // the same keys in every machine a campaign builds.
-var zeroSeals = newSealMemo(zeroSealCapB)
+var zeroSeals = newMemo[zeroSealKey, *zeroSeal](zeroSealCapB)
 
-func newSealMemo(capB int) *sealMemo {
-	return &sealMemo{entries: map[zeroSealKey]*zeroSeal{}, capB: capB}
-}
-
-// get returns the seal of k's range from the memo, computing and memoizing
-// it on a miss. It returns nil when the entry does not fit under the cap.
-// Concurrent misses on one key may each compute the seal; the first to
-// finish fills the memo and the others return that entry.
-func (m *sealMemo) get(k zeroSealKey) *zeroSeal {
-	size := int(k.end-k.start) / k.lineB * (k.lineB + k.macB)
-	m.mu.Lock()
-	s, ok := m.entries[k]
-	fits := m.bytes+size <= m.capB
-	m.mu.Unlock()
-	if ok || !fits {
+// zeroSealOf returns the seal of k's range from memo, computing and
+// memoizing it on a miss. It returns nil when the seal is larger than the
+// memo's cap.
+func zeroSealOf(memo *memo[zeroSealKey, *zeroSeal], k zeroSealKey) *zeroSeal {
+	if s, ok := memo.get(k); ok {
 		return s
 	}
-	s = k.seal()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.entries[k]; ok {
-		return prev
-	}
-	if m.bytes+size > m.capB {
+	if k.size() > memo.capB {
 		return nil
 	}
-	m.entries[k] = s
-	m.bytes += size
-	return s
+	return memo.put(k, k.seal(), k.size())
 }
 
 // seal computes k's entry from the key alone: each line of the range
@@ -85,8 +67,8 @@ func (k zeroSealKey) seal() *zeroSeal {
 	// line size.
 	enc, _ := ctr.NewEngine([]byte(k.encKey), k.lineB)
 	mac := hmac.NewKeyed([]byte(k.macKey))
-	lines := int(k.end-k.start) / k.lineB
-	s := &zeroSeal{ct: make([]byte, lines*k.lineB), macs: make([]byte, lines*k.macB)}
+	lines := k.lines()
+	s := &zeroSeal{ct: make([]byte, lines*k.lineB), ctrs: make([]uint64, lines), macs: make([]byte, lines*k.macB)}
 	zero := make([]byte, k.lineB)
 	msg := make([]byte, 16+k.lineB)
 	var counter uint64 // in the MAC message
@@ -97,6 +79,7 @@ func (k zeroSealKey) seal() *zeroSeal {
 		a := k.start + uint64(i*k.lineB)
 		ct := s.ct[i*k.lineB : (i+1)*k.lineB]
 		_ = enc.EncryptLineInto(ct, a, zero)
+		s.ctrs[i] = 1
 		sum := mac.Mac(putAuthMessage(msg, a, counter, ct))
 		copy(s.macs[i*k.macB:], sum[:k.macB])
 	}
@@ -112,21 +95,16 @@ func (c *Controller) installZeroSeals(segs []Segment) []*zeroSeal {
 	if c.seals == nil {
 		return seals
 	}
-	lb := uint64(c.cfg.LineB)
 	for k, r := range c.protected {
 		if r.start == r.end || touches(segs, r) {
 			continue
 		}
-		key := c.sealKey
-		key.start, key.end = r.start, r.end
-		s := c.seals.get(key)
+		s := zeroSealOf(c.seals, zeroSealKey{c.sealKey, r.start, r.end})
 		if s == nil {
 			continue
 		}
 		c.mem.Write(r.start, s.ct)
-		for a := r.start; a < r.end; a += lb {
-			c.enc.SetCounter(a, 1)
-		}
+		c.enc.SetCounters(r.start, s.ctrs)
 		seals[k] = s
 	}
 	return seals

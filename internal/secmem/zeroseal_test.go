@@ -13,18 +13,28 @@ import (
 // stack stay all zeroes and so are served from the memo.
 var memoSegs = []Segment{{0x1010, bytes.Repeat([]byte("text-segment."), 23)}, {0x4000, bytes.Repeat([]byte{0xd7}, 100)}}
 
-// memoEntryB is the bytes a memo entry for n bytes of protected range
-// holds under the default configuration: 64-byte lines, 8-byte MACs.
-func memoEntryB(n uint64) int { return int(n) / 64 * (64 + 8) }
+// memoEntryB is the bytes an all-zero memo entry for n bytes of protected
+// range holds under the default configuration: 64-byte lines, 8-byte MACs
+// and 8-byte counters.
+func memoEntryB(n uint64) int { return int(n) / 64 * (64 + 8 + 8) }
+
+type (
+	zeroMemo  = memo[zeroSealKey, *zeroSeal]
+	imageMemo = memo[imageKey, *sealedImage]
+)
+
+func newZeroMemo(capB int) *zeroMemo   { return newMemo[zeroSealKey, *zeroSeal](capB) }
+func newImageMemo(capB int) *imageMemo { return newMemo[imageKey, *sealedImage](capB) }
 
 // sealLayout seals sealRegions on a fresh controller that takes all-zero
-// ranges from memo, or seals every line afresh if memo is nil.
-func sealLayout(memo *sealMemo, mutate func(*Config)) (*rig, error) {
+// ranges from zero and whole layouts from images; a nil memo is not
+// consulted.
+func sealLayout(zero *zeroMemo, images *imageMemo, mutate func(*Config)) (*rig, error) {
 	r, err := buildRig(mutate)
 	if err != nil {
 		return nil, err
 	}
-	r.ctrl.seals = memo
+	r.ctrl.seals, r.ctrl.images = zero, images
 	for _, reg := range sealRegions {
 		if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
 			return nil, err
@@ -33,9 +43,9 @@ func sealLayout(memo *sealMemo, mutate func(*Config)) (*rig, error) {
 	return r, r.ctrl.FinishProtection(memoSegs...)
 }
 
-func mustSeal(t *testing.T, memo *sealMemo, mutate func(*Config)) *rig {
+func mustSeal(t *testing.T, zero *zeroMemo, images *imageMemo, mutate func(*Config)) *rig {
 	t.Helper()
-	r, err := sealLayout(memo, mutate)
+	r, err := sealLayout(zero, images, mutate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +60,13 @@ func TestZeroSealMemoHitEqualsMiss(t *testing.T) {
 		for _, covers := range []bool{true, false} {
 			where := fmt.Sprintf("tree=%v macCoversCounter=%v", tree, covers)
 			mutate := func(c *Config) { c.UseTree, c.MacCoversCounter = tree, covers }
-			memo := newSealMemo(zeroSealCapB)
-			want := mustSeal(t, nil, mutate)
-			miss := mustSeal(t, memo, mutate)
+			memo := newZeroMemo(zeroSealCapB)
+			want := mustSeal(t, nil, nil, mutate)
+			miss := mustSeal(t, memo, nil, mutate)
 			if n := len(memo.entries); n != 2 {
 				t.Fatalf("%s: memo holds %d ranges after the first build, want 2 (probe, stack)", where, n)
 			}
-			hit := mustSeal(t, memo, mutate)
+			hit := mustSeal(t, memo, nil, mutate)
 			for _, b := range []struct {
 				name string
 				r    *rig
@@ -70,15 +80,13 @@ func TestZeroSealMemoHitEqualsMiss(t *testing.T) {
 }
 
 // Tampering with a controller's memory, MAC store, counters or tree after
-// its ranges came from the memo does not reach the memo: a controller built
-// afterwards still seals the untampered image.
+// its ranges came from a memo does not reach the memo: a controller built
+// afterwards still seals the untampered image. With the image memo the
+// first controller filled the entry, the second was served from it, and
+// both are tampered, at a stack line the all-zero memo sealed and at a text
+// line only the image memo holds.
 func TestZeroSealMemoNotAliased(t *testing.T) {
-	const line = 0x7040 // a stack line
-	for _, tree := range []bool{false, true} {
-		mutate := func(c *Config) { c.UseTree = tree }
-		memo := newSealMemo(zeroSealCapB)
-		want := mustSeal(t, nil, mutate)
-		r := mustSeal(t, memo, mutate)
+	tamper := func(r *rig, line uint64) {
 		r.m.XorRange(line, bytes.Repeat([]byte{0xff}, 64))
 		if ma, ok := r.ctrl.MacAddrOf(line); ok {
 			r.m.XorRange(ma, []byte{0x01})
@@ -89,11 +97,31 @@ func TestZeroSealMemoNotAliased(t *testing.T) {
 			tr.TamperNode(mactree.NodeID{Level: 0, Index: idx}, []byte{0x01})
 			tr.TamperNode(mactree.NodeID{Level: 1, Index: idx / tr.Arity()}, []byte{0x01})
 		}
-		if imageDiff(r, want) == "" {
-			t.Fatalf("tree=%v: tampering left the image unchanged", tree)
-		}
-		if d := imageDiff(mustSeal(t, memo, mutate), want); d != "" {
-			t.Errorf("tree=%v: controller built after the tampering: %s", tree, d)
+	}
+	for _, tree := range []bool{false, true} {
+		for _, withImages := range []bool{false, true} {
+			where := fmt.Sprintf("tree=%v image memo=%v", tree, withImages)
+			mutate := func(c *Config) { c.UseTree = tree }
+			zero := newZeroMemo(zeroSealCapB)
+			var images *imageMemo
+			if withImages {
+				images = newImageMemo(imageCapB)
+			}
+			want := mustSeal(t, nil, nil, mutate)
+			for build := 0; build < 3; build++ {
+				r := mustSeal(t, zero, images, mutate)
+				if d := imageDiff(r, want); d != "" {
+					t.Fatalf("%s: controller %d, built after %d tampered ones: %s", where, build, build, d)
+				}
+				tamper(r, 0x7040)
+				tamper(r, 0x1040)
+				if imageDiff(r, want) == "" {
+					t.Fatalf("%s: tampering left the image unchanged", where)
+				}
+			}
+			if withImages && len(images.entries) != 1 {
+				t.Errorf("%s: image memo holds %d entries, want 1", where, len(images.entries))
+			}
 		}
 	}
 }
@@ -106,8 +134,8 @@ func TestZeroSealMemoConcurrent(t *testing.T) {
 	treeMode := func(g int) func(*Config) {
 		return func(c *Config) { c.UseTree = g%2 == 1 }
 	}
-	want := []*rig{mustSeal(t, nil, treeMode(0)), mustSeal(t, nil, treeMode(1))}
-	memo := newSealMemo(zeroSealCapB)
+	want := []*rig{mustSeal(t, nil, nil, treeMode(0)), mustSeal(t, nil, nil, treeMode(1))}
+	memo := newZeroMemo(zeroSealCapB)
 	rigs := make([]*rig, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -115,7 +143,7 @@ func TestZeroSealMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rigs[g], errs[g] = sealLayout(memo, treeMode(g))
+			rigs[g], errs[g] = sealLayout(memo, nil, treeMode(g))
 		}()
 	}
 	wg.Wait()
@@ -136,12 +164,12 @@ func TestZeroSealMemoConcurrent(t *testing.T) {
 // and the memo stays within the cap.
 func TestZeroSealMemoCap(t *testing.T) {
 	probeB := memoEntryB(256) // the probe window's entry; the stack's is larger
-	memo := newSealMemo(probeB)
-	got := mustSeal(t, memo, nil)
+	memo := newZeroMemo(probeB)
+	got := mustSeal(t, memo, nil, nil)
 	if n := len(memo.entries); n != 1 || memo.bytes != probeB {
 		t.Fatalf("memo holds %d entries, %d bytes; want only the probe window's %d", n, memo.bytes, probeB)
 	}
-	if d := imageDiff(got, mustSeal(t, nil, nil)); d != "" {
+	if d := imageDiff(got, mustSeal(t, nil, nil, nil)); d != "" {
 		t.Error(d)
 	}
 }

@@ -67,9 +67,12 @@ func BenchmarkRunBaselineFast(b *testing.B) { benchRun(b, policy.Baseline, false
 // BenchmarkNewMachine measures machine set-up, which seals every protected
 // line: a generated campaign program (about 1,060 lines, 1,024 of them its
 // stack) and artx, a large Fig-12 image, each with flat per-line MACs and
-// with the MAC tree. After its first iteration it times a warm build, as a
-// campaign's: the stack is a memo hit, copied rather than encrypted and
-// MACed (see secmem.Controller.FinishProtection).
+// with the MAC tree. After its first iteration it times a warm build: the
+// whole sealed image is a hit in the image memo, copied rather than
+// encrypted and MACed (see secmem.Controller.FinishProtection). The fresh
+// variants build every machine from zero; the released ones release each
+// machine, so the next build rebuilds it in place, as a campaign's next
+// cell does.
 func BenchmarkNewMachine(b *testing.B) {
 	art, ok := workload.ByName("artx")
 	if !ok {
@@ -87,16 +90,26 @@ func BenchmarkNewMachine(b *testing.B) {
 			name string
 			tree bool
 		}{{"flat", false}, {"tree", true}} {
-			b.Run(prog.name+"/"+mac.name, func(b *testing.B) {
-				cfg := sim.DefaultConfig()
-				cfg.Sec.UseTree = mac.tree
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.NewMachine(cfg, p); err != nil {
-						b.Fatal(err)
-					}
+			for _, release := range []bool{false, true} {
+				name := prog.name + "/" + mac.name + "/fresh"
+				if release {
+					name = prog.name + "/" + mac.name + "/released"
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					cfg := sim.DefaultConfig()
+					cfg.Sec.UseTree = mac.tree
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						m, err := sim.NewMachine(cfg, p)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if release {
+							m.Release()
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -134,6 +147,58 @@ func TestNewMachineAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocations per build", c.name, allocs)
 		if allocs > 300 {
 			t.Errorf("%s: NewMachine made %.0f allocations, want at most 300", c.name, allocs)
+		}
+	}
+}
+
+// TestRebuildAllocs pins the rebuild of a released machine at a handful of
+// allocations: every component keeps its storage and the sealed image is
+// copied from the memo. Each case alternates two builds of one layout, so
+// the memo holds both images: the same program under another policy, as in
+// a campaign's next cell, and another program of the same size, as in a
+// contract check's second run, which differs only in its data. Both
+// measure 1 allocation per build, the text image asm.Program.TextBytes
+// returns; one per cache set or protected line would take thousands, and a
+// component rebuilt from scratch tens.
+func TestRebuildAllocs(t *testing.T) {
+	p, err := asm.Assemble(diffcheck.GenProgram(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := *p
+	q.Data = append([]byte(nil), p.Data...)
+	q.Data[0] ^= 0xff
+	m, err := sim.NewMachine(sim.DefaultConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		progs  [2]*asm.Program
+		points [2]policy.ControlPoint
+	}{
+		{"same program, other policy", [2]*asm.Program{p, p}, [2]policy.ControlPoint{policy.Baseline, policy.CommitPlusObfuscation}},
+		{"other program, same size", [2]*asm.Program{p, &q}, [2]policy.ControlPoint{policy.ThenCommit, policy.ThenCommit}},
+	} {
+		for k, prog := range c.progs {
+			cfg := sim.DefaultConfig()
+			cfg.Policy = c.points[k]
+			if err := sim.Rebuild(m, cfg, prog, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			cfg := sim.DefaultConfig()
+			cfg.Policy = c.points[i%2]
+			if err := sim.Rebuild(m, cfg, c.progs[i%2], nil); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%s: %.0f allocations per rebuild", c.name, allocs)
+		if allocs > 5 {
+			t.Errorf("%s: a rebuild made %.0f allocations, want at most 5", c.name, allocs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"authpoint/internal/asm"
 	"authpoint/internal/bus"
@@ -149,6 +150,14 @@ type Machine struct {
 
 	Prog *asm.Program
 
+	// uops is the µop cache of Prog's text, kept when the core's is
+	// detached (DisableFastPath) so a rebuild can re-target it.
+	uops *pipeline.UopCache
+
+	// released is set by Release and cleared by the next build: a second
+	// Release would hand one machine to two builds.
+	released bool
+
 	// slowPath forces the reference cycle-by-cycle interpretation (no
 	// idle-cycle fast-forward, no µop cache). See DisableFastPath.
 	slowPath bool
@@ -172,6 +181,38 @@ func NewMachine(cfg Config, p *asm.Program) (*Machine, error) {
 	return NewMachineWithRegions(cfg, p, nil)
 }
 
+// machines holds released machines for later builds to reuse.
+var machines sync.Pool
+
+// maxPooledPages bounds the memory a released machine may hold and still be
+// pooled: 64 pages of external and plaintext memory, 256 KB. A campaign
+// program's machine holds about 25 pages; a sweep kernel's, with its
+// 200 KB-4 MB image, 120 or more. A pooled machine stays live between
+// cells, and pooling a memory-bound sweep's machines raised its peak RSS
+// by about a tenth, to save a build that is a few percent of its cells.
+const maxPooledPages = 64
+
+// Release hands the machine back for reuse: a later NewMachine or
+// NewMachineWithRegions may rebuild it in place instead of allocating a new
+// one. A machine holding more than maxPooledPages is left to the collector
+// instead. After Release, neither m nor anything reached through it — its
+// components, the bus trace, the OUT log — may be used; values returned
+// before, such as a Result, stay valid. Releasing a machine twice panics.
+func (m *Machine) Release() {
+	if m.released {
+		panic("sim: machine released twice")
+	}
+	m.released = true
+	m.release()
+	if m.Memory.PageCount()+m.Shadow.PageCount() <= maxPooledPages {
+		machines.Put(m)
+	}
+}
+
+// release drops what a pooled machine need not keep alive: the program and
+// any observer or perf block, which the next build replaces anyway.
+func (m *Machine) release() { m.Prog, m.sink, m.perf = nil, nil, nil }
+
 const stackBase = 0x700000
 
 // StackBase is the base address of the protected stack region. The
@@ -181,13 +222,13 @@ const StackBase = stackBase
 
 func (m *Machine) stackTop() uint64 { return stackBase + m.Cfg.StackB - 64 }
 
-// load protects and installs the program image: text, data, and stack.
-func (m *Machine) load(p *asm.Program) error {
+// load protects and installs the program image: text (p's text as bytes),
+// data, and stack.
+func (m *Machine) load(p *asm.Program, text []byte) error {
 	lb := uint64(m.Cfg.Mem.L2LineB)
 	alignUp := func(v uint64) uint64 { return (v + lb - 1) &^ (lb - 1) }
 	alignDn := func(v uint64) uint64 { return v &^ (lb - 1) }
 
-	text := p.TextBytes()
 	regions := []struct {
 		start uint64
 		size  uint64
@@ -225,54 +266,107 @@ type Region struct {
 // NewMachineWithRegions is NewMachine plus extra protected regions (probe
 // windows for the attack experiments).
 func NewMachineWithRegions(cfg Config, p *asm.Program, extra []Region) (*Machine, error) {
+	m, _ := machines.Get().(*Machine)
+	if m == nil {
+		m = new(Machine)
+	}
+	if err := m.build(cfg, p, extra); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// build makes m the machine cfg describes with p loaded and extra
+// protected. A zero Machine gets every component built; a released one has
+// each rebuilt in place, keeping the storage whose shape cfg keeps. Either
+// way the sealed image comes from the controller's memos when it can (see
+// secmem.Controller.FinishProtection).
+func (m *Machine) build(cfg Config, p *asm.Program, extra []Region) error {
 	cfg.applyPolicy()
-	physical := mem.New()
-	b, err := bus.New(cfg.Bus)
-	if err != nil {
-		return nil, err
-	}
-	b.SetTracing(cfg.TraceBus)
-	d, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
 	cfg.Sec.LineB = cfg.Mem.L2LineB
-	ctrl, err := secmem.New(cfg.Sec, physical, b, d, encKey, macKey)
+	*m = Machine{
+		Cfg: cfg, Prog: p, uops: m.uops,
+		Core: m.Core, MS: m.MS, Ctrl: m.Ctrl, Bus: m.Bus, DRAM: m.DRAM,
+		Memory: m.Memory, Shadow: m.Shadow, Space: m.Space,
+	}
+	for _, mm := range []**mem.Memory{&m.Memory, &m.Shadow} {
+		if *mm == nil {
+			*mm = mem.New()
+		} else {
+			(*mm).Reset()
+		}
+	}
+	if m.Space == nil {
+		m.Space = mem.NewAddressSpace()
+	} else {
+		m.Space.Reset()
+	}
+	var err error
+	if m.Bus == nil {
+		m.Bus, err = bus.New(cfg.Bus)
+	} else {
+		err = m.Bus.Reset(cfg.Bus)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := &Machine{
-		Cfg: cfg, Ctrl: ctrl, Bus: b, DRAM: d,
-		Memory: physical, Shadow: mem.New(), Space: mem.NewAddressSpace(), Prog: p,
+	m.Bus.SetTracing(cfg.TraceBus)
+	if m.DRAM == nil {
+		m.DRAM, err = dram.New(cfg.DRAM)
+	} else {
+		err = m.DRAM.Reset(cfg.DRAM)
 	}
-	// Declare extra regions before FinishProtection inside load: reorder by
-	// protecting them first.
+	if err != nil {
+		return err
+	}
+	if m.Ctrl == nil {
+		m.Ctrl, err = secmem.New(cfg.Sec, m.Memory, m.Bus, m.DRAM, encKey, macKey)
+	} else {
+		err = m.Ctrl.Reset(cfg.Sec, m.Memory, m.Bus, m.DRAM, encKey, macKey)
+	}
+	if err != nil {
+		return err
+	}
+	// Extra regions are protected first, so that load's FinishProtection
+	// seals them with the program image.
 	lb := uint64(cfg.Mem.L2LineB)
 	for _, r := range extra {
 		start := r.Start &^ (lb - 1)
 		size := (r.Size + lb - 1) &^ (lb - 1)
-		if err := ctrl.Protect(start, size); err != nil {
-			return nil, err
+		if err := m.Ctrl.Protect(start, size); err != nil {
+			return err
 		}
 		m.Space.MapRange(start, size)
 	}
-	if err := m.load(p); err != nil {
-		return nil, err
+	text := p.TextBytes()
+	if err := m.load(p, text); err != nil {
+		return err
 	}
-	ms, err := NewMemSystem(cfg.Mem, ctrl, m.Shadow, m.Space)
+	if m.MS == nil {
+		m.MS, err = NewMemSystem(cfg.Mem, m.Ctrl, m.Shadow, m.Space)
+	} else {
+		err = m.MS.reset(cfg.Mem, m.Ctrl, m.Shadow, m.Space)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ms.SetStoreWaitAuth(cfg.Pipeline.StoreWaitAuth)
-	m.MS = ms
-	core, err := pipeline.New(cfg.Pipeline, ms, p.Entry)
+	m.MS.SetStoreWaitAuth(cfg.Pipeline.StoreWaitAuth)
+	if m.Core == nil {
+		m.Core, err = pipeline.New(cfg.Pipeline, m.MS, p.Entry)
+	} else {
+		err = m.Core.Reset(cfg.Pipeline, m.MS, p.Entry)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	core.SetReg(isa.RegSP, m.stackTop())
-	core.SetUopCache(pipeline.NewUopCache(p.TextBase, p.TextBytes()))
-	m.Core = core
-	return m, nil
+	m.Core.SetReg(isa.RegSP, m.stackTop())
+	if m.uops == nil {
+		m.uops = pipeline.NewUopCache(p.TextBase, text)
+	} else {
+		m.uops.Reset(p.TextBase, text)
+	}
+	m.Core.SetUopCache(m.uops)
+	return nil
 }
 
 // DisableFastPath forces the reference execution path: cycle-by-cycle

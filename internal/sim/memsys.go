@@ -131,42 +131,84 @@ type MemSystem struct {
 // program's plaintext (the loader guarantees fills and shadow agree at
 // start).
 func NewMemSystem(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.Memory, space *mem.AddressSpace) (*MemSystem, error) {
+	ms := new(MemSystem)
+	if err := ms.reset(cfg, ctrl, shadow, space); err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+// reset is NewMemSystem in place: it empties the caches, TLBs, store
+// buffer and per-line authentication state and zeroes the counters,
+// keeping their storage where cfg keeps their shapes. On an error the
+// memory system is unusable.
+func (ms *MemSystem) reset(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.Memory, space *mem.AddressSpace) error {
 	if cfg.L2LineB != ctrl.Config().LineB {
-		return nil, fmt.Errorf("sim: L2 line %dB != controller line %dB", cfg.L2LineB, ctrl.Config().LineB)
+		return fmt.Errorf("sim: L2 line %dB != controller line %dB", cfg.L2LineB, ctrl.Config().LineB)
 	}
 	if cfg.L1ILineB > cfg.L2LineB || cfg.L1DLineB > cfg.L2LineB {
-		return nil, fmt.Errorf("sim: L1 lines larger than L2 line")
+		return fmt.Errorf("sim: L1 lines larger than L2 line")
 	}
 	if cfg.StoreBufSize <= 0 || cfg.DrainPerTick <= 0 {
-		return nil, fmt.Errorf("sim: store buffer config must be positive")
+		return fmt.Errorf("sim: store buffer config must be positive")
 	}
-	l1i, err := cache.New(cache.Config{Name: "l1i", SizeB: cfg.L1IB, LineB: cfg.L1ILineB, Ways: cfg.L1IWays})
+	var err error
+	if ms.l1i, err = resetCache(ms.l1i, cache.Config{Name: "l1i", SizeB: cfg.L1IB, LineB: cfg.L1ILineB, Ways: cfg.L1IWays}); err != nil {
+		return err
+	}
+	if ms.l1d, err = resetCache(ms.l1d, cache.Config{Name: "l1d", SizeB: cfg.L1DB, LineB: cfg.L1DLineB, Ways: cfg.L1DWays, WriteBck: true}); err != nil {
+		return err
+	}
+	if ms.l2, err = resetCache(ms.l2, cache.Config{Name: "l2", SizeB: cfg.L2B, LineB: cfg.L2LineB, Ways: cfg.L2Ways, WriteBck: true}); err != nil {
+		return err
+	}
+	if ms.itlb == nil {
+		ms.itlb, err = mem.NewTLB(cfg.ITLBEntries, cfg.TLBWays)
+	} else {
+		err = ms.itlb.Reset(cfg.ITLBEntries, cfg.TLBWays)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l1d, err := cache.New(cache.Config{Name: "l1d", SizeB: cfg.L1DB, LineB: cfg.L1DLineB, Ways: cfg.L1DWays, WriteBck: true})
+	if ms.dtlb == nil {
+		ms.dtlb, err = mem.NewTLB(cfg.DTLBEntries, cfg.TLBWays)
+	} else {
+		err = ms.dtlb.Reset(cfg.DTLBEntries, cfg.TLBWays)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l2, err := cache.New(cache.Config{Name: "l2", SizeB: cfg.L2B, LineB: cfg.L2LineB, Ways: cfg.L2Ways, WriteBck: true})
-	if err != nil {
-		return nil, err
+	lines := ms.lines
+	if lines == nil {
+		lines = map[uint64]lineInfo{}
 	}
-	itlb, err := mem.NewTLB(cfg.ITLBEntries, cfg.TLBWays)
-	if err != nil {
-		return nil, err
+	clear(lines)
+	sb := ms.sb
+	if len(sb) != cfg.StoreBufSize {
+		sb = make([]sbEntry, cfg.StoreBufSize)
 	}
-	dtlb, err := mem.NewTLB(cfg.DTLBEntries, cfg.TLBWays)
-	if err != nil {
-		return nil, err
+	clear(sb)
+	wbBuf := ms.wbBuf
+	if len(wbBuf) != cfg.L2LineB {
+		wbBuf = make([]byte, cfg.L2LineB)
 	}
-	return &MemSystem{
-		cfg: cfg, l1i: l1i, l1d: l1d, l2: l2, itlb: itlb, dtlb: dtlb,
+	*ms = MemSystem{
+		cfg: cfg, l1i: ms.l1i, l1d: ms.l1d, l2: ms.l2, itlb: ms.itlb, dtlb: ms.dtlb,
 		ctrl: ctrl, shadow: shadow, space: space,
-		wbBuf: make([]byte, cfg.L2LineB),
-		lines: map[uint64]lineInfo{},
-		sb:    make([]sbEntry, cfg.StoreBufSize),
-	}, nil
+		wbBuf:    wbBuf,
+		lines:    lines,
+		inflight: ms.inflight[:0],
+		sb:       sb,
+	}
+	return nil
+}
+
+// resetCache empties c for cfg, or builds a cache for cfg if c is nil.
+func resetCache(c *cache.Cache, cfg cache.Config) (*cache.Cache, error) {
+	if c == nil {
+		return cache.New(cfg)
+	}
+	return c, c.Reset(cfg)
 }
 
 // Caches returns the cache models (stats inspection).

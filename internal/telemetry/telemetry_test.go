@@ -158,3 +158,44 @@ func TestMeterFinishes(t *testing.T) {
 	nilM.Tick(1)
 	nilM.Finish()
 }
+
+// FuzzReadLedger feeds arbitrary bytes to the ledger reader and, when it
+// accepts them, to Validate. Neither may panic or hang. The seeds are
+// ledgers the Ledger writer produces — a fuzz campaign's, a resumed
+// budgeted one with skipped records, one with a sequence gap — and a
+// truncated one.
+func FuzzReadLedger(f *testing.F) {
+	ledger := func(recs ...Record) []byte {
+		var buf bytes.Buffer
+		l := NewLedger(&buf)
+		if err := l.WriteHeader(NewHeader("authfuzz", 2)); err != nil {
+			f.Fatal(err)
+		}
+		for _, r := range recs {
+			l.Emit(r)
+		}
+		if err := l.Close(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fuzz := ledger(
+		Record{Seq: 0, Kind: "fuzz", Seed: 1, Policy: "authen-then-commit", Verdict: "ok", SimCycles: 812, HostNs: 9000},
+		Record{Seq: 1, Kind: "fuzz", Seed: 1, Policy: "baseline", Tamper: true, Site: "mac", Verdict: "detected", SimCycles: 77},
+		Record{Seq: 2, Kind: "verify", Seed: 2, Policy: "baseline", Verdict: "licensed", Cached: true},
+	)
+	f.Add(fuzz)
+	f.Add(ledger(
+		Record{Seq: 1, Kind: "fuzz", Seed: 2, Policy: "authen-then-issue", Verdict: VerdictSkipped},
+		Record{Seq: 0, Kind: "fuzz", Seed: 1, Policy: "authen-then-issue", Verdict: "ok", Err: "boom"},
+	))
+	f.Add(ledger(Record{Seq: 0, Kind: "fuzz"}, Record{Seq: 5, Kind: "fuzz"}))
+	f.Add(fuzz[:len(fuzz)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lf, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = lf.Validate()
+	})
+}
