@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"os"
+	"path/filepath"
 	"testing"
 
 	"authpoint/internal/telemetry"
@@ -13,16 +13,17 @@ type payload struct {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
 	k := Key{Check: "c/v1", Kind: "fuzz", ProgDigest: Digest([]byte("prog")),
 		Policy: "baseline", Options: "watchdog=1"}
 
 	var got payload
 	if ok, err := s.Get(k, &got); err != nil || ok {
 		t.Fatalf("empty store Get = (%v, %v), want miss", ok, err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Fatalf("Open and a miss wrote %v", files)
 	}
 	want := payload{Verdict: "ok", Cycles: 42}
 	if err := s.Put(k, want); err != nil {
@@ -37,6 +38,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if s.Hits() != 1 || s.Misses() != 1 || s.Puts() != 1 {
 		t.Fatalf("counters hits=%d misses=%d puts=%d, want 1/1/1", s.Hits(), s.Misses(), s.Puts())
 	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*")); len(segs) != 1 || filepath.Ext(segs[0]) != ".seg" {
+		t.Fatalf("store directory holds %v, want one segment", segs)
+	}
 }
 
 // TestKeyIDSensitivity pins that every key field feeds the content address —
@@ -50,6 +54,7 @@ func TestKeyIDSensitivity(t *testing.T) {
 		{Check: "c/v1", Kind: "fuzz", ProgDigest: "bb", Policy: "p", Options: "o"},
 		{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "q", Options: "o"},
 		{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "p", Options: "x"},
+		{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "p", Options: "o", Model: "m"},
 		{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "p", Options: "o", Tamper: true, Site: "entry"},
 		{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "p", Options: "o", Tamper: true, Site: "data"},
 	}
@@ -77,58 +82,48 @@ func TestKeyIDSensitivity(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptEntryIsMiss pins that a record which no longer verifies,
+// or which is stored under other key fields, never serves: it misses, and a
+// later Put of the key makes it hit again.
 func TestStoreCorruptEntryIsMiss(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, t.TempDir())
 	k := Key{Check: "c/v1", Kind: "fuzz", ProgDigest: "aa", Policy: "p", Options: "o"}
 	if err := s.Put(k, payload{Verdict: "ok"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(k.ID()), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got payload
-	if ok, err := s.Get(k, &got); err != nil || ok {
-		t.Fatalf("corrupt entry Get = (%v, %v), want miss", ok, err)
-	}
-	// A key whose entry was written under different key fields (hash
-	// collision, stale derivation) must also miss, not alias.
+	// A key whose index entry leads to a record written under different key
+	// fields (hash collision, stale derivation) must miss, not alias.
 	k2 := k
 	k2.Options = "other"
-	if err := os.MkdirAll(s.dir+"/"+k2.ID()[:2], 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(k2.ID()), mustEntry(t, k, payload{Verdict: "wrong"}), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	s.index[k2.sum()] = s.index[k.sum()]
+	var got payload
 	if ok, _ := s.Get(k2, &got); ok {
-		t.Fatal("key-mismatched entry served as a hit")
+		t.Fatal("key-mismatched record served as a hit")
 	}
-	// The cell re-simulates and overwrites cleanly.
+	// One byte of the record's payload changed on disk after Open.
+	l := s.index[k.sum()]
+	if _, err := l.seg.f.WriteAt([]byte{'#'}, l.off+int64(l.n)-2); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Get(k, &got); err != nil || ok {
+		t.Fatalf("corrupt record Get = (%v, %v), want miss", ok, err)
+	}
+	// The cell re-simulates and its new record serves.
 	if err := s.Put(k, payload{Verdict: "ok"}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := s.Get(k, &got); err != nil || !ok || got.Verdict != "ok" {
-		t.Fatalf("overwrite after corruption: (%v, %v, %+v)", ok, err, got)
+		t.Fatalf("Put after corruption: (%v, %v, %+v)", ok, err, got)
 	}
 }
 
-func mustEntry(t *testing.T, k Key, v payload) []byte {
+func mustOpen(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(k, v); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(s.path(k.ID()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return s
 }
 
 // TestCompleted pins the checkpoint semantics: terminal verdicts are done,

@@ -48,15 +48,17 @@ func TestSameFile(t *testing.T) {
 // result-store write failed, or when the sweep failed for another reason
 // than its budget. Otherwise it exits 1 with findings and 0 without.
 func TestStatusFailsOnLostResults(t *testing.T) {
-	// A plain file in place of every shard directory fails every Put.
-	dir := t.TempDir()
-	for i := 0; i < 256; i++ {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// A plain file in place of the store's directory fails every Put, even
+	// as root, where a permission bit would stop nothing.
+	dir := filepath.Join(t.TempDir(), "cache")
 	broken, err := campaign.Open(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	working, err := campaign.Open(t.TempDir())
@@ -95,5 +97,8 @@ func TestStatusFailsOnLostResults(t *testing.T) {
 		if got := s.status(tc.bad); got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
+	}
+	if n := broken.Puts(); n != 0 {
+		t.Errorf("broken store recorded %d results, want every Put to fail", n)
 	}
 }

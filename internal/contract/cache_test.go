@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authpoint/internal/campaign"
+	"authpoint/internal/diffcheck"
 	"authpoint/internal/policy"
 )
 
@@ -61,6 +62,9 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	}
 	if k1.ID() == k2.ID() {
 		t.Fatal("seed change did not change the cache address")
+	}
+	if k1.Model != diffcheck.ModelFingerprint(base.Policy) {
+		t.Fatalf("cache key carries model %q, want the policy's model fingerprint", k1.Model)
 	}
 	withSecrets := base
 	withSecrets.SecretA, withSecrets.SecretB = []byte{1}, []byte{2}

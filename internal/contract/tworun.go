@@ -84,10 +84,10 @@ type Options struct {
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: CheckProgram consults it
 	// before simulating and records fresh results into it, keyed on
-	// (CheckSchema, source digest, normalized policy, and every
-	// result-relevant option including the secret images). Cached and fresh
-	// results are bit-identical — the same determinism the .leak replay
-	// corpus pins.
+	// (CheckSchema, source digest, normalized policy, every result-relevant
+	// option including the secret images, and the model fingerprint).
+	// Cached and fresh results are bit-identical — the same determinism the
+	// .leak replay corpus pins.
 	Cache *campaign.Store
 }
 
@@ -209,6 +209,7 @@ func cacheKey(src string, opt Options) (campaign.Key, bool) {
 		ProgDigest: campaign.Digest([]byte(src)),
 		Policy:     opt.Policy.Normalize().String(),
 		Options:    string(fp),
+		Model:      diffcheck.ModelFingerprint(opt.Policy),
 	}, true
 }
 

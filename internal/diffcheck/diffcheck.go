@@ -123,10 +123,10 @@ type Options struct {
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: Check consults it before
 	// simulating and records fresh results into it, keyed on (CheckSchema,
-	// source digest, normalized policy, options, tamper+site). Cached and
-	// fresh results are bit-identical — the same determinism the .repro
-	// replay corpus pins. Checks with Mutate set bypass the cache (a
-	// mutation function has no canonical fingerprint).
+	// source digest, normalized policy, options, tamper+site, model
+	// fingerprint). Cached and fresh results are bit-identical — the same
+	// determinism the .repro replay corpus pins. Checks with Mutate set
+	// bypass the cache (a mutation function has no canonical fingerprint).
 	Cache *campaign.Store
 	// Oracle, if set, memoizes the in-order oracle leg across checks: the
 	// oracle run is policy-independent (up to the architectural PAC mode),
@@ -247,6 +247,7 @@ func cacheKey(src string, opt Options) campaign.Key {
 		ProgDigest: campaign.Digest([]byte(src)),
 		Policy:     opt.Policy.Normalize().String(),
 		Options:    fmt.Sprintf("max_oracle=%d watchdog=%d", opt.MaxOracleInsts, opt.WatchdogCycles),
+		Model:      ModelFingerprint(opt.Policy),
 	}
 	if opt.Tamper {
 		k.Tamper = true

@@ -1,20 +1,36 @@
 package diffcheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 )
 
+// TestTamperSiteDefaultsToEntry pins that a tamper with no site and one at
+// an explicit entry site are one check: they give the same result and
+// address the same cache entry.
 func TestTamperSiteDefaultsToEntry(t *testing.T) {
-	res, _ := CheckSeed(3, Options{Policy: policy.ThenCommit, Tamper: true})
-	if res.Site != SiteEntry {
-		t.Fatalf("default tamper site = %q, want %q", res.Site, SiteEntry)
+	store, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	explicit, _ := CheckSeed(3, Options{Policy: policy.ThenCommit, Tamper: true, TamperSite: SiteEntry})
-	if explicit.Verdict != res.Verdict || explicit.Reason != res.Reason || explicit.Cycles != res.Cycles {
-		t.Fatalf("explicit entry site diverges from default: %+v vs %+v", explicit, res)
+	res, _ := CheckSeed(3, Options{Policy: policy.ThenCommit, Tamper: true, Cache: store})
+	if res.Site != SiteEntry || res.Cached {
+		t.Fatalf("default tamper site = %q (cached %v), want %q from a fresh check", res.Site, res.Cached, SiteEntry)
+	}
+	explicit, _ := CheckSeed(3, Options{Policy: policy.ThenCommit, Tamper: true, TamperSite: SiteEntry, Cache: store})
+	if !explicit.Cached {
+		t.Fatal("explicit entry site missed the cache entry of the default site")
+	}
+	explicit.Cached = false
+	fresh, _ := CheckSeed(3, Options{Policy: policy.ThenCommit, Tamper: true, TamperSite: SiteEntry})
+	for _, r := range []Result{explicit, fresh} {
+		if !reflect.DeepEqual(r, res) {
+			t.Fatalf("explicit entry site diverges from default: %+v vs %+v", r, res)
+		}
 	}
 }
 
