@@ -66,7 +66,7 @@ func main() {
 	if s.Mode == "cross" {
 		cells = contract.CrossCells(s.Seeds, s.Pols)
 	}
-	findings := cli.Sweep(s, contract.Campaign(contract.Options{Cache: s.Store}, s.Obs), cells, "",
+	findings := cli.Sweep(s, contract.Campaign(contract.Options{Cache: s.Store}, cells, s.Obs), cells, "",
 		[]contract.Verdict{contract.VerdictClean, contract.VerdictImprecise,
 			contract.VerdictLicensed, contract.VerdictUnsound, contract.VerdictError},
 		func(r telemetry.Record) string {

@@ -1,6 +1,6 @@
 // Package cli is the command-line wiring the campaign checkers share
 // (authfuzz, authverify): one flag set, and a session that opens what a
-// campaign run needs — seeds, policies, budget, result cache, resume
+// campaign run needs — seeds, policies, budget or stop, result cache, resume
 // checkpoint, ledger, meter and CPU profile — sweeps cells through the
 // campaign engine, prints the verdict and cache summary, and exits with the
 // campaign's status: 0 clean, 1 findings, 2 bad input or a campaign that
@@ -10,6 +10,7 @@ package cli
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ type Session struct {
 	seeds, policies, replayFlag string
 	cache, resume, telemetry    string
 	cpuprofile, memprofile      string
-	parallel                    int
+	parallel, stopAfter         int
 	budget                      time.Duration
 	metrics, progress           bool
 
@@ -68,6 +69,7 @@ func New(name, policies, replay, ext string) *Session {
 	flag.BoolVar(&s.Replay, replay, false, "replay "+ext+" files given as arguments instead of sweeping")
 	flag.IntVar(&s.parallel, "parallel", 0, "worker pool size (0 = NumCPU)")
 	flag.DurationVar(&s.budget, "budget", 0, "wall-clock bound for the seed sweep (0 = none); cells not reached are skipped, not failed")
+	flag.IntVar(&s.stopAfter, "stop-after", 0, "run only the first N cells still to run, then skip the rest as an expired -budget does, at any -parallel (0 = all)")
 	flag.BoolVar(&s.Verbose, "v", false, "print one line per cell")
 	flag.StringVar(&s.cpuprofile, "cpuprofile", "", "write a CPU profile of the sweep to this file")
 	flag.StringVar(&s.memprofile, "memprofile", "", "write a heap profile to this file before exit")
@@ -101,6 +103,9 @@ func (s *Session) Start() {
 	}
 	if s.Mode != "pair" && s.Mode != "cross" {
 		s.Fatalf("mode %q: want pair or cross", s.Mode)
+	}
+	if s.stopAfter < 0 {
+		s.Fatalf("stop-after %d: want a cell count, or 0 for all", s.stopAfter)
 	}
 	s.ctx, s.cancel = context.Background(), func() {}
 	if s.budget > 0 {
@@ -146,15 +151,15 @@ func sameFile(a, b string) bool {
 }
 
 // Sweep runs a campaign's cells through the campaign engine under the
-// session's budget, resume checkpoint, ledger and meter, then prints the
-// resume line, one line per cell under -v (line), the header (detail is
+// session's budget or stop, resume checkpoint, ledger and meter, then prints
+// the resume line, one line per cell under -v (line), the header (detail is
 // appended to its mode), the verdict counts in the order verdicts lists
 // them, and the cache summary. It returns the findings in report order. A
 // failed result-store write, or a sweep that failed for any reason but the
 // budget running out, is printed to stderr and makes Exit exit 2.
 func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C, detail string, verdicts []V, line func(telemetry.Record) string) []R {
 	start := time.Now()
-	rep, err := campaign.Sweep(s.ctx, ch, cells, s.done, s.parallel, s.Obs)
+	rep, err := campaign.Sweep(s.ctx, ch, cells, s.done, s.stopAfter, s.parallel, s.Obs)
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	if s.done != nil {
@@ -187,7 +192,7 @@ func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C
 		fmt.Printf(" cached=%d", cached)
 	}
 	if skipped > 0 {
-		fmt.Printf(" skipped=%d (budget)", skipped)
+		fmt.Printf(" skipped=%d (%s)", skipped, skipCause(err, skipped, len(cells)-rep.Done, s.stopAfter))
 	}
 	fmt.Println()
 	if s.Store != nil {
@@ -203,6 +208,19 @@ func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C
 		s.failed = true
 	}
 	return rep.Findings
+}
+
+// skipCause names why a sweep of pending cells skipped some: the stop
+// after stopAfter of them skips the rest, and any further skip is the
+// budget's, or else a failed check's. err is the sweep's error.
+func skipCause(err error, skipped, pending, stopAfter int) string {
+	switch {
+	case stopAfter > 0 && skipped <= pending-stopAfter:
+		return "stop-after"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "budget"
+	}
+	return "error"
 }
 
 // WriteOut writes one artifact, name, under -out with write and reports the

@@ -102,3 +102,27 @@ func TestStatusFailsOnLostResults(t *testing.T) {
 		t.Errorf("broken store recorded %d results, want every Put to fail", n)
 	}
 }
+
+// TestSkipCause pins the label of a sweep's skipped cells: a stop's own
+// skips read stop-after even when the budget also ran out, and skips beyond
+// the stop's are the budget's or a failed check's.
+func TestSkipCause(t *testing.T) {
+	failed := errors.New("check failed")
+	for _, tc := range []struct {
+		err                         error
+		skipped, pending, stopAfter int
+		want                        string
+	}{
+		{nil, 30, 100, 70, "stop-after"},
+		{context.DeadlineExceeded, 30, 100, 70, "stop-after"},
+		{context.DeadlineExceeded, 31, 100, 70, "budget"},
+		{context.DeadlineExceeded, 5, 100, 0, "budget"},
+		{context.DeadlineExceeded, 5, 50, 70, "budget"},
+		{failed, 40, 100, 70, "error"},
+		{failed, 5, 100, 0, "error"},
+	} {
+		if got := skipCause(tc.err, tc.skipped, tc.pending, tc.stopAfter); got != tc.want {
+			t.Errorf("skipCause(%v, %d, %d, %d) = %q, want %q", tc.err, tc.skipped, tc.pending, tc.stopAfter, got, tc.want)
+		}
+	}
+}

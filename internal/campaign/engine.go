@@ -151,9 +151,10 @@ func (s *SweepObs) Metrics() *obs.Snapshot {
 //
 // Ledger sequence numbers are reserved in cell order before dispatch, so a
 // parallel ledger sorted by seq matches a serial one. Every cell gets a
-// record: cells the sweep never ran, because ctx expired or a check failed
-// fast, get an explicit skipped record, so a budget-expired ledger has no
-// sequence holes and doubles as a resume checkpoint.
+// record: cells the sweep never ran, because ctx expired, a check failed
+// fast or the sweep stopped after a count, get an explicit skipped record,
+// so an interrupted ledger has no sequence holes and doubles as a resume
+// checkpoint.
 //
 // With done non-nil the sweep resumes from a checkpoint (see Completed):
 // cells it records as complete are not swept, so the union of both ledgers
@@ -161,8 +162,13 @@ func (s *SweepObs) Metrics() *obs.Snapshot {
 // again outside the ledger, so a resumed campaign reports the same findings
 // as an uninterrupted one.
 //
+// With stopAfter > 0 the sweep runs only the first stopAfter cells it would
+// sweep and records the rest as skipped, exactly as when ctx expires, so an
+// interrupted campaign's ledger is the same at any worker count and on any
+// host. The stop is not an error.
+//
 // The error is the lowest-index check error, else ctx's error.
-func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[CellID]string, workers int, so *SweepObs) (Report[R], error) {
+func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[CellID]string, stopAfter, workers int, so *SweepObs) (Report[R], error) {
 	var rep Report[R]
 	pending := make([]int, 0, len(cells)) // cell index of each swept cell
 	var redo []int
@@ -205,7 +211,11 @@ func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[
 		mu       sync.Mutex
 		findings []found
 	)
-	err := Do(ctx, n, workers, func(ctx context.Context, j int) error {
+	run := n
+	if stopAfter > 0 {
+		run = min(n, stopAfter)
+	}
+	err := Do(ctx, run, workers, func(ctx context.Context, j int) error {
 		defer meter.Tick(1)
 		if ctx.Err() != nil {
 			return nil // budget expired or a check failed: leave the cell unrun

@@ -126,7 +126,7 @@ func TestSweepFindingOrderTies(t *testing.T) {
 		{8, "a", true, "bad"}, {8, "b", true, "bad"},
 	}
 	for _, workers := range []int{1, 8} {
-		rep, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, workers, nil)
+		rep, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, 0, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,16 +139,17 @@ func TestSweepFindingOrderTies(t *testing.T) {
 	}
 }
 
-// sweepLedger sweeps cells into an in-memory ledger and returns its records
-// sorted by seq and canonicalized.
-func sweepLedger(t *testing.T, cells []fakeCell, workers int) []byte {
+// sweepLedger sweeps cells, resuming from done and stopping after
+// stopAfter cells, into an in-memory ledger and returns the ledger and its
+// records sorted by seq and canonicalized.
+func sweepLedger(t *testing.T, cells []fakeCell, done map[CellID]string, stopAfter, workers int) (*telemetry.LedgerFile, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	l := telemetry.NewLedger(&buf)
 	if err := l.WriteHeader(telemetry.NewHeader("engine-test", workers)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, workers, &SweepObs{Ledger: l}); err != nil {
+	if _, err := Sweep(context.Background(), fakeChecker(nil), cells, done, stopAfter, workers, &SweepObs{Ledger: l}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -166,15 +167,56 @@ func sweepLedger(t *testing.T, cells []fakeCell, workers int) []byte {
 	for _, r := range lf.Records {
 		fmt.Fprintf(&out, "%+v\n", r.Canonical())
 	}
-	return out.Bytes()
+	return lf, out.Bytes()
 }
 
 func TestSweepLedgerSerialParallelIdentity(t *testing.T) {
 	cells := fakeCells()
-	serial := sweepLedger(t, cells, 1)
-	parallel := sweepLedger(t, cells, 8)
+	_, serial := sweepLedger(t, cells, nil, 0, 1)
+	_, parallel := sweepLedger(t, cells, nil, 0, 8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("canonical ledgers differ:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+}
+
+// TestSweepStopAfter pins the deterministic stop: a sweep stopped after n
+// cells completes exactly the first n and records the rest as skipped, in
+// the same canonical ledger at any worker count, and resuming from that
+// ledger completes every other cell, so the two ledgers cover each cell
+// once.
+func TestSweepStopAfter(t *testing.T) {
+	cells := fakeCells()
+	const n = 13
+	lf, serial := sweepLedger(t, cells, nil, n, 1)
+	for _, workers := range []int{2, 8} {
+		if _, got := sweepLedger(t, cells, nil, n, workers); !bytes.Equal(got, serial) {
+			t.Fatalf("stopped ledger at %d workers differs from serial:\n%s\nserial:\n%s", workers, got, serial)
+		}
+	}
+	for i, r := range lf.Records {
+		if skipped := r.Verdict == telemetry.VerdictSkipped; skipped != (i >= n) {
+			t.Fatalf("record %d of a sweep stopped after %d has verdict %q", i, n, r.Verdict)
+		}
+	}
+	done := Completed(lf)
+	if len(done) != n {
+		t.Fatalf("stopped ledger completes %d cells, want %d", len(done), n)
+	}
+	resumed, _ := sweepLedger(t, cells, done, 0, 8)
+	covered := map[CellID]int{}
+	for _, l := range []*telemetry.LedgerFile{lf, resumed} {
+		for id := range Completed(l) {
+			covered[id]++
+		}
+	}
+	for _, c := range cells {
+		id := CellID{Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper}
+		if covered[id] != 1 {
+			t.Fatalf("cell %+v completed %d times across the two ledgers", id, covered[id])
+		}
+	}
+	if len(covered) != len(cells) {
+		t.Fatalf("the two ledgers cover %d cells, want %d", len(covered), len(cells))
 	}
 }
 
@@ -185,7 +227,7 @@ func TestSweepSkippedRecords(t *testing.T) {
 	cancel()
 	cells := fakeCells()
 	var ran atomic.Int64
-	rep, err := Sweep(ctx, fakeChecker(&ran), cells, nil, 4, nil)
+	rep, err := Sweep(ctx, fakeChecker(&ran), cells, nil, 0, 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -207,7 +249,7 @@ func TestSweepSkippedRecords(t *testing.T) {
 // and the findings match an uninterrupted sweep's.
 func TestSweepResume(t *testing.T) {
 	cells := fakeCells()
-	full, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, 2, nil)
+	full, err := Sweep(context.Background(), fakeChecker(nil), cells, nil, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +258,7 @@ func TestSweepResume(t *testing.T) {
 		done[CellID{Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper}] = c.Verdict
 	}
 	var ran atomic.Int64
-	rep, err := Sweep(context.Background(), fakeChecker(&ran), cells, done, 2, nil)
+	rep, err := Sweep(context.Background(), fakeChecker(&ran), cells, done, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

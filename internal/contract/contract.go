@@ -81,23 +81,32 @@ type Contract struct {
 // Derive computes the leakage contract of prog under the control point, on
 // top of a base analysis configuration (extra secret symbols or ranges).
 //
-// Derivation runs the taint analysis under OptionsForPolicy — the policy's
-// static contract knobs — but keeps addr/ctrl findings under obfuscating
-// policies (unlike AnalyzeForPolicy, which drops them from lint reports):
-// those findings still license the timing channel, and dropping them would
-// turn every secret-dependent cycle-count difference under obfuscation into a
-// false "unsound" verdict.
+// The policy only stamps the contract: its entries and secret ranges are the
+// same under every control point, and only AddrVisible varies. The gates
+// leave the analysis' secret bits alone: TrustLoads (authen-then-issue)
+// clears only the Unverified bit, StateChecks (authen-then-write) only adds
+// state-taint findings, which contracts drop, and constant tracking never
+// reads taint. Unlike AnalyzeForPolicy, which drops addr/ctrl findings from
+// lint reports under obfuscating policies, the contract keeps them: they
+// still license the timing channel, and dropping them would turn every
+// secret-dependent cycle-count difference under obfuscation into a false
+// "unsound" verdict.
 func Derive(prog *asm.Program, pt policy.ControlPoint, base analysis.Options) (*Contract, error) {
-	pt = pt.Normalize()
-	rep, err := analysis.Analyze(prog, analysis.OptionsForPolicy(pt, base))
+	c, err := derive(prog, base)
 	if err != nil {
 		return nil, err
 	}
-	c := &Contract{
-		Policy:       pt.String(),
-		AddrVisible:  !pt.Obfuscate,
-		SecretRanges: rep.SecretRanges,
+	return c.stamped(pt), nil
+}
+
+// derive computes the policy-free half of prog's contract: its entries and
+// secret ranges, with no policy stamped.
+func derive(prog *asm.Program, base analysis.Options) (*Contract, error) {
+	rep, err := analysis.Analyze(prog, base)
+	if err != nil {
+		return nil, err
 	}
+	c := &Contract{SecretRanges: rep.SecretRanges}
 	for _, f := range rep.Findings {
 		if !f.Taint.Secret() {
 			continue
@@ -108,6 +117,16 @@ func Derive(prog *asm.Program, pt policy.ControlPoint, base analysis.Options) (*
 		c.Entries = append(c.Entries, Entry{PC: f.PC, Kind: f.Kind, Sym: f.Sym, Line: f.Line})
 	}
 	return c, nil
+}
+
+// stamped returns c under the control point: a copy naming the policy, with
+// the address channel visible unless the policy obfuscates. The copy shares
+// c's entries and secret ranges, which no caller modifies.
+func (c *Contract) stamped(pt policy.ControlPoint) *Contract {
+	pt = pt.Normalize()
+	s := *c
+	s.Policy, s.AddrVisible = pt.String(), !pt.Obfuscate
+	return &s
 }
 
 // Licenses reports whether the contract licenses any difference on ch. An

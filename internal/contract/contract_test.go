@@ -2,6 +2,7 @@ package contract
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"authpoint/internal/analysis"
@@ -15,7 +16,9 @@ import (
 // control points with p.Subsumes(q), the contract under p is contained in
 // the contract under q — strengthening the policy never licenses new
 // observables. Checked across the full 95-point lattice on generated
-// programs and on every attack kernel.
+// programs and on every attack kernel. The entries are the same under every
+// point (TestDeriveOncePerProgram), so only the Obfuscate half can vary:
+// adding obfuscation removes the address channel, and nothing adds it back.
 func TestSubsumesImpliesContainment(t *testing.T) {
 	full := policy.FullLattice()
 
@@ -171,5 +174,71 @@ func TestGoldenWorkloadContracts(t *testing.T) {
 				t.Errorf("%s under %v: contract [%s], want empty", w.Name, pt, c.KindsSummary())
 			}
 		}
+	}
+}
+
+// policyEntries is the derivation Derive replaced: the taint analysis run
+// under the policy's own contract knobs, its secret-tainted addr-leak and
+// ctrl-leak findings kept.
+func policyEntries(t *testing.T, p *asm.Program, pt policy.ControlPoint, base analysis.Options) ([]Entry, []analysis.Range) {
+	t.Helper()
+	rep, err := analysis.Analyze(p, analysis.OptionsForPolicy(pt, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []Entry
+	for _, f := range rep.Findings {
+		if f.Taint.Secret() && (f.Kind == analysis.KindAddr || f.Kind == analysis.KindCtrl) {
+			entries = append(entries, Entry{PC: f.PC, Kind: f.Kind, Sym: f.Sym, Line: f.Line})
+		}
+	}
+	return entries, rep.SecretRanges
+}
+
+// TestDeriveOncePerProgram pins what lets a campaign derive each program's
+// contract once: under every point of the full lattice, the analysis run
+// with that policy's knobs finds exactly the entries and secret ranges of
+// the policy-free derivation, for generated programs and for every attack
+// kernel.
+func TestDeriveOncePerProgram(t *testing.T) {
+	type prog struct {
+		name string
+		p    *asm.Program
+		base analysis.Options
+	}
+	var progs []prog
+	for seed := int64(1); seed <= 20; seed++ {
+		p, err := asm.Assemble(diffcheck.GenSecretProgram(seed))
+		if err != nil {
+			t.Fatalf("seed %d does not assemble: %v", seed, err)
+		}
+		progs = append(progs, prog{name: fmt.Sprintf("seed-%d", seed), p: p})
+	}
+	cases, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kc := range cases {
+		progs = append(progs, prog{name: kc.Name, p: kc.Prog, base: kc.Analysis})
+	}
+	nonEmpty := 0
+	for _, pr := range progs {
+		c, err := derive(pr.p, pr.base)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		if len(c.Entries) > 0 {
+			nonEmpty++
+		}
+		for _, pt := range policy.FullLattice() {
+			entries, ranges := policyEntries(t, pr.p, pt, pr.base)
+			if !reflect.DeepEqual(entries, c.Entries) || !reflect.DeepEqual(ranges, c.SecretRanges) {
+				t.Fatalf("%s under %v: entries %v ranges %v, policy-free derivation %v ranges %v",
+					pr.name, pt, entries, ranges, c.Entries, c.SecretRanges)
+			}
+		}
+	}
+	if nonEmpty < len(progs)/2 {
+		t.Fatalf("only %d of %d contracts have entries: the test lost its teeth", nonEmpty, len(progs))
 	}
 }

@@ -51,22 +51,30 @@ type Finding struct {
 // are expected outcomes of a conservative analysis, not findings.
 func IsFinding(v Verdict) bool { return v == VerdictUnsound || v == VerdictError }
 
-// Campaign is the two-run contract campaign as the campaign engine runs it:
-// each cell is checked with opt under the cell's policy. It attaches so's
-// metrics sink when so collects metrics.
-func Campaign(opt Options, so *campaign.SweepObs) campaign.Checker[Cell, Result] {
+// Campaign is the two-run contract campaign over cells as the campaign
+// engine runs it: each cell is checked with opt under the cell's policy. It
+// attaches so's metrics sink when so collects metrics. A seed memo, sized to
+// the cells' seeds, generates and digests each seed's program once and
+// prepares its check at most once, for the first of its cells the result
+// cache does not serve: assembles it, derives its contract, draws its secret
+// images and patches its two data images.
+func Campaign(opt Options, cells []Cell, so *campaign.SweepObs) campaign.Checker[Cell, Result] {
 	if so != nil && so.CollectMetrics {
 		opt.MetricsSink = so.Sink
 	}
+	sources := campaign.NewMemo[int64, source](campaign.Distinct(cells, func(c Cell) int64 { return c.Seed }))
 	return campaign.Checker[Cell, Result]{
 		Cell: func(c Cell) telemetry.Record {
 			return telemetry.Record{Kind: "verify", Policy: c.Policy.String(), Seed: c.Seed}
 		},
 		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
 			o := opt
-			o.Policy = c.Policy
+			o.Policy, o.Seed = c.Policy, c.Seed
 			start := time.Now()
-			res, _ := CheckSeed(c.Seed, o)
+			// The preparation reads o's policy-free options only, so the
+			// cell that builds the entry may prepare it for every policy.
+			src := sources.Get(c.Seed, func() source { return newSource(diffcheck.GenSecretProgram(c.Seed), o) })
+			res := checkSource(src, o)
 			rec.HostNs = time.Since(start).Nanoseconds()
 			// Both runs' cycles: the cell's total simulated work.
 			rec.Verdict, rec.SimCycles, rec.Cached = string(res.Verdict), res.CyclesA+res.CyclesB, res.Cached
@@ -84,7 +92,7 @@ func Campaign(opt Options, so *campaign.SweepObs) campaign.Checker[Cell, Result]
 // observability hooks are the differential fuzzer's: one ledger schema, one
 // meter.
 func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *campaign.SweepObs) ([]Result, []Finding, error) {
-	rep, err := campaign.Sweep(ctx, Campaign(opt, so), cells, nil, parallelism, so)
+	rep, err := campaign.Sweep(ctx, Campaign(opt, cells, so), cells, nil, 0, parallelism, so)
 	var findings []Finding
 	for _, r := range rep.Findings {
 		findings = append(findings, Finding{Result: r, Source: diffcheck.GenSecretProgram(r.Seed)})

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"authpoint/internal/campaign"
+	"authpoint/internal/diffcheck"
 	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
@@ -37,7 +39,7 @@ func sweepLedger(t *testing.T, cells []Cell, done map[campaign.CellID]string, wo
 		}
 	}
 	so := &campaign.SweepObs{Ledger: l}
-	rep, _ := campaign.Sweep(ctx, Campaign(opt, so), cells, done, workers, so)
+	rep, _ := campaign.Sweep(ctx, Campaign(opt, cells, so), cells, done, 0, workers, so)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +124,73 @@ func TestSweepKillResumeUnion(t *testing.T) {
 		if got != want {
 			t.Fatalf("cell %+v: resumed record %+v != uninterrupted %+v", id, got, want)
 		}
+	}
+}
+
+// TestCampaignMatchesChecks pins the verify campaign's seed memo: at one
+// worker and at eight, with and without a result store, a memoized campaign
+// over seeds × the lattice returns for every cell exactly the result an
+// unmemoized check of the cell returns. A fuzz campaign over the same seeds,
+// which no other test here sweeps, runs first: a memo shared across
+// campaign kinds would then serve the verify cells the fuzz program, which
+// has no secret symbol.
+func TestCampaignMatchesChecks(t *testing.T) {
+	seeds := []int64{31, 32, 33}
+	pols := policy.Lattice()
+	if _, _, err := diffcheck.SweepObserved(context.Background(), diffcheck.CrossCells(seeds, pols, false), diffcheck.Options{}, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	cells := CrossCells(seeds, pols)
+	want := make([]Result, len(cells))
+	for i, c := range cells {
+		want[i], _ = CheckSeed(c.Seed, Options{Policy: c.Policy})
+	}
+	for _, workers := range []int{1, 8} {
+		store, err := campaign.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Without a store, then against it empty and warm.
+		for pass, opt := range []Options{{}, {Cache: store}, {Cache: store}} {
+			got, _, err := SweepObserved(context.Background(), cells, opt, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cells {
+				if got[i].Cached != (pass == 2) {
+					t.Fatalf("%d workers, pass %d, cell %+v: cached=%v", workers, pass, cells[i], got[i].Cached)
+				}
+				got[i].Cached = false
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%d workers, pass %d, cell %+v:\ncampaign: %+v\ncheck:    %+v", workers, pass, cells[i], got[i], want[i])
+				}
+			}
+		}
+		if err := store.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheHitSkipsPreparation pins the laziness of a shared source: a
+// check the result store serves never assembles or derives, and a miss
+// prepares the check.
+func TestCacheHitSkipsPreparation(t *testing.T) {
+	store, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := diffcheck.GenSecretProgram(1)
+	opt := Options{Policy: policy.ThenCommit, Seed: 1, Cache: store}
+	CheckProgram(src, opt)
+	s := newSource(src, opt)
+	load, loads := s.load, 0
+	s.load = func() *prepared { loads++; return load() }
+	if res := checkSource(s, opt); !res.Cached || loads != 0 {
+		t.Fatalf("warm check: cached=%v, %d loads", res.Cached, loads)
+	}
+	opt.Policy = policy.ThenIssue
+	if res := checkSource(s, opt); res.Cached || loads != 1 {
+		t.Fatalf("cold check: cached=%v, %d loads", res.Cached, loads)
 	}
 }

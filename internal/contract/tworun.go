@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"authpoint/internal/analysis"
 	"authpoint/internal/asm"
@@ -52,8 +53,9 @@ const (
 type Options struct {
 	// Policy is the authentication control point both runs execute under.
 	Policy policy.ControlPoint
-	// Analysis is the base static-analysis configuration (extra secret
-	// symbols or ranges); the policy's contract knobs are layered on top.
+	// Analysis is the static-analysis configuration (extra secret symbols
+	// or ranges). It is policy-free: the policy only decides the contract's
+	// AddrVisible (see Derive).
 	Analysis analysis.Options
 	// Seed derives the secret image pair when SecretA/SecretB are nil, and
 	// is stamped into the result.
@@ -168,9 +170,32 @@ func CheckSeed(seed int64, opt Options) (Result, string) {
 // CheckProgram assembles src and runs the two-run contract check on it,
 // consulting the campaign cache (Options.Cache) first when one is attached.
 func CheckProgram(src string, opt Options) Result {
+	return checkSource(newSource(src, opt), opt)
+}
+
+// source is a source text as the checks of it share it: its digest, and
+// its prepared check, prepared by the first call of load. A check calls
+// load only when the result cache does not serve it, so a warm-cache check
+// never assembles or derives.
+type source struct {
+	digest string
+	load   func() *prepared
+}
+
+// newSource digests src and defers its preparation under opt's
+// policy-free options to the first load.
+func newSource(src string, opt Options) source {
+	return source{digest: campaign.Digest([]byte(src)), load: sync.OnceValue(func() *prepared {
+		return prepareSource(src, opt)
+	})}
+}
+
+// checkSource is CheckProgram on a source the caller may share between the
+// checks of the options it was prepared with, under any policy.
+func checkSource(s source, opt Options) Result {
 	key, keyed := campaign.Key{}, false
 	if opt.Cache != nil {
-		key, keyed = cacheKey(src, opt)
+		key, keyed = cacheKey(s.digest, opt)
 	}
 	if keyed {
 		var cached Result
@@ -179,19 +204,20 @@ func CheckProgram(src string, opt Options) Result {
 			return cached
 		}
 	}
-	res := checkProgram(src, opt)
+	res := s.load().check(opt)
 	if keyed && res.Verdict != "" {
 		_ = opt.Cache.Put(key, res) // sticky error surfaced via Store.Err
 	}
 	return res
 }
 
-// cacheKey addresses one two-run check in the campaign cache. Every
-// result-relevant option is folded into the key — including the seed (it
-// derives the secret pair) and any explicit secret images — so a hit is
-// bit-identical to the fresh check by construction. ok is false only if the
-// options fail to serialize, in which case the check runs uncached.
-func cacheKey(src string, opt Options) (campaign.Key, bool) {
+// cacheKey addresses one two-run check of the program whose source text has
+// the given digest in the campaign cache. Every result-relevant option is
+// folded into the key — including the seed (it derives the secret pair) and
+// any explicit secret images — so a hit is bit-identical to the fresh check
+// by construction. ok is false only if the options fail to serialize, in
+// which case the check runs uncached.
+func cacheKey(digest string, opt Options) (campaign.Key, bool) {
 	fp, err := json.Marshal(struct {
 		Analysis         analysis.Options
 		Seed             int64
@@ -206,46 +232,55 @@ func cacheKey(src string, opt Options) (campaign.Key, bool) {
 	return campaign.Key{
 		Check:      CheckSchema,
 		Kind:       "verify",
-		ProgDigest: campaign.Digest([]byte(src)),
+		ProgDigest: digest,
 		Policy:     opt.Policy.Normalize().String(),
 		Options:    string(fp),
 		Model:      diffcheck.ModelFingerprint(opt.Policy),
 	}, true
 }
 
-// checkProgram is the uncached check body.
-func checkProgram(src string, opt Options) Result {
-	p, err := asm.Assemble(src)
-	if err != nil {
-		return Result{
-			Seed: opt.Seed, Policy: opt.Policy.Normalize(),
-			Verdict: VerdictError, Diff: "assemble: " + err.Error(),
-		}
-	}
-	return Check(p, opt)
-}
-
 // Check derives the static contract of prog under the policy, executes prog
 // twice on secret-differing data images, and classifies the observable
 // difference against the contract (see Verdicts).
 func Check(prog *asm.Program, opt Options) Result {
-	res := Result{Seed: opt.Seed, Policy: opt.Policy.Normalize()}
+	return prepare(prog, opt).check(opt)
+}
 
-	c, err := Derive(prog, opt.Policy, opt.Analysis)
+// prepared is the policy-free half of a two-run check of one program: its
+// contract before the policy stamp, the two secret images and the program
+// patched with each, or the error that ends every check of the program.
+// Analysis, Seed, SecretA and SecretB are the options it depends on; the
+// checks of every policy may share it, because none modifies it.
+type prepared struct {
+	contract     *Contract // nil when derivation failed
+	a, b         []byte
+	progA, progB *asm.Program
+	fail         string // the Diff of an error verdict, "" when the check can run
+}
+
+// prepareSource assembles src and prepares its check.
+func prepareSource(src string, opt Options) *prepared {
+	p, err := asm.Assemble(src)
 	if err != nil {
-		res.Verdict = VerdictError
-		res.Diff = "derive: " + err.Error()
-		return res
+		return &prepared{fail: "assemble: " + err.Error()}
 	}
-	res.Contract = c
+	return prepare(p, opt)
+}
+
+// prepare derives prog's contract and the images the two runs vary.
+func prepare(prog *asm.Program, opt Options) *prepared {
+	c, err := derive(prog, opt.Analysis)
+	if err != nil {
+		return &prepared{fail: "derive: " + err.Error()}
+	}
+	pp := &prepared{contract: c}
 
 	// The varied bytes must live inside the loaded data image, or the two
 	// machines would not actually differ.
 	target, ok := patchableRange(prog, c.SecretRanges)
 	if !ok {
-		res.Verdict = VerdictError
-		res.Diff = "no secret range inside the data segment to vary"
-		return res
+		pp.fail = "no secret range inside the data segment to vary"
+		return pp
 	}
 	n := int(target.End - target.Start)
 	a, b := opt.SecretA, opt.SecretB
@@ -259,12 +294,29 @@ func Check(prog *asm.Program, opt Options) Result {
 		b = b[:n]
 	}
 	if bytes.Equal(a, b) {
+		pp.fail = "secret images are identical; two-run check is vacuous"
+		return pp
+	}
+	pp.a, pp.b = a, b
+	pp.progA, pp.progB = patched(prog, target, a), patched(prog, target, b)
+	return pp
+}
+
+// check runs the two views under opt's policy and classifies them against
+// the contract stamped for that policy.
+func (pp *prepared) check(opt Options) Result {
+	res := Result{Seed: opt.Seed, Policy: opt.Policy.Normalize()}
+	if pp.contract != nil {
+		res.Contract = pp.contract.stamped(opt.Policy)
+	}
+	if pp.fail != "" {
 		res.Verdict = VerdictError
-		res.Diff = "secret images are identical; two-run check is vacuous"
+		res.Diff = pp.fail
 		return res
 	}
-	res.SecretA = append([]byte(nil), a...)
-	res.SecretB = append([]byte(nil), b...)
+	c := res.Contract
+	res.SecretA = append([]byte(nil), pp.a...)
+	res.SecretB = append([]byte(nil), pp.b...)
 
 	cfg := sim.DefaultConfig()
 	cfg.Policy = opt.Policy
@@ -273,13 +325,13 @@ func Check(prog *asm.Program, opt Options) Result {
 	}
 	obfuscated := res.Policy.Obfuscate
 
-	viewA, err := runView(patched(prog, target, a), cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
+	viewA, err := runView(pp.progA, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
 	if err != nil {
 		res.Verdict = VerdictError
 		res.Diff = "run A: " + err.Error()
 		return res
 	}
-	viewB, err := runView(patched(prog, target, b), cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
+	viewB, err := runView(pp.progB, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
 	if err != nil {
 		res.Verdict = VerdictError
 		res.Diff = "run B: " + err.Error()

@@ -1,8 +1,11 @@
 package diffcheck
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"authpoint/internal/asm"
 	"authpoint/internal/campaign"
@@ -206,6 +209,34 @@ func CheckSeed(seed int64, opt Options) (Result, string) {
 	return res, src
 }
 
+// program is a source text as a check uses it: the SHA-256 of the text,
+// which keys the oracle memo and the result cache, and the assembled program
+// or the assembly error. A program may be shared between checks and
+// workers: no check or machine writes to it (sim.TestProgramImmutable).
+type program struct {
+	digest [32]byte
+	prog   *asm.Program
+	err    error
+}
+
+// source is a source text as the checks of it share it: its SHA-256, and
+// its program, assembled by the first call of load. A check calls load only
+// when the result cache does not serve it, so a warm-cache check never
+// assembles.
+type source struct {
+	digest [32]byte
+	load   func() program
+}
+
+// newSource digests src and defers its assembly to the first load.
+func newSource(src string) source {
+	digest := sha256.Sum256([]byte(src))
+	return source{digest: digest, load: sync.OnceValue(func() program {
+		p, err := asm.Assemble(src)
+		return program{digest: digest, prog: p, err: err}
+	})}
+}
+
 // Check runs one program on the timed out-of-order machine and the in-order
 // oracle and diffs every piece of architectural state: stop/fault
 // behaviour, committed instruction count, both register files, the OUT log,
@@ -218,33 +249,39 @@ func CheckSeed(seed int64, opt Options) (Result, string) {
 // bit-identical to fresh ones by the same determinism the replay corpus
 // pins.
 func Check(src string, opt Options) Result {
-	opt = opt.withDefaults()
-	if opt.Cache != nil && opt.Mutate == nil {
-		key := cacheKey(src, opt)
-		var cached Result
-		if ok, err := opt.Cache.Get(key, &cached); err == nil && ok {
-			cached.Cached = true
-			return cached
-		}
-		res := check(src, opt)
-		if res.Verdict != "" {
-			// Write errors are sticky on the store; campaigns surface them
-			// once at the end instead of failing cell by cell.
-			_ = opt.Cache.Put(key, res)
-		}
-		return res
-	}
-	return check(src, opt)
+	return checkSource(newSource(src), opt)
 }
 
-// cacheKey derives the content address of one check. opt must already have
-// defaults applied, so the key is canonical: an entry-site tamper always
-// records "entry", bounds are always explicit.
-func cacheKey(src string, opt Options) campaign.Key {
+// checkSource is Check on a source the caller may share between checks.
+func checkSource(s source, opt Options) Result {
+	opt = opt.withDefaults()
+	if opt.Cache == nil || opt.Mutate != nil {
+		return check(s.load(), opt)
+	}
+	key := cacheKey(s.digest, opt)
+	var cached Result
+	if ok, err := opt.Cache.Get(key, &cached); err == nil && ok {
+		cached.Cached = true
+		return cached
+	}
+	res := check(s.load(), opt)
+	if res.Verdict != "" {
+		// Write errors are sticky on the store; campaigns surface them
+		// once at the end instead of failing cell by cell.
+		_ = opt.Cache.Put(key, res)
+	}
+	return res
+}
+
+// cacheKey derives the content address of one check of the program whose
+// source text has the given digest. opt must already have defaults applied,
+// so the key is canonical: an entry-site tamper always records "entry",
+// bounds are always explicit.
+func cacheKey(digest [32]byte, opt Options) campaign.Key {
 	k := campaign.Key{
 		Check:      CheckSchema,
 		Kind:       "fuzz",
-		ProgDigest: campaign.Digest([]byte(src)),
+		ProgDigest: hex.EncodeToString(digest[:]),
 		Policy:     opt.Policy.Normalize().String(),
 		Options:    fmt.Sprintf("max_oracle=%d watchdog=%d", opt.MaxOracleInsts, opt.WatchdogCycles),
 		Model:      ModelFingerprint(opt.Policy),
@@ -256,16 +293,16 @@ func cacheKey(src string, opt Options) campaign.Key {
 	return k
 }
 
-// check is the uncached differential check; opt has defaults applied.
-func check(src string, opt Options) Result {
+// check is the uncached differential check of pr; opt has defaults applied.
+func check(pr program, opt Options) Result {
 	res := Result{Policy: opt.Policy.Normalize(), Tamper: opt.Tamper, Site: opt.TamperSite}
 
-	p, err := asm.Assemble(src)
-	if err != nil {
+	if pr.err != nil {
 		res.Verdict = VerdictError
-		res.Divergence = "assemble: " + err.Error()
+		res.Divergence = "assemble: " + pr.err.Error()
 		return res
 	}
+	p := pr.prog
 	if opt.Tamper && opt.TamperSite == SiteData && len(p.Data) == 0 {
 		res.Verdict = VerdictError
 		res.Divergence = "tamper site data: program has no data segment"
@@ -304,7 +341,8 @@ func check(src string, opt Options) Result {
 	mode := pacModeFor(res.Policy)
 	var oracle *oracleState
 	if opt.Oracle != nil && opt.Mutate == nil {
-		oracle = opt.Oracle.run(src, p, mode, opt.MaxOracleInsts, ranges)
+		key := oracleKey{prog: pr.digest, mode: mode, maxInsts: opt.MaxOracleInsts}
+		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, opt.MaxOracleInsts, ranges) })
 	} else {
 		oracle = runOracle(p, mode, opt.MaxOracleInsts, ranges)
 	}
@@ -372,8 +410,6 @@ func check(src string, opt Options) Result {
 	res.Reason = simRes.Reason.String()
 	res.Cycles = simRes.Cycles
 	res.Insts = simRes.Insts
-	sd := m.ArchDigest(ranges...)
-	res.SimDigest = hex.EncodeToString(sd[:])
 	if hub != nil {
 		snap := hub.Snapshot()
 		m.Perf().AddTo(snap)
@@ -381,6 +417,7 @@ func check(src string, opt Options) Result {
 	}
 
 	if opt.Tamper {
+		res.SimDigest = archDigest(m, ranges)
 		switch opt.TamperSite {
 		case SiteData:
 			return checkTamperData(res, m, simRes, p.DataBase&^63)
@@ -393,15 +430,27 @@ func check(src string, opt Options) Result {
 	if runErr != nil && simRes.Reason == sim.StopModelError {
 		res.Verdict = VerdictError
 		res.Divergence = "model error: " + runErr.Error()
+		res.SimDigest = archDigest(m, ranges)
 		return res
 	}
 	if d := compare(oracle, m, simRes, ranges); d != "" {
 		res.Verdict = VerdictDivergence
 		res.Divergence = d
+		res.SimDigest = archDigest(m, ranges)
 		return res
 	}
+	// compare has matched everything the digest hashes: both register files,
+	// the OUT log's (port, value) pairs and every window's bytes.
+	res.SimDigest = res.OracleDigest
 	res.Verdict = VerdictOK
 	return res
+}
+
+// archDigest is the hex state digest of the timed machine's committed
+// state over the digest windows.
+func archDigest(m *sim.Machine, ranges []interp.MemRange) string {
+	d := m.ArchDigest(ranges...)
+	return hex.EncodeToString(d[:])
 }
 
 // pacModeFor maps policy knobs to the architectural auth-failure mode, the
@@ -592,6 +641,16 @@ func compare(oracle *oracleState, m *sim.Machine, simRes sim.Result, ranges []in
 		}
 	}
 	for ri, rg := range ranges {
+		// Most windows match: compare them a page span at a time, and walk
+		// a window word by word only to describe its first difference.
+		want, off := oracle.mem[ri], uint64(0)
+		if m.Shadow.Spans(rg.Start, rg.Len, func(span []byte) bool {
+			same := bytes.Equal(span, want[off:off+uint64(len(span))])
+			off += uint64(len(span))
+			return same
+		}) {
+			continue
+		}
 		for off := uint64(0); off < rg.Len; off += 8 {
 			n := 8
 			if rg.Len-off < 8 {

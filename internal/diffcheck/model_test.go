@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"sync"
 	"testing"
@@ -89,7 +90,7 @@ func TestModelFingerprint(t *testing.T) {
 		if got := ModelFingerprint(pt); got != want {
 			t.Fatalf("ModelFingerprint(%v) = %s, want %s", pt, got, want)
 		}
-		if k := cacheKey("halt", Options{Policy: pt}.withDefaults()); k.Model != want {
+		if k := cacheKey(sha256.Sum256([]byte("halt")), Options{Policy: pt}.withDefaults()); k.Model != want {
 			t.Fatalf("cache key under %v carries model %q, want %s", pt, k.Model, want)
 		}
 	}

@@ -1,10 +1,8 @@
 package diffcheck
 
 import (
-	"crypto/sha256"
-	"sync"
-
 	"authpoint/internal/asm"
+	"authpoint/internal/campaign"
 	"authpoint/internal/cryptoengine/pacmac"
 	"authpoint/internal/interp"
 	"authpoint/internal/isa"
@@ -76,79 +74,15 @@ type oracleKey struct {
 	maxInsts uint64
 }
 
-// oracleEntry is one memo slot; ready closes when st is set (singleflight:
-// concurrent workers on the same seed wait instead of re-running).
-type oracleEntry struct {
-	ready chan struct{}
-	st    *oracleState
-}
-
 // OracleMemo memoizes in-order oracle runs across differential checks.
-// Sweeps share one memo across all cells; entries are evicted
-// oldest-inserted-first past the cap, which matches the seed-major cell
-// order of cross campaigns (all policies of a seed are adjacent). The memo
-// only serves checks with default digest windows (Options.Mutate unset) —
-// Check bypasses it otherwise. Safe for concurrent use.
-type OracleMemo struct {
-	mu     sync.Mutex
-	max    int
-	m      map[oracleKey]*oracleEntry
-	fifo   []oracleKey
-	hits   uint64
-	misses uint64
-}
-
-// DefaultOracleMemoCap bounds the memo: entries hold the data-segment and
-// stack snapshots of one run, so ~128 in-flight seeds is a few MB.
-const DefaultOracleMemoCap = 128
+// Sweeps share one memo across all cells, and each oracle run is a miss:
+// its Hits count the runs the memo saved. The memo only serves checks with
+// default digest windows (Options.Mutate unset); Check bypasses it
+// otherwise. Safe for concurrent use.
+type OracleMemo = campaign.Memo[oracleKey, *oracleState]
 
 // NewOracleMemo builds a memo holding at most cap entries (<=0 means
-// DefaultOracleMemoCap).
+// campaign.DefaultMemoCap).
 func NewOracleMemo(cap int) *OracleMemo {
-	if cap <= 0 {
-		cap = DefaultOracleMemoCap
-	}
-	return &OracleMemo{max: cap, m: make(map[oracleKey]*oracleEntry)}
-}
-
-// Hits and Misses report the memo's lifetime lookup counts. A hit is any
-// check that avoided an oracle run, including waiters on an in-flight run.
-func (om *OracleMemo) Hits() uint64 {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	return om.hits
-}
-
-func (om *OracleMemo) Misses() uint64 {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	return om.misses
-}
-
-// run returns the memoized oracle state for (src, mode, maxInsts), running
-// the oracle at most once per key even under concurrent lookups.
-func (om *OracleMemo) run(src string, p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []interp.MemRange) *oracleState {
-	key := oracleKey{prog: sha256.Sum256([]byte(src)), mode: mode, maxInsts: maxInsts}
-	om.mu.Lock()
-	if e, ok := om.m[key]; ok {
-		om.hits++
-		om.mu.Unlock()
-		<-e.ready
-		return e.st
-	}
-	om.misses++
-	e := &oracleEntry{ready: make(chan struct{})}
-	om.m[key] = e
-	om.fifo = append(om.fifo, key)
-	for len(om.fifo) > om.max {
-		// Evict the oldest key. In-flight evictees are fine: waiters hold the
-		// entry pointer, only the map forgets it.
-		delete(om.m, om.fifo[0])
-		om.fifo = om.fifo[1:]
-	}
-	om.mu.Unlock()
-
-	e.st = runOracle(p, mode, maxInsts, ranges)
-	close(e.ready)
-	return e.st
+	return campaign.NewMemo[oracleKey, *oracleState](cap)
 }

@@ -84,14 +84,20 @@ type SweepObs = campaign.SweepObs
 
 // Campaign is the fuzz campaign over cells as the campaign engine runs it:
 // each cell is checked with opt under the cell's policy and tamper site. It
-// attaches so's metrics sink when so collects metrics, and an oracle memo
-// when the cells repeat seeds and opt has none, so the policy-independent
-// oracle leg runs once per seed.
+// attaches so's metrics sink when so collects metrics. A seed memo, sized to
+// the cells' seeds, generates and digests each seed's program once and
+// assembles it at most once, for the first of its cells the result cache
+// does not serve. When the cells repeat seeds and opt has no oracle memo,
+// Campaign attaches one, so the policy-independent oracle leg runs once per
+// seed and pac-mode; it keeps the default cap, because its snapshots carry a
+// 64 KB stack.
 func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Result] {
 	if so != nil && so.CollectMetrics {
 		opt.MetricsSink = so.Sink
 	}
-	if opt.Oracle == nil && seedsRepeat(cells) {
+	seeds := campaign.Distinct(cells, func(c Cell) int64 { return c.Seed })
+	sources := campaign.NewMemo[int64, source](seeds)
+	if seeds < len(cells) && opt.Oracle == nil {
 		opt.Oracle = NewOracleMemo(0)
 	}
 	return campaign.Checker[Cell, Result]{
@@ -103,7 +109,8 @@ func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Re
 			o := opt
 			o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, c.Site
 			start := time.Now()
-			res, _ := CheckSeed(c.Seed, o)
+			res := checkSource(sources.Get(c.Seed, func() source { return newSource(GenProgram(c.Seed)) }), o)
+			res.Seed = c.Seed
 			rec.HostNs = time.Since(start).Nanoseconds()
 			rec.Verdict, rec.SimCycles, rec.Insts, rec.Cached = string(res.Verdict), res.Cycles, res.Insts, res.Cached
 			return res, nil
@@ -121,23 +128,10 @@ func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Re
 // a ledger doubles as a resume checkpoint), live progress, and merged
 // metrics; see campaign.Sweep.
 func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *SweepObs) ([]Result, []Finding, error) {
-	rep, err := campaign.Sweep(ctx, Campaign(opt, cells, so), cells, nil, parallelism, so)
+	rep, err := campaign.Sweep(ctx, Campaign(opt, cells, so), cells, nil, 0, parallelism, so)
 	var findings []Finding
 	for _, r := range rep.Findings {
 		findings = append(findings, Finding{Result: r, Source: GenProgram(r.Seed)})
 	}
 	return rep.Results, findings, err
-}
-
-// seedsRepeat reports whether any seed appears in more than one cell — the
-// shape under which an oracle memo pays for itself.
-func seedsRepeat(cells []Cell) bool {
-	seen := make(map[int64]bool, len(cells))
-	for _, c := range cells {
-		if seen[c.Seed] {
-			return true
-		}
-		seen[c.Seed] = true
-	}
-	return false
 }

@@ -136,7 +136,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 			return o, o.Err
 		},
 	}
-	rep, err := campaign.Sweep(ctx, bench, specs, nil, r.Parallelism, &campaign.SweepObs{Ledger: r.Ledger, Meter: r.Meter})
+	rep, err := campaign.Sweep(ctx, bench, specs, nil, 0, r.Parallelism, &campaign.SweepObs{Ledger: r.Ledger, Meter: r.Meter})
 	// Cells never run carry the context error, so callers can tell them from
 	// successes: the caller's, or Canceled when a failing cell cancelled the
 	// sweep.

@@ -3,17 +3,14 @@ package interp
 import (
 	"crypto/sha256"
 	"encoding/binary"
+
+	"authpoint/internal/mem"
 )
 
 // MemRange is one address window included in an architectural-state digest.
 type MemRange struct {
 	Start uint64
 	Len   uint64
-}
-
-// MemReader is the read access a digest needs; *mem.Memory satisfies it.
-type MemReader interface {
-	Read(addr uint64, n int) []byte
 }
 
 // digestVersion pins the digest encoding. Bump it if the layout below ever
@@ -25,8 +22,9 @@ const digestVersion = "authfuzz/state/v1"
 // memory windows — into a stable 256-bit digest. The in-order oracle and the
 // timed simulator hash with this same encoding, so equal digests mean equal
 // architectural state; recorded digests in .repro files stay comparable
-// across runs and machines.
-func DigestArchState(regs, fregs []uint64, outs []OutEvent, mem MemReader, ranges []MemRange) [32]byte {
+// across runs and machines. The windows are hashed in place, a page span at
+// a time.
+func DigestArchState(regs, fregs []uint64, outs []OutEvent, m *mem.Memory, ranges []MemRange) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
 	wr := func(v uint64) {
@@ -51,7 +49,10 @@ func DigestArchState(regs, fregs []uint64, outs []OutEvent, mem MemReader, range
 	for _, r := range ranges {
 		wr(r.Start)
 		wr(r.Len)
-		h.Write(mem.Read(r.Start, int(r.Len)))
+		m.Spans(r.Start, r.Len, func(span []byte) bool {
+			h.Write(span)
+			return true
+		})
 	}
 	var out [32]byte
 	h.Sum(out[:0])

@@ -140,6 +140,32 @@ func (m *Memory) ReadInto(dst []byte, addr uint64) {
 	}
 }
 
+// zeroPage is what a page never written reads as. Spans hands slices of it
+// to callers, which must not write to them.
+var zeroPage [PageSize]byte
+
+// Spans passes the n bytes starting at addr to fn one page span at a time,
+// in address order, without copying: a span of a page never written is a
+// slice of a shared all-zero page. It stops at the first call that returns
+// false and reports whether every call returned true. fn must neither
+// modify a span nor keep it past the call.
+func (m *Memory) Spans(addr, n uint64, fn func(span []byte) bool) bool {
+	for n > 0 {
+		off := addr & (PageSize - 1)
+		k := min(n, PageSize-off)
+		p := m.page(addr, false)
+		if p == nil {
+			p = zeroPage[:]
+		}
+		if !fn(p[off : off+k]) {
+			return false
+		}
+		addr += k
+		n -= k
+	}
+	return true
+}
+
 // Write stores data starting at addr, a page span at a time.
 func (m *Memory) Write(addr uint64, data []byte) {
 	for len(data) > 0 {

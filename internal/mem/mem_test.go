@@ -71,14 +71,27 @@ func TestQuickMemoryConsistency(t *testing.T) {
 	}
 }
 
-// Write, ReadInto and ReadUint copy whole page spans; they must agree with a
-// byte-at-a-time reference at any address and length, across page
-// boundaries and over pages that were never written (which read as zero).
+// spansEqual compares the memory at addr with want a page span at a time,
+// as the differential checker compares a digest window with the oracle's.
+func spansEqual(m *Memory, addr uint64, want []byte) bool {
+	off := 0
+	return m.Spans(addr, uint64(len(want)), func(span []byte) bool {
+		same := bytes.Equal(span, want[off:off+len(span)])
+		off += len(span)
+		return same
+	})
+}
+
+// Write, ReadInto, ReadUint and Spans work a page span at a time; they must
+// agree with a byte-at-a-time reference at any address and length, across
+// page boundaries and over pages that were never written (which read as
+// zero). A span compare must tell the window's bytes from the same bytes
+// with any one of them changed, also where the page was never written.
 func TestQuickPageSpanCopies(t *testing.T) {
 	const pages = 64
 	m := New()
 	ref := map[uint64]byte{}
-	f := func(write bool, wAddr, rAddr uint32, wLen, rLen uint16, fill byte, uPage, uBack, uLen uint8) bool {
+	f := func(write bool, wAddr, rAddr uint32, wLen, rLen uint16, fill byte, uPage, uBack, uLen uint8, flip uint16) bool {
 		if write {
 			addr := uint64(wAddr % (pages * PageSize))
 			data := make([]byte, int(wLen)%(2*PageSize))
@@ -98,6 +111,26 @@ func TestQuickPageSpanCopies(t *testing.T) {
 				return false
 			}
 		}
+		var spans []byte
+		next := addr
+		m.Spans(addr, uint64(len(got)), func(span []byte) bool {
+			if len(span) == 0 || uint64(len(span)) > PageSize-next%PageSize {
+				t.Errorf("span of %d bytes at %#x crosses a page or is empty", len(span), next)
+			}
+			next += uint64(len(span))
+			spans = append(spans, span...)
+			return true
+		})
+		if !bytes.Equal(spans, got) || !spansEqual(m, addr, got) {
+			return false
+		}
+		if len(got) > 0 {
+			i := int(flip) % len(got)
+			got[i] ^= 0x5a
+			if spansEqual(m, addr, got) {
+				return false
+			}
+		}
 		// ReadUint ends within 8 bytes past a page boundary, so it often
 		// straddles one.
 		addr = uint64(uPage%pages+1)*PageSize - uint64(uBack%9)
@@ -110,6 +143,41 @@ func TestQuickPageSpanCopies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A span compare over a three-page window that starts and ends mid-page,
+// across a written page between two never written, catches a one-byte
+// difference at every offset, and stops at the span that holds it.
+func TestSpansCompareEveryOffset(t *testing.T) {
+	m := New()
+	const start, n = PageSize + 100, 3 * PageSize
+	data := make([]byte, PageSize/2)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	m.Write(2*PageSize+200, data) // pages 1 and 3 stay unwritten
+	want := m.Read(start, n)
+	if !spansEqual(m, start, want) {
+		t.Fatal("span compare of a window with its own bytes failed")
+	}
+	spanOf := func(off int) int { return (start+off)/PageSize - start/PageSize }
+	for off := range want {
+		want[off] ^= 1
+		calls, at := 0, 0
+		same := m.Spans(start, n, func(span []byte) bool {
+			calls++
+			at += len(span)
+			return bytes.Equal(span, want[at-len(span):at])
+		})
+		want[off] ^= 1
+		if same || calls != spanOf(off)+1 {
+			t.Fatalf("one-byte difference at offset %d: equal=%v after %d spans, want unequal after %d",
+				off, same, calls, spanOf(off)+1)
+		}
+	}
+	if zeroPage != [PageSize]byte{} {
+		t.Fatal("the shared zero page was written")
 	}
 }
 
