@@ -11,7 +11,7 @@
 //	authbench -experiment fig7a -parallel 8    # pin the worker pool
 //	authbench -experiment fig8 -cpuprofile cpu.pprof     # profile the hot path
 //	authbench -experiment table2 -metrics                # per-policy stall/gap summaries
-//	authbench -experiment lattice                        # full composable-policy sweep -> BENCH_lattice.json
+//	authbench -experiment lattice                        # full composable-policy sweep
 //
 // Experiments: table1 table2 table3 fig6 fig7a fig7b fig7c fig7d fig8 fig9
 // fig10 fig11 fig12 fig13 ablations lattice all
@@ -47,7 +47,6 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
 		metrics    = flag.Bool("metrics", false, "collect per-cell metrics; print a per-scheme stall/gap summary after each experiment")
-		latticeOut = flag.String("lattice-out", "BENCH_lattice.json", "output path for the lattice experiment record")
 		teleOut    = flag.String("telemetry", "", "stream a JSONL run ledger (one record per sweep cell) to this path")
 		progress   = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
 	)
@@ -106,7 +105,6 @@ func main() {
 	p.Runner = sweepRunner
 	parallelism = *parallel
 
-	latticePath = *latticeOut
 	renderBars = *bars
 	start := time.Now()
 	for _, e := range strings.Split(*exp, ",") {
@@ -159,9 +157,6 @@ func observeProgress(p harness.Progress) {
 
 // renderBars switches sweep output to figure-style bar groups.
 var renderBars bool
-
-// latticePath is the -lattice-out flag.
-var latticePath string
 
 func renderSweep(w *os.File, sw *experiments.Sweep) {
 	if renderBars {
@@ -216,7 +211,7 @@ func runLeaf(name string, p experiments.Params) error {
 
 	case "lattice":
 		section("Lattice: normalized IPC across the composable control-point space")
-		return runLatticeExperiment(w, p, latticePath)
+		return runLatticeExperiment(w, p)
 
 	case "table1":
 		section("Table 1")

@@ -40,7 +40,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print cache/DRAM/auth statistics")
 		trace    = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file (single scheme only)")
 		traceCap = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
-		metrics  = flag.Bool("metrics", false, "print auth-latency/gap/occupancy histograms and event counters")
+		metrics  = flag.Bool("metrics", false, "print auth-latency/gap/occupancy histograms and the run's counters")
 	)
 	flag.Parse()
 	if *trace != "" && *scheme == "all" {
@@ -130,9 +130,7 @@ func main() {
 			report.Write(os.Stdout, m, res)
 		}
 		if *metrics {
-			snap := hub.Snapshot()
-			m.Perf().AddTo(snap)
-			report.WriteMetrics(os.Stdout, snap)
+			report.WriteMetrics(os.Stdout, m.Metrics(hub, nil))
 		}
 		if *trace != "" {
 			f, err := os.Create(*trace)

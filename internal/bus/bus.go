@@ -64,6 +64,7 @@ type Bus struct {
 	trace    []Event
 	tracing  bool
 	busy     uint64 // total core cycles of occupancy (utilization stat)
+	txns     uint64 // transactions issued
 	sink     obs.Sink
 }
 
@@ -122,6 +123,7 @@ func (b *Bus) Transact(now uint64, kind Kind, addr uint64, nbytes int) (addrDone
 	beats := (nbytes + b.cfg.BusBytes - 1) / b.cfg.BusBytes
 	dataDone = addrDone + uint64(beats)*cpb
 	b.busy += dataDone - start
+	b.txns++
 	b.nextFree = dataDone
 	if b.tracing {
 		b.trace = append(b.trace, Event{Cycle: addrDone, Addr: addr, Kind: kind, Bytes: nbytes})
@@ -155,6 +157,9 @@ func (b *Bus) ClearTrace() { b.trace = nil }
 
 // BusyCycles returns total core cycles of bus occupancy.
 func (b *Bus) BusyCycles() uint64 { return b.busy }
+
+// Txns returns how many transactions the bus has carried.
+func (b *Bus) Txns() uint64 { return b.txns }
 
 // NextFree returns the earliest cycle a new transaction could start.
 func (b *Bus) NextFree() uint64 { return b.nextFree }

@@ -77,6 +77,14 @@ func TestTracingToggleAndClear(t *testing.T) {
 	if len(b.Trace()) != 0 {
 		t.Error("clear failed")
 	}
+	// The transaction count covers untraced transactions too, and only a
+	// Reset zeroes it.
+	if n := b.Txns(); n != 2 {
+		t.Errorf("Txns = %d, want 2", n)
+	}
+	if err := b.Reset(Default()); err != nil || b.Txns() != 0 {
+		t.Errorf("after Reset: Txns = %d, err %v", b.Txns(), err)
+	}
 }
 
 func TestSmallTransfer(t *testing.T) {

@@ -79,8 +79,8 @@ type Options struct {
 	ObserveWatchdog bool
 	// MetricsSink, if set, receives each timed run's observability snapshot
 	// (two per check — run A and run B). It must be safe for concurrent
-	// use: sweeps call it from every worker. The hub shares the bus
-	// observer slot with the adversary collector through a tee, so the
+	// use: sweeps call it from every worker. The hub reads no bus event,
+	// so the adversary collector keeps the bus observer slot and the
 	// recorded view is unchanged. Cache hits produce no snapshot: nothing
 	// was simulated.
 	MetricsSink func(*obs.Snapshot)
@@ -148,15 +148,6 @@ func (c *busCollector) Emit(e obs.Event) {
 	if e.Kind == obs.EvBusTxn {
 		c.events = append(c.events, e)
 	}
-}
-
-// teeSink fans one component's events to two sinks, so the adversary's bus
-// collector and a metrics hub can share the single bus observer slot.
-type teeSink struct{ a, b obs.Sink }
-
-func (t teeSink) Emit(e obs.Event) {
-	t.a.Emit(e)
-	t.b.Emit(e)
 }
 
 // CheckSeed generates the secret-mode program for seed and checks it; it
@@ -392,23 +383,19 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 	// The view holds only values copied out of the machine, so a later run
 	// may rebuild it.
 	defer m.Release()
-	col := &busCollector{}
 	var hub *obs.Hub
 	if metricsSink != nil {
 		hub = obs.NewHub(nil, true)
 		m.SetObserver(hub)
 		m.EnablePerf()
-		// The bus observer slot is single; tee it so the hub still sees bus
-		// events while the adversary view records exactly what it always did.
-		m.Bus.SetObserver(teeSink{a: col, b: hub})
-	} else {
-		m.Bus.SetObserver(col)
 	}
+	// The hub reads no bus event, so the adversary's collector takes the
+	// bus observer slot.
+	col := &busCollector{}
+	m.Bus.SetObserver(col)
 	simRes, runErr := m.Run()
 	if hub != nil {
-		snap := hub.Snapshot()
-		m.Perf().AddTo(snap)
-		metricsSink(snap)
+		metricsSink(m.Metrics(hub, nil))
 	}
 	if runErr != nil && !(observeWatchdog && simRes.Reason == sim.StopWatchdog) {
 		return View{}, runErr

@@ -118,11 +118,12 @@ type Options struct {
 	// shrink candidates fail fast.
 	WatchdogCycles uint64
 	// MetricsSink, if set, receives the timed run's observability snapshot
-	// (hub metrics + fast-path perf counters). It must be safe for
-	// concurrent use: sweeps call it from every worker. Attaching the
-	// observer does not change the Result — the fast path is pinned
-	// cycle-identical with a hub attached — so replay files stay valid.
-	// Cache hits produce no snapshot: nothing was simulated.
+	// (sim.Machine.Metrics: hub metrics, counts and fast-path perf
+	// counters). It must be safe for concurrent use: sweeps call it from
+	// every worker. Attaching the observer does not change the Result —
+	// the fast path is pinned cycle-identical with a hub attached — so
+	// replay files stay valid. Cache hits produce no snapshot: nothing was
+	// simulated.
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: Check consults it before
 	// simulating and records fresh results into it, keyed on (CheckSchema,
@@ -411,9 +412,7 @@ func check(pr program, opt Options) Result {
 	res.Cycles = simRes.Cycles
 	res.Insts = simRes.Insts
 	if hub != nil {
-		snap := hub.Snapshot()
-		m.Perf().AddTo(snap)
-		opt.MetricsSink(snap)
+		opt.MetricsSink(m.Metrics(hub, nil))
 	}
 
 	if opt.Tamper {

@@ -23,8 +23,8 @@ type Spec struct {
 	// MeasureInsts is the measured window length.
 	MeasureInsts uint64
 	// Metrics attaches a metrics hub for the measured window, filling
-	// Measurement.Metrics with counters and the auth-latency / decrypt→auth
-	// gap / queue-occupancy histograms.
+	// Measurement.Metrics with the window's counts and the auth-latency /
+	// decrypt→auth gap / queue-occupancy histograms.
 	Metrics bool
 }
 
@@ -81,18 +81,16 @@ func Measure(spec Spec) (Measurement, error) {
 	}
 	warmCycles, warmInsts := res.Cycles, res.Insts
 
-	// The measured window starts with warm caches but cold counters, so
-	// reported miss ratios exclude cold-start fills; the metrics hub (when
-	// requested) attaches here for the same reason.
-	m.MS.ResetCacheStats()
+	// The measured window starts with warm caches, so its metrics exclude
+	// cold-start fills: the hub and the perf counters attach here, and the
+	// window's counts are the run's minus those read here.
 	var hub *obs.Hub
-	var perf *obs.Perf
+	var base sim.Counts
 	if spec.Metrics {
 		hub = obs.NewHub(nil, true)
 		m.SetObserver(hub)
-		// Perf counters start here too, so fastpath.* counters cover the
-		// measured window only, like every other metric.
-		perf = m.EnablePerf()
+		m.EnablePerf()
+		base = m.Counts()
 	}
 
 	m.Cfg.MaxInsts = spec.WarmupInsts + spec.MeasureInsts
@@ -116,8 +114,7 @@ func Measure(spec Spec) (Measurement, error) {
 		out.IPC = float64(mi) / float64(mc)
 	}
 	if hub != nil {
-		out.Metrics = hub.Snapshot()
-		perf.AddTo(out.Metrics)
+		out.Metrics = m.Metrics(hub, base)
 	}
 	return out, nil
 }

@@ -20,19 +20,19 @@ const (
 	MetricAuthGap       = "auth.gap"             // decrypt-ready→auth-done, cycles
 	MetricAuthOccupancy = "auth.queue_occupancy" // queue depth at each enqueue
 	MetricSkipLen       = "fastforward.skip_len" // cycles per fast-forward jump
-	MetricSkips         = "fastforward.skips"    // fast-forward jumps taken
-	MetricSkippedCycles = "fastforward.skipped_cycles"
 )
 
 // Hub is the standard Sink: it fans events into an optional ring Tracer and
-// derives the metrics registry (counters per event class, the auth-latency /
-// decrypt→auth-gap / queue-occupancy histograms, and per-reason stall cycle
-// totals). A Hub observes exactly one machine and is not safe for concurrent
-// use.
+// derives the metrics that only the event stream shows — the auth-latency,
+// decrypt→auth-gap, queue-occupancy and fast-forward skip-length
+// histograms, and how many stall intervals opened per reason. Every count
+// a component keeps itself (commits, fetches, cache hits, stall cycles, …)
+// is read from that component, not re-derived here (see sim.Machine.Counts).
+// A Hub observes exactly one machine and is not safe for concurrent use.
 type Hub struct {
 	tracer *Tracer
-	reg    *Registry
 
+	// The histograms are nil when metrics are off.
 	authLat *Histogram
 	authGap *Histogram
 	authOcc *Histogram
@@ -46,19 +46,7 @@ type Hub struct {
 	outstanding []uint64
 	outHead     int
 
-	stallBegin  [NumStallReasons]uint64
-	stallOpen   [NumStallReasons]bool
-	stallCycles [NumStallReasons]*Counter
-	stallEvents [NumStallReasons]*Counter
-
-	kindCounters [numKinds]*Counter
-	cacheHits    [numTracks]*Counter
-	cacheMisses  [numTracks]*Counter
-
-	skippedCycles *Counter
-	skipBound     [NumSkipBounds]*Counter
-
-	lastCycle uint64
+	stallEvents [NumStallReasons]uint64
 }
 
 // NewHub builds a hub. tracer may be nil (metrics only); metrics may be
@@ -66,30 +54,10 @@ type Hub struct {
 func NewHub(tracer *Tracer, metrics bool) *Hub {
 	h := &Hub{tracer: tracer}
 	if metrics {
-		h.reg = NewRegistry()
-		h.authLat = h.reg.Histogram(MetricAuthLatency, CycleBuckets)
-		h.authGap = h.reg.Histogram(MetricAuthGap, CycleBuckets)
-		h.authOcc = h.reg.Histogram(MetricAuthOccupancy, OccupancyBuckets)
-		for r := StallReason(0); r < NumStallReasons; r++ {
-			h.stallCycles[r] = h.reg.Counter("stall." + r.String() + ".cycles")
-			h.stallEvents[r] = h.reg.Counter("stall." + r.String() + ".events")
-		}
-		for _, k := range []Kind{EvFetch, EvDispatch, EvIssue, EvCommit, EvSquash} {
-			h.kindCounters[k] = h.reg.Counter("pipe." + k.String())
-		}
-		h.kindCounters[EvAuthRequest] = h.reg.Counter("auth.requests")
-		h.kindCounters[EvAuthComplete] = h.reg.Counter("auth.completes")
-		h.kindCounters[EvAuthFail] = h.reg.Counter("auth.failures")
-		h.kindCounters[EvSecFetch] = h.reg.Counter("sec.fetches")
-		h.kindCounters[EvWriteBack] = h.reg.Counter("sec.writebacks")
-		h.kindCounters[EvBusTxn] = h.reg.Counter("bus.txns")
-		h.kindCounters[EvCryptOp] = h.reg.Counter("crypto.ops")
-		h.kindCounters[EvSkip] = h.reg.Counter(MetricSkips)
-		h.skippedCycles = h.reg.Counter(MetricSkippedCycles)
-		h.skipLen = h.reg.Histogram(MetricSkipLen, CycleBuckets)
-		for b := SkipBound(0); b < NumSkipBounds; b++ {
-			h.skipBound[b] = h.reg.Counter("fastforward.bound." + b.String() + ".cycles")
-		}
+		h.authLat = NewHistogram(MetricAuthLatency, CycleBuckets)
+		h.authGap = NewHistogram(MetricAuthGap, CycleBuckets)
+		h.authOcc = NewHistogram(MetricAuthOccupancy, OccupancyBuckets)
+		h.skipLen = NewHistogram(MetricSkipLen, CycleBuckets)
 	}
 	return h
 }
@@ -102,18 +70,8 @@ func (h *Hub) Emit(e Event) {
 	if h.tracer != nil {
 		h.tracer.Emit(e)
 	}
-	if e.Cycle > h.lastCycle {
-		h.lastCycle = e.Cycle
-	}
-	if h.reg == nil {
+	if h.authLat == nil {
 		return
-	}
-	if c := h.kindCounters[e.Kind]; c != nil {
-		if e.Kind == EvSquash {
-			c.Add(e.A)
-		} else {
-			c.Inc()
-		}
 	}
 	switch e.Kind {
 	case EvAuthRequest:
@@ -141,52 +99,24 @@ func (h *Hub) Emit(e Event) {
 		}
 		h.authGap.Observe(gap)
 	case EvStallBegin:
-		r := StallReason(e.A)
-		h.stallBegin[r] = e.Cycle
-		h.stallOpen[r] = true
-		h.stallEvents[r].Inc()
-	case EvStallEnd:
-		r := StallReason(e.A)
-		if h.stallOpen[r] {
-			h.stallCycles[r].Add(e.Cycle - h.stallBegin[r])
-			h.stallOpen[r] = false
-		}
-	case EvFetchGateWait:
-		h.reg.Counter("sec.fetch_gate_wait_cycles").Add(e.A)
+		h.stallEvents[e.A]++
 	case EvSkip:
-		h.skippedCycles.Add(e.A)
 		h.skipLen.Observe(e.A)
-		if b := SkipBound(e.B); b < NumSkipBounds {
-			h.skipBound[b].Add(e.A)
-		}
-	case EvCacheHit, EvCacheMiss:
-		hits, misses := h.cacheHits[e.Track], h.cacheMisses[e.Track]
-		if hits == nil {
-			name := "cache." + e.Track.String()
-			hits = h.reg.Counter(name + ".hits")
-			misses = h.reg.Counter(name + ".misses")
-			h.cacheHits[e.Track], h.cacheMisses[e.Track] = hits, misses
-		}
-		if e.Kind == EvCacheHit {
-			hits.Inc()
-		} else {
-			misses.Inc()
-		}
 	}
 }
 
-// Snapshot freezes the metrics (nil when the hub has metrics disabled).
-// Stall intervals still open are closed at the newest cycle the hub has
-// seen, so a run that ends mid-stall is charged the observed span.
+// Snapshot freezes the metrics (nil when the hub has metrics disabled): the
+// four histograms and a stall.<reason>.events counter per stall reason.
 func (h *Hub) Snapshot() *Snapshot {
-	if h.reg == nil {
+	if h.authLat == nil {
 		return nil
 	}
-	s := h.reg.Snapshot()
-	for r := StallReason(0); r < NumStallReasons; r++ {
-		if h.stallOpen[r] && h.lastCycle > h.stallBegin[r] {
-			s.Counters["stall."+r.String()+".cycles"] += h.lastCycle - h.stallBegin[r]
-		}
+	s := &Snapshot{Counters: map[string]uint64{}, Histograms: map[string]HistSnapshot{}}
+	for _, hist := range []*Histogram{h.authLat, h.authGap, h.authOcc, h.skipLen} {
+		s.Histograms[hist.Name] = hist.snapshot()
+	}
+	for r, n := range h.stallEvents {
+		s.Counters["stall."+StallReason(r).String()+".events"] = n
 	}
 	return s
 }

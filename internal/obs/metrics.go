@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	Name string
-	V    uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.V += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.V++ }
-
 // Histogram is a fixed-bucket histogram of uint64 samples. Bucket i counts
 // samples v <= Bounds[i]; one implicit overflow bucket catches the rest.
 // Fixed bounds keep observation O(log buckets), snapshots mergeable, and the
@@ -63,73 +51,20 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.N)
 }
 
-// Registry is a deterministic-order collection of counters and histograms.
-// Lookups are by name; iteration (and Snapshot) preserve registration order.
-type Registry struct {
-	counters []*Counter
-	hists    []*Histogram
-	byName   map[string]any
+// snapshot freezes the histogram.
+func (h *Histogram) snapshot() HistSnapshot {
+	return HistSnapshot{
+		Bounds: append([]uint64(nil), h.Bounds...),
+		Counts: append([]uint64(nil), h.Counts...),
+		Sum:    h.Sum,
+		Count:  h.N,
+		Max:    h.Max,
+	}
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]any{}}
-}
-
-// Counter returns the named counter, registering it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if v, ok := r.byName[name]; ok {
-		c, ok := v.(*Counter)
-		if !ok {
-			panic("obs: " + name + " registered as a histogram")
-		}
-		return c
-	}
-	c := &Counter{Name: name}
-	r.counters = append(r.counters, c)
-	r.byName[name] = c
-	return c
-}
-
-// Histogram returns the named histogram, registering it with the given
-// bounds on first use.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	if v, ok := r.byName[name]; ok {
-		h, ok := v.(*Histogram)
-		if !ok {
-			panic("obs: " + name + " registered as a counter")
-		}
-		return h
-	}
-	h := NewHistogram(name, bounds)
-	r.hists = append(r.hists, h)
-	r.byName[name] = h
-	return h
-}
-
-// Snapshot freezes the registry into a serializable, mergeable value.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Counters:   map[string]uint64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	for _, c := range r.counters {
-		s.Counters[c.Name] = c.V
-	}
-	for _, h := range r.hists {
-		s.Histograms[h.Name] = HistSnapshot{
-			Bounds: append([]uint64(nil), h.Bounds...),
-			Counts: append([]uint64(nil), h.Counts...),
-			Sum:    h.Sum,
-			Count:  h.N,
-			Max:    h.Max,
-		}
-	}
-	return s
-}
-
-// Snapshot is the JSON-friendly frozen form of a metrics registry; it is
-// what harness outcomes and the -json sweep record carry per cell.
+// Snapshot is the JSON-friendly frozen form of a run's metrics: named
+// counters and histograms. It is what harness outcomes and campaign
+// metrics carry per cell.
 type Snapshot struct {
 	Counters   map[string]uint64       `json:"counters,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`

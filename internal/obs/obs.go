@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a cycle-stamped event
 // sink wired through every timed component (pipeline, secure memory
-// controller, bus, caches, crypto engine), a metrics registry of counters and
-// fixed-bucket histograms, and a bounded ring-buffer tracer with
+// controller, bus, caches, crypto engine), fixed-bucket histograms and the
+// mergeable metrics snapshot, and a bounded ring-buffer tracer with
 // Chrome/Perfetto trace-event JSON export.
 //
 // The paper's argument is about *when* authentication completes relative to
@@ -77,8 +77,6 @@ const (
 	// component's NextEventAt bounded the jump). Emitted only on the fast
 	// path; the reference loop ticks through the same cycles one by one.
 	EvSkip
-
-	numKinds
 )
 
 func (k Kind) String() string {

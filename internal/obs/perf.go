@@ -122,10 +122,3 @@ func (p *Perf) AddTo(s *Snapshot) {
 		}
 	}
 }
-
-// Snapshot freezes the counters into a standalone snapshot.
-func (p *Perf) Snapshot() *Snapshot {
-	s := &Snapshot{Counters: map[string]uint64{}}
-	p.AddTo(s)
-	return s
-}

@@ -17,7 +17,8 @@ func TestPerfAddToNames(t *testing.T) {
 	p.SkipBoundCycles[BoundDram] = 400
 	p.SkipBoundCycles[BoundSecmem] = 100
 
-	s := p.Snapshot()
+	s := &Snapshot{}
+	p.AddTo(s)
 	want := map[string]uint64{
 		"fastpath.uop.hits":                 10,
 		"fastpath.uop.misses":               2,
@@ -55,7 +56,8 @@ func TestPerfAddToNames(t *testing.T) {
 }
 
 func TestPerfAddToNilBoundsOmitted(t *testing.T) {
-	s := (&Perf{SkipCalls: 1}).Snapshot()
+	s := &Snapshot{}
+	(&Perf{SkipCalls: 1}).AddTo(s)
 	for name := range s.Counters {
 		if len(name) > len("fastpath.skip.bound.") && name[:len("fastpath.skip.bound.")] == "fastpath.skip.bound." {
 			t.Errorf("zero-valued bound counter %s recorded", name)

@@ -413,6 +413,15 @@ func (c *Controller) Memory() *mem.Memory { return c.mem }
 // such as counter rollback in replay experiments).
 func (c *Controller) Encryptor() *ctr.Engine { return c.enc }
 
+// Caches returns the counter cache and the tree-node cache, each nil when
+// the configuration has none (stats inspection).
+func (c *Controller) Caches() (ctr, tree *cache.Cache) {
+	if c.tree != nil {
+		tree = c.treeCache
+	}
+	return c.ctrCache, tree
+}
+
 // Tree exposes the MAC tree when UseTree is enabled (attack experiments
 // tamper its node storage, which models untrusted external memory).
 func (c *Controller) Tree() *mactree.Tree { return c.tree }
@@ -762,9 +771,6 @@ func (c *Controller) verifyLine(lineAddr uint64, leaf int, ct []byte) (ok bool, 
 			return false // leaf digests are never implicitly trusted
 		}
 		_, hit := c.treeCache.Access(c.treeNodeAddr(id), false)
-		if hit {
-			c.stats.TreeCacheHits++
-		}
 		return hit
 	}
 	okv, visited := c.tree.VerifyLeaf(leaf, msg, trusted)
@@ -840,10 +846,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 	padStart := start
 	if c.ctrCache != nil {
 		key := c.ctrKey(lineAddr)
-		if _, hit := c.ctrCache.Access(key, false); hit {
-			c.stats.CtrHits++
-		} else {
-			c.stats.CtrMisses++
+		if _, hit := c.ctrCache.Access(key, false); !hit {
 			// Fetch the counter block; without prediction, pads wait for
 			// it. With [19]-style prediction the pad starts immediately
 			// from the predicted counter and the fetched block only
@@ -1101,10 +1104,18 @@ func (c *Controller) NextEventAt(now uint64) uint64 {
 	return ^uint64(0)
 }
 
-// Stats returns a copy of the counters (remap stats and crypto work folded
-// in).
+// Stats returns a copy of the counters, with the counter-cache,
+// tree-node-cache and re-map lookups read from those caches and the
+// crypto work folded in.
 func (c *Controller) Stats() Stats {
 	s := c.stats
+	if c.ctrCache != nil {
+		cs := c.ctrCache.Stats()
+		s.CtrHits, s.CtrMisses = cs.Hits, cs.Misses
+	}
+	if c.tree != nil {
+		s.TreeCacheHits = c.treeCache.Stats().Hits
+	}
 	if c.remap != nil {
 		s.RemapHits = c.remap.hits
 		s.RemapMisses = c.remap.misses

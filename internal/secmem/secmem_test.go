@@ -601,11 +601,17 @@ func TestTreeModeTamperAndCacheWarmup(t *testing.T) {
 		t.Fatal("first fetch failed")
 	}
 	fetchesAfterFirst := r.ctrl.Stats().TreeNodeFetch
+	if h := r.ctrl.Stats().TreeCacheHits; h != 0 {
+		t.Fatalf("cold node cache reported %d hits", h)
+	}
 	// Second fetch of a neighbour line: shares the path; cached nodes cut
 	// the walk short.
 	res2, _ := r.ctrl.Fetch(res1.AuthDone, 0x1040, 0)
 	if !res2.AuthOK {
 		t.Fatal("second fetch failed")
+	}
+	if h := r.ctrl.Stats().TreeCacheHits; h == 0 {
+		t.Fatal("shared path found no node in the node cache")
 	}
 	if r.ctrl.Stats().TreeNodeFetch-fetchesAfterFirst >= fetchesAfterFirst {
 		t.Fatalf("tree cache did not shorten second walk: first=%d second=%d",

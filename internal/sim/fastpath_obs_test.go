@@ -121,7 +121,7 @@ func TestSlowPathObserverNonPerturbing(t *testing.T) {
 // checkPerfConsistent cross-checks the inline perf counters against the
 // hub's event-derived view of the same machinery: total skipped cycles must
 // agree between Core.SkipTo accounting, the per-bound attribution, and the
-// EvSkip events the hub folded into its counters.
+// EvSkip events the hub folded into its skip-length histogram.
 func checkPerfConsistent(t *testing.T, snap *obs.Snapshot, perf *obs.Perf) {
 	t.Helper()
 	var boundSum uint64
@@ -134,11 +134,12 @@ func checkPerfConsistent(t *testing.T, snap *obs.Snapshot, perf *obs.Perf) {
 	if snap == nil {
 		t.Fatal("metrics hub returned no snapshot")
 	}
-	if hubSkip := snap.Counters[obs.MetricSkippedCycles]; hubSkip != perf.SkipCycles {
-		t.Errorf("hub saw %d skipped cycles, perf counted %d", hubSkip, perf.SkipCycles)
+	skips := snap.Histograms[obs.MetricSkipLen]
+	if skips.Sum != perf.SkipCycles {
+		t.Errorf("hub saw %d skipped cycles, perf counted %d", skips.Sum, perf.SkipCycles)
 	}
-	if hubSkips := snap.Counters[obs.MetricSkips]; hubSkips != perf.SkipCalls {
-		t.Errorf("hub saw %d skips, perf counted %d", hubSkips, perf.SkipCalls)
+	if skips.Count != perf.SkipCalls {
+		t.Errorf("hub saw %d skips, perf counted %d", skips.Count, perf.SkipCalls)
 	}
 	if perf.Wakes+perf.StaleWakes != perf.ConsumerVisits {
 		t.Errorf("wakeup accounting leak: wakes %d + stale %d != visits %d",

@@ -123,7 +123,7 @@ type MemSystem struct {
 
 	// Stats.
 	SBFullRejects uint64
-	FetchGateWait uint64 // cycles external fetches waited on then-fetch
+	FetchGateWait uint64 // cycles external fetches (prefetches too) waited on then-fetch
 	Prefetches    uint64
 }
 
@@ -288,16 +288,13 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		if ms.cfg.FetchDrain {
 			tag = ms.ctrl.LastRequestAt(t)
 		}
-		gate, _ := ms.ctrl.DoneAt(tag)
-		if gate > t {
-			ms.FetchGateWait += gate - t
-		}
-		constraint = gate
+		constraint, _ = ms.ctrl.DoneAt(tag)
 	}
 	res, ferr := ms.ctrl.Fetch(t, l2Line, constraint)
 	if ferr != nil {
 		return 0, lineInfo{}, ferr
 	}
+	ms.noteGateWait(t, constraint)
 	usable := res.PlainReady
 	if ms.cfg.UseAtAuth && ms.ctrl.Config().Authenticate {
 		usable = max(usable, res.AuthDone)
@@ -334,6 +331,16 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		ms.prefetch(now, l2Line+uint64(ms.cfg.L2LineB), constraint)
 	}
 	return usable, info, nil
+}
+
+// noteGateWait counts the cycles a fetch the controller accepted at cycle t
+// waited for its bus grant at gate. A fetch the controller refuses (an
+// unprotected line, such as a wrong-path fetch past the text) never
+// reaches the bus, so it waits for nothing.
+func (ms *MemSystem) noteGateWait(t, gate uint64) {
+	if gate > t {
+		ms.FetchGateWait += gate - t
+	}
 }
 
 // mshrAdmit models a bounded miss-register file: prune fills that complete
@@ -374,6 +381,7 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 	if err != nil {
 		return
 	}
+	ms.noteGateWait(now, constraint)
 	usable := res.PlainReady
 	if ms.cfg.UseAtAuth && ms.ctrl.Config().Authenticate {
 		usable = max(usable, res.AuthDone)
