@@ -196,31 +196,32 @@ type Victim struct {
 }
 
 // Fill installs addr's line (after a miss), evicting the LRU way. It returns
-// the filled line and, if a valid line was displaced, its identity. write
-// marks the new line dirty.
-func (c *Cache) Fill(addr uint64, write bool) (*Line, *Victim) {
+// the filled line, the displaced line's identity and whether a valid line
+// was displaced (by value: a fill must not allocate). write marks the new
+// line dirty.
+func (c *Cache) Fill(addr uint64, write bool) (l *Line, victim Victim, evicted bool) {
 	set, tag := c.index(addr)
 	if bit := uint64(1) << (set & 63); c.filledBits[set>>6]&bit == 0 {
 		c.filledBits[set>>6] |= bit
 		c.filled = append(c.filled, int32(set))
 	}
 	way := c.order[set][c.cfg.Ways-1]
-	l := &c.lines[set][way]
-	var ev *Victim
+	l = &c.lines[set][way]
 	if l.Valid {
 		c.stats.Evictions++
-		ev = &Victim{
+		victim = Victim{
 			Addr:  (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineB),
 			Dirty: l.Dirty,
 			Aux:   l.Aux,
 		}
+		evicted = true
 		if l.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	*l = Line{Tag: tag, Valid: true, Dirty: write && c.cfg.WriteBck}
 	c.touch(set, way)
-	return l, ev
+	return l, victim, evicted
 }
 
 // Invalidate drops addr's line if present, returning its prior state.

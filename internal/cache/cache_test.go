@@ -61,8 +61,8 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 	if !hit || !l.Dirty {
 		t.Fatal("write hit should mark dirty")
 	}
-	_, ev := c.Fill(0x400, false) // same set, evicts 0x0
-	if ev == nil || !ev.Dirty || ev.Addr != 0 {
+	_, ev, evicted := c.Fill(0x400, false) // same set, evicts 0x0
+	if !evicted || !ev.Dirty || ev.Addr != 0 {
 		t.Fatalf("eviction %+v", ev)
 	}
 	s := c.Stats()
@@ -74,8 +74,8 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	c := dmCache(t)
 	c.Fill(0x0, false)
-	_, ev := c.Fill(0x400, false)
-	if ev == nil || ev.Dirty {
+	_, ev, evicted := c.Fill(0x400, false)
+	if !evicted || ev.Dirty {
 		t.Fatalf("eviction %+v", ev)
 	}
 	if c.Stats().Writebacks != 0 {
@@ -90,8 +90,8 @@ func TestLRUOrder(t *testing.T) {
 		c.Fill(i*32, false)
 	}
 	c.Access(0, false) // line 0 MRU
-	_, ev := c.Fill(4*32, false)
-	if ev == nil || ev.Addr != 1*32 {
+	_, ev, evicted := c.Fill(4*32, false)
+	if !evicted || ev.Addr != 1*32 {
 		t.Fatalf("evicted %+v, want line at 0x20", ev)
 	}
 	if _, hit := c.Access(0, false); !hit {
@@ -109,9 +109,9 @@ func TestVictimAddressReconstruction(t *testing.T) {
 		setStride := uint64(c.Config().SizeB / c.Config().Ways)
 		var got *Victim
 		for i := uint64(1); i <= uint64(c.Config().Ways); i++ {
-			_, ev := c.Fill(a+i*setStride, false)
-			if ev != nil && ev.Addr == la {
-				got = ev
+			_, ev, evicted := c.Fill(a+i*setStride, false)
+			if evicted && ev.Addr == la {
+				got = &ev
 			}
 		}
 		if got == nil {
@@ -128,8 +128,8 @@ func TestProbeDoesNotTouch(t *testing.T) {
 	c.Fill(0, false)
 	c.Fill(64, false) // same set; LRU = line 0
 	c.Probe(0)        // must NOT promote line 0
-	_, ev := c.Fill(128, false)
-	if ev == nil || ev.Addr != 0 {
+	_, ev, evicted := c.Fill(128, false)
+	if !evicted || ev.Addr != 0 {
 		t.Fatalf("probe disturbed LRU: evicted %+v", ev)
 	}
 	if c.Stats().Hits != 0 || c.Stats().Misses != 0 {
@@ -170,14 +170,14 @@ func TestInvalidateAll(t *testing.T) {
 
 func TestAuxRoundTrip(t *testing.T) {
 	c := dmCache(t)
-	l, _ := c.Fill(0x80, false)
+	l, _, _ := c.Fill(0x80, false)
 	l.Aux = 42
 	got, hit := c.Access(0x80, false)
 	if !hit || got.Aux != 42 {
 		t.Error("Aux lost")
 	}
 	c.Fill(0x480, false) // evict
-	l2, _ := c.Fill(0x80, false)
+	l2, _, _ := c.Fill(0x80, false)
 	if l2.Aux != 0 {
 		t.Error("Aux leaked across refill")
 	}
@@ -196,8 +196,7 @@ func TestQuickHitConsistency(t *testing.T) {
 			return false // hit on never-filled line
 		}
 		if doFill && !hit {
-			_, ev := c.Fill(addr, false)
-			if ev != nil {
+			if _, ev, evicted := c.Fill(addr, false); evicted {
 				delete(resident, ev.Addr)
 			}
 			resident[la] = true
@@ -308,13 +307,13 @@ func checkAgainstReference(t *testing.T, cfg Config) {
 			return false
 		}
 		if !hit {
-			_, ev := c.Fill(addr, write)
+			_, ev, evicted := c.Fill(addr, write)
 			refEv := r.fill(addr, write)
-			if (ev == nil) != (refEv == nil) {
+			if evicted != (refEv != nil) {
 				t.Logf("addr %#x: eviction presence mismatch", addr)
 				return false
 			}
-			if ev != nil && (ev.Addr != refEv.addr || ev.Dirty != refEv.dirty) {
+			if evicted && (ev.Addr != refEv.addr || ev.Dirty != refEv.dirty) {
 				t.Logf("addr %#x: victim (%#x,%v) ref (%#x,%v)", addr, ev.Addr, ev.Dirty, refEv.addr, refEv.dirty)
 				return false
 			}

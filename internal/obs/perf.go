@@ -11,7 +11,8 @@
 //
 // Unlike the event-driven Hub metrics, Perf fields are plain uint64s bumped
 // inline — no Event allocation, no interface call — because several sites
-// (fetch, broadcast, disambiguation) run once or more per simulated cycle.
+// (fetch, broadcast, issue, disambiguation) run once or more per simulated
+// cycle.
 
 package obs
 
@@ -75,6 +76,10 @@ type Perf struct {
 	StaleWakes     uint64
 	Wakes          uint64
 
+	// Ready-mask issue scan: RUU entries the issue stage visited (entries
+	// it could act on, up to the issue-width cut-off).
+	IssueVisits uint64
+
 	// earliestDone watermark: writeback scans performed, and the subset that
 	// were full rescans after a squash invalidated the watermark (squashAfter
 	// sets it to 0 = "unknown, recompute").
@@ -111,6 +116,7 @@ func (p *Perf) AddTo(s *Snapshot) {
 	c["fastpath.wakeup.visits"] += p.ConsumerVisits
 	c["fastpath.wakeup.stale"] += p.StaleWakes
 	c["fastpath.wakeup.wakes"] += p.Wakes
+	c["fastpath.issue.visits"] += p.IssueVisits
 	c["fastpath.writeback.scans"] += p.WritebackScans
 	c["fastpath.writeback.rescans"] += p.WatermarkRescans
 	c["fastpath.disamb.shortcircuit"] += p.DisambShortCircuits

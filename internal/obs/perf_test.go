@@ -11,7 +11,7 @@ func TestPerfAddToNames(t *testing.T) {
 		UopHits: 10, UopMisses: 2, UopNoCache: 1,
 		SkipCalls: 5, SkipCycles: 500,
 		Broadcasts: 7, ConsumerVisits: 20, StaleWakes: 3, Wakes: 17,
-		WritebackScans: 9, WatermarkRescans: 4,
+		IssueVisits: 12, WritebackScans: 9, WatermarkRescans: 4,
 		DisambShortCircuits: 6, DisambScans: 2, DisambVisits: 11,
 	}
 	p.SkipBoundCycles[BoundDram] = 400
@@ -29,6 +29,7 @@ func TestPerfAddToNames(t *testing.T) {
 		"fastpath.wakeup.visits":            20,
 		"fastpath.wakeup.stale":             3,
 		"fastpath.wakeup.wakes":             17,
+		"fastpath.issue.visits":             12,
 		"fastpath.writeback.scans":          9,
 		"fastpath.writeback.rescans":        4,
 		"fastpath.disamb.shortcircuit":      6,

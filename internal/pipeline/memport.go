@@ -15,7 +15,6 @@ type DataRead struct {
 	Ready    uint64 // cycle the value is usable by dependents
 	AuthIdx  uint64 // authentication request covering the D-line (0 = none)
 	AuthDone uint64
-	Fault    bool // address not mapped
 }
 
 // MemPort is the pipeline's window onto the memory system (caches, secure
@@ -28,9 +27,10 @@ type MemPort interface {
 	// completed (Section 4.2.4's LastRequest-register variant).
 	FetchInst(now uint64, addr uint64, fetchTag uint64) InstFetch
 
-	// ReadData performs a timed load of size bytes at addr. fetchTag is the
-	// LastRequest value captured when the load issued; authen-then-fetch
-	// holds the external fetch until it completes.
+	// ReadData performs a timed load of size bytes at addr, which ValidAddr
+	// has accepted. fetchTag is the LastRequest value captured when the
+	// load issued; authen-then-fetch holds the external fetch until it
+	// completes.
 	ReadData(now uint64, addr uint64, size int, fetchTag uint64) DataRead
 
 	// CommitStore retires a store into the post-commit store buffer,

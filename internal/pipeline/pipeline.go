@@ -197,7 +197,7 @@ type Stats struct {
 	// Stall accounting (cycles in which the stage was blocked for the
 	// given reason while work was available).
 	CommitAuthStall uint64 // authen-then-commit head waiting for verification
-	IssueAuthStall  uint64 // authen-then-issue entries held back
+	IssueAuthStall  uint64 // authen-then-issue holding an operand-ready entry
 	SBFullStall     uint64 // store buffer full at commit
 }
 
@@ -237,16 +237,25 @@ type Core struct {
 	nextSeq uint64
 	now     uint64
 
-	waiting      int    // RUU entries in stWaiting (skip issue scan when 0)
 	inflight     int    // RUU entries in stIssued
 	earliestDone uint64 // lower bound on the next completion cycle
 
-	// Occupancy bitmaps over RUU slots, one bit per slot: which entries are
-	// waiting to issue, issued but not complete, and stores (any state).
-	// Stage scans iterate set bits in ring age order instead of walking the
-	// whole window, so a full 128-entry RUU with three waiting entries costs
-	// three visits, not 128.
-	waitMask  []uint64
+	// Occupancy bitmaps over RUU slots, one bit per slot. Stage scans
+	// iterate set bits in ring age order instead of walking the whole
+	// window, so a full 128-entry RUU with three entries the issue stage
+	// can act on costs three visits, not 128.
+	//
+	// readyMask holds exactly the waiting entries the issue stage can act
+	// on (entry.canAct): every operand captured, or a store whose address
+	// operand has arrived but whose address is not computed yet. parkMask
+	// holds the waiting loads that memory disambiguation blocked; any change
+	// to a store's address, data or presence in the window returns them all
+	// to readyMask (unpark), so a parked load is always still blocked.
+	// Waiting entries in neither mask wait for an operand broadcast.
+	// issueMask holds the issued, incomplete entries and storeMask the
+	// stores (any state).
+	readyMask []uint64
+	parkMask  []uint64
 	issueMask []uint64
 	storeMask []uint64
 
@@ -366,7 +375,8 @@ func (c *Core) Reset(cfg Config, mem MemPort, entryPC uint64) error {
 		pc:        entryPC,
 		ruu:       ruu,
 		ifq:       ifq,
-		waitMask:  resizeMask(c.waitMask, words),
+		readyMask: resizeMask(c.readyMask, words),
+		parkMask:  resizeMask(c.parkMask, words),
 		issueMask: resizeMask(c.issueMask, words),
 		storeMask: resizeMask(c.storeMask, words),
 		outLog:    c.outLog[:0],
@@ -436,10 +446,34 @@ func (c *Core) ruuOrder(f func(idx int, e *entry) bool) {
 func maskSet(m []uint64, idx int)   { m[idx>>6] |= 1 << (idx & 63) }
 func maskClear(m []uint64, idx int) { m[idx>>6] &^= 1 << (idx & 63) }
 
+// operandsReady reports whether every source operand of e is captured.
+func (e *entry) operandsReady() bool {
+	return (e.nsrc < 1 || e.srcTag[0] == -1) && (e.nsrc < 2 || e.srcTag[1] == -1)
+}
+
+// canAct reports whether the issue stage can act on waiting entry e, the
+// readyMask membership test: every operand captured, or a store whose
+// address can be computed (base captured, address not computed yet) while
+// its data is still outstanding.
+func (e *entry) canAct() bool {
+	return e.operandsReady() || e.isStore && !e.addrValid && e.srcTag[0] == -1
+}
+
+// unpark returns every parked load to readyMask. It runs whenever a store's
+// address, data or presence in the window changes, the only events that can
+// unblock a load memory disambiguation blocked.
+func (c *Core) unpark() {
+	for i, w := range c.parkMask {
+		c.readyMask[i] |= w
+		c.parkMask[i] = 0
+	}
+}
+
 // maskOrder visits the set bits of m from RUU head to tail — oldest entry
 // first, honouring the ring wrap. The mask invariant (bits only within the
 // live window [head, head+count)) makes bit order within each segment equal
-// age order.
+// age order. A bit that f sets for a younger entry is visited by the same
+// walk (the issue scan's unpark relies on this).
 func (c *Core) maskOrder(m []uint64, f func(idx int, e *entry) bool) {
 	if c.count == 0 {
 		return
@@ -469,7 +503,8 @@ func (c *Core) maskSeg(m []uint64, lo, hi int, f func(idx int, e *entry) bool) b
 			if !f(idx, &c.ruu[idx]) {
 				return false
 			}
-			cur &= cur - 1
+			// Re-read the word past idx: f may have set or cleared bits.
+			cur = m[w] &^ (2<<(uint(idx)&63) - 1)
 		}
 		w++
 		if w<<6 >= hi {
@@ -546,14 +581,12 @@ func (c *Core) NextEventAt() uint64 {
 			}
 		}
 	}
-	if c.waiting > 0 && c.cfg.GateIssue {
+	if c.cfg.GateIssue {
 		// Operand-ready entries held by authen-then-issue become eligible
 		// when their I-line verification completes.
-		c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
-			for s := 0; s < e.nsrc; s++ {
-				if e.srcTag[s] != -1 {
-					return true
-				}
+		c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
+			if !e.operandsReady() {
+				return true
 			}
 			if e.instAuthDone >= c.now && e.instAuthDone < next {
 				next = e.instAuthDone
@@ -597,20 +630,17 @@ func (c *Core) SkipTo(t uint64) (sbFullCycles uint64) {
 			}
 		}
 	}
-	if c.waiting > 0 && c.cfg.GateIssue {
-		held := uint64(0)
-		c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
-			for s := 0; s < e.nsrc; s++ {
-				if e.srcTag[s] != -1 {
-					return true
-				}
-			}
-			if e.instAuthDone > c.now {
-				held++
-			}
-			return true
+	if c.cfg.GateIssue {
+		// Like the issue stage, count each skipped cycle once if any
+		// operand-ready entry is held.
+		held := false
+		c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
+			held = e.operandsReady() && e.instAuthDone > c.now
+			return !held
 		})
-		c.stats.IssueAuthStall += held * delta
+		if held {
+			c.stats.IssueAuthStall += delta
+		}
 	}
 	c.now = t
 	return sbFullCycles

@@ -25,6 +25,8 @@ type testMem struct {
 	sbCap     int
 	sbPending int
 	sbDrain   uint64 // cycles per store-buffer drain slot; 0 = instant
+
+	parked int // parked loads seen after each Step, summed (run, runObserved)
 }
 
 type storeRec struct {
@@ -134,6 +136,7 @@ func run(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int
 	c.SetReg(isa.RegSP, 0x7fff00)
 	for i := 0; i < maxCycles && !c.Halted(); i++ {
 		c.Step()
+		m.parked += checkScheduler(t, c)
 		if k, pc, addr := c.Faulted(); k != FaultNone {
 			t.Fatalf("unexpected fault %v at pc=%#x addr=%#x", k, pc, addr)
 		}
@@ -142,6 +145,55 @@ func run(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int
 		t.Fatalf("did not halt in %d cycles (pc=%#x committed=%d)", maxCycles, c.PC(), c.Stats().Committed)
 	}
 	return c, m
+}
+
+// checkScheduler asserts the issue scheduler's invariant between Steps and
+// returns the number of parked loads. readyMask and parkMask are disjoint,
+// their union is exactly the waiting entries the issue stage can act on
+// (every operand captured, or a store whose address can be computed), no
+// bit is set outside the live window, and every parked load is a load that
+// disambiguation, re-run without side effects, still blocks.
+func checkScheduler(t *testing.T, c *Core) int {
+	t.Helper()
+	for w := range c.readyMask {
+		if both := c.readyMask[w] & c.parkMask[w]; both != 0 {
+			t.Fatalf("cycle %d: ready and park masks share bits %#x in word %d", c.Now(), both, w)
+		}
+	}
+	live := make([]bool, c.cfg.RUUSize)
+	c.ruuOrder(func(idx int, e *entry) bool {
+		live[idx] = true
+		return true
+	})
+	bit := func(m []uint64, idx int) bool { return m[idx>>6]&(1<<(idx&63)) != 0 }
+	parked := 0
+	for idx := 0; idx < len(c.readyMask)*64; idx++ {
+		inReady, inPark := bit(c.readyMask, idx), bit(c.parkMask, idx)
+		if idx >= c.cfg.RUUSize || !live[idx] {
+			if inReady || inPark {
+				t.Fatalf("cycle %d: slot %d outside the live window has ready=%v park=%v", c.Now(), idx, inReady, inPark)
+			}
+			continue
+		}
+		e := &c.ruu[idx]
+		want := e.valid && e.state == stWaiting &&
+			(e.operandsReady() || e.isStore && !e.addrValid && e.srcTag[0] == -1)
+		if (inReady || inPark) != want {
+			t.Fatalf("cycle %d: slot %d (pc %#x, state %d, tags %v, store %v, addr valid %v) ready=%v park=%v, want one of them %v",
+				c.Now(), idx, e.pc, e.state, e.srcTag, e.isStore, e.addrValid, inReady, inPark, want)
+		}
+		if !inPark {
+			continue
+		}
+		parked++
+		if !e.isLoad || !e.addrValid {
+			t.Fatalf("cycle %d: parked slot %d (pc %#x) is not a load with its address computed", c.Now(), idx, e.pc)
+		}
+		if _, blocked, _ := c.disambiguate(e); !blocked {
+			t.Fatalf("cycle %d: parked load at slot %d (pc %#x) is no longer blocked", c.Now(), idx, e.pc)
+		}
+	}
+	return parked
 }
 
 func TestStraightLineALU(t *testing.T) {

@@ -78,6 +78,7 @@ func (c *Core) commit() {
 		if e.isStore {
 			c.storeCount--
 			maskClear(c.storeMask, c.head)
+			c.unpark()
 		}
 		if c.CommitHook != nil {
 			c.CommitHook(e.pc, e.inst, e.result)
@@ -164,7 +165,12 @@ func (c *Core) writeback() {
 // names idx as its producer. A reused slot that passes the check is a
 // genuine consumer of this producer (RUU indices are unique while the
 // producer is live), so resolving through a stale record is still correct;
-// a duplicate record then finds srcTag already -1 and is a no-op.
+// a duplicate record then finds srcTag already -1 and is a no-op. A wake
+// that lets the issue stage act on its consumer sets the consumer's ready
+// bit, and a store's data arriving unparks the loads it may have blocked.
+// (When the producer sits in RUU slot 0, a stale operand-1 record can also
+// match a one-operand consumer, whose unused srcTag[1] reads 0; that wake
+// changes no operand the consumer reads, and no mask.)
 func (c *Core) broadcast(idx int, e *entry) {
 	var woken uint64
 	for _, packed := range e.consumers {
@@ -174,6 +180,12 @@ func (c *Core) broadcast(idx int, e *entry) {
 			w.srcTag[s] = -1
 			w.srcVal[s] = e.result
 			woken++
+			if int(s) < w.nsrc && w.canAct() {
+				maskSet(c.readyMask, int(packed>>1))
+			}
+			if s == 1 && w.isStore {
+				c.unpark()
+			}
 		}
 	}
 	if c.perf != nil {
@@ -205,13 +217,11 @@ func (c *Core) squashAfter(idx int) {
 			if e.isStore {
 				c.storeCount--
 			}
-			switch e.state {
-			case stWaiting:
-				c.waiting--
-			case stIssued:
+			if e.state == stIssued {
 				c.inflight--
 			}
-			maskClear(c.waitMask, p)
+			maskClear(c.readyMask, p)
+			maskClear(c.parkMask, p)
 			maskClear(c.issueMask, p)
 			maskClear(c.storeMask, p)
 			e.valid = false
@@ -242,34 +252,35 @@ func (c *Core) squashAfter(idx int) {
 // ---------------------------------------------------------------- issue --
 
 func (c *Core) issue() {
-	if c.waiting == 0 {
-		c.stallEnd(obs.StallIssueAuth)
-		return
-	}
 	issued := 0
 	authHeld := false
-	// The waiting bitmap visits exactly the stWaiting entries in age order.
-	c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
+	// The ready bitmap visits, in age order, exactly the waiting entries the
+	// stage can act on; every other waiting entry would be skipped anyway.
+	c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
 		if issued >= c.cfg.IssueWidth {
 			return false
 		}
-		// Early store-address calculation (does not consume an issue slot):
-		// lets younger loads disambiguate sooner.
-		if e.isStore && !e.addrValid && e.srcTag[0] == -1 {
-			c.computeAddr(e)
+		if c.perf != nil {
+			c.perf.IssueVisits++
 		}
-		for s := 0; s < e.nsrc; s++ {
-			if e.srcTag[s] != -1 {
-				return true // operands outstanding
+		// Early store-address calculation (does not consume an issue slot):
+		// lets younger loads disambiguate sooner. A ready store with its
+		// address not computed has its base operand captured.
+		if e.isStore && !e.addrValid {
+			c.computeAddr(e)
+			if e.srcTag[1] != -1 {
+				maskClear(c.readyMask, idx) // now waits for its data
+				return true
 			}
 		}
 		if c.cfg.GateIssue && c.now < e.instAuthDone {
-			c.stats.IssueAuthStall++
 			authHeld = true
 			return true
 		}
 		if e.isLoad {
 			if !c.issueLoad(idx, e) {
+				maskClear(c.readyMask, idx)
+				maskSet(c.parkMask, idx)
 				return true
 			}
 			issued++
@@ -282,6 +293,7 @@ func (c *Core) issue() {
 		return true
 	})
 	if authHeld {
+		c.stats.IssueAuthStall++
 		c.stallBegin(obs.StallIssueAuth)
 	} else {
 		c.stallEnd(obs.StallIssueAuth)
@@ -292,57 +304,31 @@ func (c *Core) computeAddr(e *entry) {
 	e.addr = e.srcVal[0] + uint64(int64(e.inst.Imm))
 	e.addrValid = true
 	e.memSize = e.inst.MemBytes()
-	c.progress = true // a resolved store address can unblock younger loads
+	c.progress = true
+	if e.isStore {
+		c.unpark() // a resolved store address can unblock younger loads
+	}
 }
 
 // issueLoad attempts to issue a load; reports whether it consumed an issue
-// slot (false = blocked by disambiguation, retry next cycle).
+// slot (false = blocked by disambiguation; the caller parks the load).
 func (c *Core) issueLoad(idx int, e *entry) bool {
 	if !e.addrValid {
 		c.computeAddr(e)
 	}
-	// Memory disambiguation against older stores, scanned oldest to
-	// youngest: the youngest older store governs. An older store with an
-	// unresolved address hard-blocks the load — and must invalidate any
-	// forwarding candidate found so far, because the unresolved store is
-	// younger than that candidate and may overwrite it. A younger exact
-	// covering match, conversely, supersedes an older partial overlap.
 	var forward *entry
-	blocked := false
 	if c.storeCount > 0 {
-		var visits uint64
-		// The store bitmap visits stores oldest to youngest; stores younger
-		// than the load (larger sequence number) end the scan.
-		c.maskOrder(c.storeMask, func(p int, older *entry) bool {
-			visits++
-			if older.seq > e.seq {
-				return false
-			}
-			if !older.addrValid {
-				forward = nil
-				blocked = true // conservative: unknown older store address
-				return false
-			}
-			if rangesOverlap(older.addr, older.memSize, e.addr, e.memSize) {
-				if older.addr == e.addr && older.memSize >= e.memSize && older.srcTag[1] == -1 {
-					forward = older // youngest older matching store wins
-					blocked = false
-				} else {
-					forward = nil
-					blocked = true // partial overlap or data not ready
-				}
-			}
-			return true
-		})
+		f, blocked, visits := c.disambiguate(e)
 		if c.perf != nil {
 			c.perf.DisambScans++
 			c.perf.DisambVisits += visits
 		}
+		if blocked {
+			return false
+		}
+		forward = f
 	} else if c.perf != nil {
 		c.perf.DisambShortCircuits++
-	}
-	if blocked {
-		return false
 	}
 	c.markIssued(idx, e)
 	if forward != nil {
@@ -382,6 +368,41 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 	return true
 }
 
+// disambiguate checks load e, address computed, against the older stores in
+// the window, oldest to youngest: the youngest older store governs. An older
+// store with an unresolved address hard-blocks the load — and must
+// invalidate any forwarding candidate found so far, because the unresolved
+// store is younger than that candidate and may overwrite it. A younger exact
+// covering match, conversely, supersedes an older partial overlap. It
+// returns the store to forward from (nil = read memory), whether the load is
+// blocked, and the store entries visited; it changes no state.
+func (c *Core) disambiguate(e *entry) (forward *entry, blocked bool, visits uint64) {
+	// The store bitmap visits stores oldest to youngest; stores younger
+	// than the load (larger sequence number) end the scan.
+	c.maskOrder(c.storeMask, func(p int, older *entry) bool {
+		visits++
+		if older.seq > e.seq {
+			return false
+		}
+		if !older.addrValid {
+			forward = nil
+			blocked = true // conservative: unknown older store address
+			return false
+		}
+		if rangesOverlap(older.addr, older.memSize, e.addr, e.memSize) {
+			if older.addr == e.addr && older.memSize >= e.memSize && older.srcTag[1] == -1 {
+				forward = older // youngest older matching store wins
+				blocked = false
+			} else {
+				forward = nil
+				blocked = true // partial overlap or data not ready
+			}
+		}
+		return true
+	})
+	return forward, blocked, visits
+}
+
 func (c *Core) finishLoad(e *entry, raw uint64, ready uint64) {
 	if e.inst.Op == isa.OpFLD {
 		e.result = raw
@@ -410,9 +431,8 @@ func rangesOverlap(a uint64, an int, b uint64, bn int) bool {
 func (c *Core) markIssued(idx int, e *entry) {
 	e.state = stIssued
 	e.authTagIssue = c.mem.LastAuthRequest(c.now)
-	c.waiting--
 	c.inflight++
-	maskClear(c.waitMask, idx)
+	maskClear(c.readyMask, idx)
 	maskSet(c.issueMask, idx)
 	c.progress = true
 	if c.sink != nil {
@@ -590,9 +610,8 @@ func (c *Core) dispatch() {
 			c.inflight++
 			maskSet(c.issueMask, idx)
 			c.noteDone(e.doneCycle)
-		} else {
-			c.waiting++
-			maskSet(c.waitMask, idx)
+		} else if e.canAct() {
+			maskSet(c.readyMask, idx)
 		}
 		c.stats.Dispatched++
 	}

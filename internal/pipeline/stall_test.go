@@ -34,6 +34,7 @@ func runObserved(t *testing.T, src string, mutate func(*Config, *testMem), maxCy
 	c.SetReg(isa.RegSP, 0x7fff00)
 	for i := 0; i < maxCycles && !c.Halted(); i++ {
 		c.Step()
+		m.parked += checkScheduler(t, c)
 		if k, pc, addr := c.Faulted(); k != FaultNone {
 			t.Fatalf("unexpected fault %v at pc=%#x addr=%#x", k, pc, addr)
 		}
@@ -121,9 +122,24 @@ func stallIntervals(t *testing.T, events []obs.Event, endCycle uint64) [obs.NumS
 	return sums
 }
 
+// issueGateSrc is held at the issue stage by slow instruction
+// authentication under authen-then-issue.
+const issueGateSrc = `
+	_start:
+		addi r1, r0, 1
+		addi r2, r0, 2
+		add  r3, r1, r2
+		halt
+`
+
+func gateIssue(cfg *Config, m *testMem) {
+	cfg.GateIssue = true
+	m.authDelay = 300
+}
+
 // TestStallEventsMatchCounters pins the stall begin/end protocol against the
-// core's own cycle counters for the commit-auth and sb-full reasons: events
-// alternate per reason, and interval sums equal the counted stall cycles.
+// core's own cycle counters for every reason: events alternate per reason,
+// and interval sums equal the counted stall cycles.
 func TestStallEventsMatchCounters(t *testing.T) {
 	t.Run("commit-auth", func(t *testing.T) {
 		c, _, sink := runObserved(t, `
@@ -159,34 +175,71 @@ func TestStallEventsMatchCounters(t *testing.T) {
 				sums[obs.StallSBFull], c.Stats().SBFullStall)
 		}
 	})
+	t.Run("issue-auth", func(t *testing.T) {
+		c, _, sink := runObserved(t, issueGateSrc, gateIssue, 20000)
+		if c.Stats().IssueAuthStall == 0 {
+			t.Fatal("no issue-auth stalls recorded")
+		}
+		sums := stallIntervals(t, sink.events, c.Stats().Cycles)
+		if sums[obs.StallIssueAuth] != c.Stats().IssueAuthStall {
+			t.Errorf("issue-auth interval sum %d != counter %d",
+				sums[obs.StallIssueAuth], c.Stats().IssueAuthStall)
+		}
+	})
 }
 
-// TestIssueAuthStallCounted pins the issue-auth stall counter and events:
-// slow instruction authentication under authen-then-issue must hold ready
-// instructions at the issue stage.
+// TestIssueAuthStallCounted pins the issue-auth stall counter: slow
+// instruction authentication under authen-then-issue must hold ready
+// instructions at the issue stage, and the counter counts cycles, once per
+// cycle however many entries are held (three are, here).
 func TestIssueAuthStallCounted(t *testing.T) {
-	c, _, sink := runObserved(t, `
-		_start:
-			addi r1, r0, 1
-			addi r2, r0, 2
-			add  r3, r1, r2
-			halt
-	`, func(cfg *Config, m *testMem) {
-		cfg.GateIssue = true
-		m.authDelay = 300
-	}, 20000)
-	if c.Stats().IssueAuthStall == 0 {
+	c, _ := run(t, issueGateSrc, gateIssue, 20000)
+	st := c.Stats()
+	if st.IssueAuthStall == 0 {
 		t.Fatal("no issue-auth stalls recorded")
 	}
-	sums := stallIntervals(t, sink.events, c.Stats().Cycles)
-	if sums[obs.StallIssueAuth] == 0 {
-		t.Error("issue-auth stall events carried no cycles")
+	if st.IssueAuthStall >= st.Cycles {
+		t.Errorf("issue-auth stall %d cycles in a %d-cycle run", st.IssueAuthStall, st.Cycles)
 	}
-	// The counter counts (instruction, cycle) holds; the interval measures
-	// wall cycles with at least one held instruction, so it cannot exceed
-	// the counter.
-	if sums[obs.StallIssueAuth] > c.Stats().IssueAuthStall {
-		t.Errorf("issue-auth interval sum %d > per-entry counter %d",
-			sums[obs.StallIssueAuth], c.Stats().IssueAuthStall)
+}
+
+// TestSkipToMatchesStepping pins the idle-cycle fast-forward against plain
+// stepping on a run held at the issue gate: NextEventAt finds the held
+// entries' verification cycles in the ready mask, and SkipTo credits the
+// skipped cycles to the issue-auth stall once per cycle, as the issue stage
+// does, however many entries are held.
+func TestSkipToMatchesStepping(t *testing.T) {
+	runStats := func(skip bool) (Stats, int) {
+		p := asm.MustAssemble(issueGateSrc)
+		m := newTestMem(p)
+		cfg := DefaultConfig()
+		gateIssue(&cfg, m)
+		c, err := New(cfg, m, p.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skips := 0
+		for i := 0; i < 20000 && !c.Halted(); i++ {
+			c.Step()
+			if !skip || c.Progressed() {
+				continue
+			}
+			if next := c.NextEventAt(); next > c.Now() && next != neverCycle {
+				c.SkipTo(next)
+				skips++
+			}
+		}
+		if !c.Halted() {
+			t.Fatalf("skip %v: did not halt", skip)
+		}
+		return c.Stats(), skips
+	}
+	stepped, _ := runStats(false)
+	fast, skips := runStats(true)
+	if skips == 0 {
+		t.Fatal("the run never skipped a cycle")
+	}
+	if fast != stepped {
+		t.Errorf("skipping run %+v\nstepped run  %+v", fast, stepped)
 	}
 }

@@ -245,6 +245,12 @@ type Controller struct {
 	arriveCycle []uint64
 	engineFree  []uint64 // per verification unit
 
+	// lastAtNow and lastAt are LastRequestAt's cursor: its last answer
+	// along the forward sequence of asked cycles, which the core's
+	// per-issue queries form.
+	lastAtNow uint64
+	lastAt    int
+
 	fault *Fault
 
 	// modelErr records the first internal inconsistency (malformed gate
@@ -379,6 +385,7 @@ func (c *Controller) Reset(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, 
 	c.ctBuf, c.ptBuf = resize(c.ctBuf, cfg.LineB), resize(c.ptBuf, cfg.LineB)
 	c.msgBuf, c.macBuf = resize(c.msgBuf, 16+cfg.LineB), resize(c.macBuf, cfg.MacB)
 	c.doneCycle, c.okFlag, c.arriveCycle = c.doneCycle[:0], c.okFlag[:0], c.arriveCycle[:0]
+	c.lastAtNow, c.lastAt = 0, 0
 	c.engineFree = resize(c.engineFree, cfg.MacUnits)
 	clear(c.engineFree)
 	c.fault, c.modelErr, c.updateFree = nil, nil, 0
@@ -1046,8 +1053,19 @@ func (c *Controller) LastRequest() uint64 { return uint64(len(c.doneCycle)) }
 // given cycle: the newest request whose data had arrived (entered the
 // authentication queue) by then. Fetches still outstanding at that cycle
 // are not counted — they must not gate a new fetch (§4.2.4).
+//
+// The arrival sequence is monotone and only grows, so a query at or after
+// the last forward query's cycle walks on from that answer; a query at an
+// earlier cycle binary-searches and leaves the cursor where it is.
 func (c *Controller) LastRequestAt(now uint64) uint64 {
-	// Binary search the monotone arrival sequence.
+	if now >= c.lastAtNow {
+		i := c.lastAt
+		for i < len(c.arriveCycle) && c.arriveCycle[i] <= now {
+			i++
+		}
+		c.lastAtNow, c.lastAt = now, i
+		return uint64(i)
+	}
 	lo, hi := 0, len(c.arriveCycle)
 	for lo < hi {
 		mid := (lo + hi) / 2

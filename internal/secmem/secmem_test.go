@@ -3,6 +3,8 @@ package secmem
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -405,6 +407,45 @@ func TestAuthQueueInOrderCompletion(t *testing.T) {
 	}
 	if r.ctrl.LastRequest() != 8 {
 		t.Fatalf("LastRequest %d", r.ctrl.LastRequest())
+	}
+}
+
+// LastRequestAt's forward cursor must answer exactly as a binary search of
+// the arrival sequence, whatever order the cycles are asked in, while
+// requests keep arriving and across a Reset, which pooled machines rely on.
+func TestLastRequestAtMatchesSearch(t *testing.T) {
+	r := newRig(t, nil)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		if err := r.ctrl.Reset(DefaultConfig(), r.m, r.b, r.d, encKey, macKey); err != nil {
+			t.Fatal(err)
+		}
+		var now, last uint64
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(4) {
+			case 0: // a request arrives, at or after the last arrival
+				last += uint64(rng.Intn(30))
+				r.ctrl.arriveCycle = append(r.ctrl.arriveCycle, last)
+				continue
+			case 1: // a query at an earlier cycle
+				if now > 0 {
+					q := uint64(rng.Int63n(int64(now)))
+					checkLastRequestAt(t, r.ctrl, q, round, step)
+				}
+				continue
+			}
+			now += uint64(rng.Intn(20))
+			checkLastRequestAt(t, r.ctrl, now, round, step)
+		}
+	}
+}
+
+func checkLastRequestAt(t *testing.T, c *Controller, now uint64, round, step int) {
+	t.Helper()
+	want := sort.Search(len(c.arriveCycle), func(i int) bool { return c.arriveCycle[i] > now })
+	if got := c.LastRequestAt(now); got != uint64(want) {
+		t.Fatalf("round %d step %d: LastRequestAt(%d) = %d, want %d (arrivals %v)",
+			round, step, now, got, want, c.arriveCycle)
 	}
 }
 

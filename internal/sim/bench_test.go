@@ -15,8 +15,12 @@ import (
 // benchMachine builds a fresh machine on the first workload kernel with bus
 // tracing off (the long-run configuration benchmarks care about).
 func benchMachine(tb testing.TB, pt policy.ControlPoint, insts uint64, slow bool) *sim.Machine {
+	return kernelMachine(tb, workload.All()[0], pt, insts, slow)
+}
+
+// kernelMachine is benchMachine on kernel w.
+func kernelMachine(tb testing.TB, w workload.Workload, pt policy.ControlPoint, insts uint64, slow bool) *sim.Machine {
 	tb.Helper()
-	w := workload.All()[0]
 	p, err := asm.Assemble(w.Source)
 	if err != nil {
 		tb.Fatal(err)
@@ -205,11 +209,14 @@ func TestRebuildAllocs(t *testing.T) {
 
 // TestRunSteadyStateAllocs pins the zero-alloc hot loop: once a machine is
 // warm (caches filled, rings and queues at steady occupancy), continuing the
-// run must not allocate per cycle or per instruction. The small budget
-// tolerates what still grows on a warm machine — the authentication queue's
-// slices and MemSystem.lines, the resident L2 lines' authentication state —
-// about 200 allocations. Per-cycle allocation would show up as hundreds of
-// thousands, and one allocation per line decrypted or MACed as hundreds.
+// run must not allocate per cycle or per instruction. It runs a
+// cache-resident kernel (bzip2x) and a memory-bound one (mcfx, whose caches
+// evict a line every instruction or so). The small budget tolerates what
+// still grows on a warm machine — the authentication queue's slices and
+// MemSystem.lines, the resident L2 lines' authentication state — a few dozen
+// allocations. Per-cycle allocation would show up as hundreds of thousands,
+// and one allocation per line decrypted, MACed or evicted as hundreds on
+// bzip2x and hundreds of thousands on mcfx.
 func TestRunSteadyStateAllocs(t *testing.T) { steadyStateAllocs(t, false) }
 
 // TestRunSteadyStateAllocsObserved is the same pin with the observability
@@ -220,29 +227,35 @@ func TestRunSteadyStateAllocs(t *testing.T) { steadyStateAllocs(t, false) }
 func TestRunSteadyStateAllocsObserved(t *testing.T) { steadyStateAllocs(t, true) }
 
 func steadyStateAllocs(t *testing.T, observed bool) {
-	m := benchMachine(t, policy.ThenCommit, 50_000, false)
-	if observed {
-		m.SetObserver(obs.NewHub(nil, true))
-		m.EnablePerf()
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	m.Cfg.MaxInsts = 250_000
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if res.Reason != sim.StopMaxInsts {
-		t.Fatalf("run stopped with %v, want max-insts (res %+v)", res.Reason, res)
-	}
-	allocs := after.Mallocs - before.Mallocs
-	t.Logf("steady-state allocs over 200k insts: %d", allocs)
-	if allocs > 300 {
-		t.Errorf("steady-state Run allocated %d times over 200k instructions; hot loop must be allocation-free", allocs)
+	for _, name := range []string{"bzip2x", "mcfx"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no kernel %s", name)
+		}
+		m := kernelMachine(t, w, policy.ThenCommit, 50_000, false)
+		if observed {
+			m.SetObserver(obs.NewHub(nil, true))
+			m.EnablePerf()
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m.Cfg.MaxInsts = 250_000
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if res.Reason != sim.StopMaxInsts {
+			t.Fatalf("%s: run stopped with %v, want max-insts (res %+v)", name, res.Reason, res)
+		}
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: steady-state allocs over 200k insts: %d", name, allocs)
+		if allocs > 300 {
+			t.Errorf("%s: steady-state Run allocated %d times over 200k instructions; hot loop must be allocation-free", name, allocs)
+		}
 	}
 }

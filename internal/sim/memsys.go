@@ -306,12 +306,12 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 	ms.shadow.Write(l2Line, res.Data)
 	ms.overlaySB(l2Line)
 
-	l, victim := ms.l2.Fill(addr, false)
+	l, victim, evicted := ms.l2.Fill(addr, false)
 	l.Aux = usable
 	if isWrite {
 		l.Dirty = true
 	}
-	if victim != nil {
+	if evicted {
 		delete(ms.lines, victim.Addr)
 		if victim.Dirty {
 			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
@@ -388,9 +388,9 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 	}
 	ms.shadow.Write(lineAddr, res.Data)
 	ms.overlaySB(lineAddr)
-	l, victim := ms.l2.Fill(lineAddr, false)
+	l, victim, evicted := ms.l2.Fill(lineAddr, false)
 	l.Aux = usable
-	if victim != nil {
+	if evicted {
 		delete(ms.lines, victim.Addr)
 		if victim.Dirty {
 			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
@@ -403,9 +403,9 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 
 // fillL1 installs an L1 line, pushing dirty victims down into the L2.
 func (ms *MemSystem) fillL1(l1 *cache.Cache, addr uint64, isWrite bool, readyAt uint64) {
-	l, victim := l1.Fill(addr, isWrite)
+	l, victim, evicted := l1.Fill(addr, isWrite)
 	l.Aux = readyAt
-	if victim != nil && victim.Dirty {
+	if evicted && victim.Dirty {
 		// Inclusive hierarchy: the victim's L2 line is normally resident.
 		if vl, hit := ms.l2.Access(victim.Addr, true); hit {
 			_ = vl
@@ -430,14 +430,12 @@ func (ms *MemSystem) FetchInst(now uint64, addr uint64, fetchTag uint64) pipelin
 	}
 }
 
-// ReadData implements pipeline.MemPort.
+// ReadData implements pipeline.MemPort. The core asks only for addresses
+// ValidAddr accepted in the same cycle.
 func (ms *MemSystem) ReadData(now uint64, addr uint64, size int, fetchTag uint64) pipeline.DataRead {
-	if !ms.space.Valid(addr) {
-		return pipeline.DataRead{Fault: true}
-	}
 	ready, info, err := ms.access(now, addr, false, false, fetchTag)
 	if err != nil {
-		return pipeline.DataRead{Fault: true}
+		return pipeline.DataRead{}
 	}
 	return pipeline.DataRead{
 		Raw:      ms.shadow.ReadUint(addr, size),

@@ -300,8 +300,8 @@ func TestMetricNamesHaveOneSource(t *testing.T) {
 	for name := range hs.Histograms {
 		hub[name] = true
 	}
-	if len(counts) != 24 || len(ps.Counters) != 20 || len(hub) != 7 {
-		t.Errorf("%d count, %d perf and %d hub names; want 24, 20 and 7", len(counts), len(ps.Counters), len(hub))
+	if len(counts) != 24 || len(ps.Counters) != 21 || len(hub) != 7 {
+		t.Errorf("%d count, %d perf and %d hub names; want 24, 21 and 7", len(counts), len(ps.Counters), len(hub))
 	}
 	for name := range ps.Counters {
 		if counts[name] || hub[name] {
