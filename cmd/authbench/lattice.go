@@ -16,7 +16,7 @@ import (
 // baseline-memo evidence from the process-wide memo: the summary's
 // baseline count equals the workload count when the memo works, i.e. a
 // k-policy sweep costs k+1 simulations per workload, not 2k.
-func runLatticeExperiment(w io.Writer, p experiments.Params) error {
+func runLatticeExperiment(w io.Writer, p experiments.Params, parallelism int) error {
 	points := policy.Lattice()
 	r := &harness.Runner{Parallelism: parallelism}
 	p.Runner = r

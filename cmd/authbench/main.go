@@ -25,30 +25,25 @@ import (
 	"strings"
 	"time"
 
+	"authpoint/internal/campaign"
+	"authpoint/internal/campaign/cli"
 	"authpoint/internal/experiments"
 	"authpoint/internal/harness"
 	"authpoint/internal/policy"
-	"authpoint/internal/prof"
 	"authpoint/internal/report"
 	"authpoint/internal/sim"
-	"authpoint/internal/telemetry"
 	"authpoint/internal/workload"
 )
 
 func main() {
 	var (
-		exp        = flag.String("experiment", "all", "which artifact to regenerate (see doc)")
-		quick      = flag.Bool("quick", false, "small workload subset and short windows")
-		warmup     = flag.Uint64("warmup", 0, "override warmup instructions")
-		measure    = flag.Uint64("measure", 0, "override measured instructions")
-		loadList   = flag.String("workloads", "", "comma-separated workload subset (default: all 18)")
-		bars       = flag.Bool("bars", false, "render normalized-IPC sweeps as bar groups (figure-style)")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "sweep worker pool size (1 = serial)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
-		metrics    = flag.Bool("metrics", false, "collect per-cell metrics; print a per-scheme stall/gap summary after each experiment")
-		teleOut    = flag.String("telemetry", "", "stream a JSONL run ledger (one record per sweep cell) to this path")
-		progress   = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
+		exp      = flag.String("experiment", "all", "which artifact to regenerate (see doc)")
+		quick    = flag.Bool("quick", false, "small workload subset and short windows")
+		warmup   = flag.Uint64("warmup", 0, "override warmup instructions")
+		measure  = flag.Uint64("measure", 0, "override measured instructions")
+		loadList = flag.String("workloads", "", "comma-separated workload subset (default: all 18)")
+		bars     = flag.Bool("bars", false, "render normalized-IPC sweeps as bar groups (figure-style)")
+		o        = cli.NewObserve(runtime.NumCPU(), "print a per-policy stall/gap summary after each experiment")
 	)
 	flag.Parse()
 
@@ -74,92 +69,37 @@ func main() {
 		p.Workloads = ws
 	}
 
-	stopProf, err := prof.Start(*cpuprofile)
-	if err != nil {
+	if err := o.Open("authbench", "authbench:"+*exp); err != nil {
 		fatalf("%v", err)
 	}
-	defer stopProf()
-
-	if *teleOut != "" {
-		l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authbench:"+*exp, *parallel))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		runLedger = l
-		defer func() {
-			if err := l.Close(); err != nil {
-				fatalf("telemetry: %v", err)
-			}
-		}()
-	}
-	if *progress {
-		runMeter = telemetry.NewMeter(os.Stderr, "authbench", 0)
-		defer runMeter.Finish()
-	}
-	sweepRunner = &harness.Runner{Parallelism: *parallel, CollectMetrics: *metrics,
-		Ledger: runLedger, Meter: runMeter}
-	collectMetrics = *metrics
-	if collectMetrics {
-		sweepRunner.OnProgress = observeProgress
-	}
-	p.Runner = sweepRunner
-	parallelism = *parallel
-
-	renderBars = *bars
+	// The runner's baseline memo spans every experiment of the invocation.
+	p.Runner = &harness.Runner{Parallelism: o.Parallel}
+	b := &bench{p: p, bars: *bars, obs: o}
 	start := time.Now()
 	for _, e := range strings.Split(*exp, ",") {
-		if err := run(strings.TrimSpace(e), p); err != nil {
+		if err := b.run(strings.TrimSpace(e)); err != nil {
 			fatalf("%s: %v", e, err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "\n(total wall time %v, %d workers)\n", time.Since(start).Round(time.Second), *parallel)
+	fmt.Fprintf(os.Stderr, "\n(total wall time %v, %d workers)\n", time.Since(start).Round(time.Second), o.Parallel)
 
-	if err := prof.WriteHeap(*memprofile); err != nil {
+	if err := o.Close(); err != nil {
+		fatalf("telemetry: %v", err)
+	}
+	if err := o.Stop(); err != nil {
 		fatalf("%v", err)
 	}
 }
 
-// Shared state the experiment dispatcher reads (set once in main before any
-// experiment runs).
-var (
-	// sweepRunner executes every sweep's cells; its baseline memo spans all
-	// experiments in the invocation.
-	sweepRunner *harness.Runner
-	// collectMetrics mirrors the -metrics flag.
-	collectMetrics bool
-	// metricsAgg is non-nil while a -metrics leaf experiment runs; run()
-	// swaps in a fresh aggregator per experiment and renders it after.
-	metricsAgg *report.Aggregator
-	// parallelism mirrors the -parallel flag for the lattice experiment's
-	// fresh runner.
-	parallelism int
-	// runLedger and runMeter are the -telemetry ledger and -progress meter;
-	// nil when the flags are off.
-	runLedger *telemetry.Ledger
-	runMeter  *telemetry.Meter
-)
-
-// observeProgress feeds the shared Runner's progress stream to the metrics
-// aggregator. It reads the global at call time so run() can swap in a fresh
-// aggregator per leaf experiment. Memoized baseline cells share a single
-// snapshot, so the aggregator skips Cached outcomes to avoid counting it once
-// per scheme row.
-func observeProgress(p harness.Progress) {
-	o := p.Outcome
-	if metricsAgg != nil && o.Err == nil && !o.Cached {
-		// Bounds always match across cells (fixed bucket sets), so the only
-		// merge error is a programming bug; surface it loudly.
-		if err := metricsAgg.Add(o.Spec.Config.ControlPoint(), o.Measurement.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "authbench: metrics: %v\n", err)
-		}
-	}
+// bench runs experiments on one runner under the command's flags.
+type bench struct {
+	p    experiments.Params
+	bars bool // render normalized-IPC sweeps as bar groups
+	obs  *cli.Observe
 }
 
-// renderBars switches sweep output to figure-style bar groups.
-var renderBars bool
-
-func renderSweep(w *os.File, sw *experiments.Sweep) {
-	if renderBars {
+func (b *bench) renderSweep(w *os.File, sw *experiments.Sweep) {
+	if b.bars {
 		sw.RenderBars(w)
 		return
 	}
@@ -171,27 +111,30 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// run dispatches one experiment name, printing a per-scheme metrics summary
-// after each leaf experiment when -metrics is active.
-func run(name string, p experiments.Params) error {
+// run dispatches one experiment name. A leaf experiment's sweeps share one
+// SweepObs on the runner, so under -metrics the per-policy rows printed
+// after it cover that experiment's cells.
+func (b *bench) run(name string) error {
 	if name == "all" {
-		return runLeaf(name, p)
+		return b.runLeaf(name)
 	}
-	if collectMetrics {
-		metricsAgg = report.NewAggregator()
+	var so *campaign.SweepObs
+	if shared := b.obs.Obs; shared != nil {
+		so = &campaign.SweepObs{Ledger: shared.Ledger, Meter: shared.Meter, CollectMetrics: shared.CollectMetrics}
 	}
-	if err := runLeaf(name, p); err != nil {
+	b.p.Runner.Obs = so
+	if err := b.runLeaf(name); err != nil {
 		return err
 	}
-	if metricsAgg != nil {
+	if so != nil && so.CollectMetrics {
 		fmt.Println()
-		report.WriteSchemeSummaries(os.Stdout, metricsAgg.Summaries())
-		metricsAgg = nil
+		report.WriteSchemeSummaries(os.Stdout, so.Rows())
 	}
 	return nil
 }
 
-func runLeaf(name string, p experiments.Params) error {
+func (b *bench) runLeaf(name string) error {
+	p := b.p
 	w := os.Stdout
 	section := func(s string) { fmt.Fprintf(w, "\n==== %s ====\n", s) }
 	switch name {
@@ -203,7 +146,7 @@ func runLeaf(name string, p experiments.Params) error {
 			"fig7a", "fig7b", "fig7c", "fig7d",
 			"fig8", "fig9", "fig10", "fig12",
 		} {
-			if err := run(e, p); err != nil {
+			if err := b.run(e); err != nil {
 				return err
 			}
 		}
@@ -211,7 +154,7 @@ func runLeaf(name string, p experiments.Params) error {
 
 	case "lattice":
 		section("Lattice: normalized IPC across the composable control-point space")
-		return runLatticeExperiment(w, p)
+		return runLatticeExperiment(w, p, b.obs.Parallel)
 
 	case "table1":
 		section("Table 1")
@@ -254,7 +197,7 @@ func runLeaf(name string, p experiments.Params) error {
 		if err != nil {
 			return err
 		}
-		renderSweep(w, sw)
+		b.renderSweep(w, sw)
 
 	case "fig8":
 		// Figure 8 derives from the 256KB Figure 7 data: IPC speedup of the
@@ -283,7 +226,7 @@ func runLeaf(name string, p experiments.Params) error {
 		if err != nil {
 			return err
 		}
-		renderSweep(w, sw)
+		b.renderSweep(w, sw)
 		experiments.RenderSpeedups(w, "Figure 11: speedup over authen-then-issue, 64-entry RUU",
 			sw.Speedups([]policy.ControlPoint{policy.ThenCommit, policy.CommitPlusFetch}),
 			[]policy.ControlPoint{policy.ThenCommit, policy.CommitPlusFetch})
@@ -294,7 +237,7 @@ func runLeaf(name string, p experiments.Params) error {
 		if err != nil {
 			return err
 		}
-		renderSweep(w, sw)
+		b.renderSweep(w, sw)
 		experiments.RenderSpeedups(w, "Figure 13: speedup over authen-then-issue, MAC tree",
 			sw.Speedups([]policy.ControlPoint{policy.ThenCommit, policy.CommitPlusFetch}),
 			[]policy.ControlPoint{policy.ThenCommit, policy.CommitPlusFetch})

@@ -4,7 +4,8 @@
 // checkpoint, ledger, meter and CPU profile — sweeps cells through the
 // campaign engine, prints the verdict and cache summary, and exits with the
 // campaign's status: 0 clean, 1 findings, 2 bad input or a campaign that
-// could not record its results.
+// could not record its results. Its observability half (Observe) is shared
+// with authbench.
 package cli
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
-	"authpoint/internal/prof"
 	"authpoint/internal/report"
 	"authpoint/internal/telemetry"
 )
@@ -35,23 +35,23 @@ type Session struct {
 	Verbose  bool
 	Replay   bool
 
+	// The worker count, profiles, ledger, meter and metrics; Start opens
+	// them.
+	Observe
+
 	// Set by Start.
 	Seeds []int64
 	Pols  []policy.ControlPoint
-	Store *campaign.Store    // nil without -cache
-	Obs   *campaign.SweepObs // nil without -metrics, -telemetry and -progress
+	Store *campaign.Store // nil without -cache
 
 	seeds, policies, replayFlag string
-	cache, resume, telemetry    string
-	cpuprofile, memprofile      string
-	parallel, stopAfter         int
+	cache, resume               string
+	stopAfter                   int
 	budget                      time.Duration
-	metrics, progress           bool
 
-	ctx      context.Context
-	cancel   context.CancelFunc
-	done     map[campaign.CellID]string
-	stopProf func()
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   map[campaign.CellID]string
 	// failed records that a result-store write or the sweep itself failed.
 	failed bool
 }
@@ -67,15 +67,10 @@ func New(name, policies, replay, ext string) *Session {
 	flag.BoolVar(&s.Minimize, "minimize", true, "shrink findings to minimal programs before recording")
 	flag.StringVar(&s.Out, "out", "", "directory to write "+ext+" files for findings (none if empty)")
 	flag.BoolVar(&s.Replay, replay, false, "replay "+ext+" files given as arguments instead of sweeping")
-	flag.IntVar(&s.parallel, "parallel", 0, "worker pool size (0 = NumCPU)")
+	s.register(0, "print the merged campaign metrics (and write metrics.json under -out)")
 	flag.DurationVar(&s.budget, "budget", 0, "wall-clock bound for the seed sweep (0 = none); cells not reached are skipped, not failed")
 	flag.IntVar(&s.stopAfter, "stop-after", 0, "run only the first N cells still to run, then skip the rest as an expired -budget does, at any -parallel (0 = all)")
 	flag.BoolVar(&s.Verbose, "v", false, "print one line per cell")
-	flag.StringVar(&s.cpuprofile, "cpuprofile", "", "write a CPU profile of the sweep to this file")
-	flag.StringVar(&s.memprofile, "memprofile", "", "write a heap profile to this file before exit")
-	flag.BoolVar(&s.metrics, "metrics", false, "attach an observability hub to every timed run; print the merged campaign metrics (and write metrics.json under -out)")
-	flag.StringVar(&s.telemetry, "telemetry", "", "stream a JSONL run ledger (one record per cell) to this path")
-	flag.BoolVar(&s.progress, "progress", false, "print live progress/ETA heartbeats to stderr")
 	flag.StringVar(&s.cache, "cache", "", "content-addressed result cache directory: checks hit the cache instead of simulating when the (program, policy, options) cell was already checked")
 	flag.StringVar(&s.resume, "resume", "", "resume from a prior run's telemetry ledger: cells it records as done are not re-run (prior findings are regenerated through the cache)")
 	return s
@@ -124,19 +119,8 @@ func (s *Session) Start() {
 			s.Fatalf("resume: %v", err)
 		}
 	}
-	if s.stopProf, err = prof.Start(s.cpuprofile); err != nil {
+	if err := s.Open(s.Name, s.Name); err != nil {
 		s.Fatalf("%v", err)
-	}
-	if s.metrics || s.telemetry != "" || s.progress {
-		s.Obs = &campaign.SweepObs{CollectMetrics: s.metrics}
-		if s.telemetry != "" {
-			if s.Obs.Ledger, err = telemetry.Create(s.telemetry, telemetry.NewHeader(s.Name, s.parallel)); err != nil {
-				s.Fatalf("%v", err)
-			}
-		}
-		if s.progress {
-			s.Obs.Meter = telemetry.NewMeter(os.Stderr, s.Name, 0)
-		}
 	}
 }
 
@@ -159,7 +143,7 @@ func sameFile(a, b string) bool {
 // budget running out, is printed to stderr and makes Exit exit 2.
 func Sweep[C, R any, V ~string](s *Session, ch campaign.Checker[C, R], cells []C, detail string, verdicts []V, line func(telemetry.Record) string) []R {
 	start := time.Now()
-	rep, err := campaign.Sweep(s.ctx, ch, cells, s.done, s.stopAfter, s.parallel, s.Obs)
+	rep, err := campaign.Sweep(s.ctx, ch, cells, s.done, s.stopAfter, s.Parallel, s.Obs)
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	if s.done != nil {
@@ -240,14 +224,11 @@ func (s *Session) WriteOut(name string, write func(path string) error) {
 // ledger flush, and the merged metrics, printed and, under -out, recorded as
 // metrics.json next to the findings.
 func (s *Session) Close() {
+	if err := s.Observe.Close(); err != nil {
+		s.Fatalf("telemetry: %v", err)
+	}
 	if s.Obs == nil {
 		return
-	}
-	s.Obs.Meter.Finish()
-	if s.Obs.Ledger != nil {
-		if err := s.Obs.Ledger.Close(); err != nil {
-			s.Fatalf("telemetry: %v", err)
-		}
 	}
 	if snap := s.Obs.Metrics(); snap != nil {
 		fmt.Println()
@@ -269,8 +250,7 @@ func (s *Session) Close() {
 // here rather than in deferred calls.
 func (s *Session) Exit(bad bool) {
 	s.cancel()
-	s.stopProf()
-	if err := prof.WriteHeap(s.memprofile); err != nil {
+	if err := s.Stop(); err != nil {
 		s.Fatalf("%v", err)
 	}
 	os.Exit(s.status(bad))

@@ -81,7 +81,8 @@ type Checker[C, R any] struct {
 	Cell func(c C) telemetry.Record
 	// Check runs cell i and fills rec, which arrives holding the cell's
 	// identity, with the outcome and host_ns, the host time of the check
-	// itself. A non-nil error fails the sweep fast (see Do).
+	// itself, and with the cell's metrics snapshot when it collected one.
+	// A non-nil error fails the sweep fast (see Do).
 	Check func(i int, c C, rec *telemetry.Record) (R, error)
 	// Finding reports whether a verdict is a finding; nil means none is.
 	Finding func(verdict string) bool
@@ -107,43 +108,111 @@ type Report[R any] struct {
 	Done, Redo int
 }
 
-// SweepObs carries the campaign-level observability hooks of a sweep: the
-// telemetry ledger and progress meter, and an optional merged metrics
-// snapshot across every cell. All fields are optional; the zero value (or a
-// nil *SweepObs) observes nothing.
+// SweepObs carries the campaign-level observability of sweeps: the
+// telemetry ledger, the progress meter and, with CollectMetrics, one metrics
+// row per policy. All fields are optional; the zero value (or a nil
+// *SweepObs) observes nothing. Successive sweeps may share one SweepObs, and
+// its rows then span them all.
 type SweepObs struct {
 	// Ledger receives one record per cell, sequence-numbered in cell order.
 	Ledger *telemetry.Ledger
 	// Meter is fed one tick per finished cell.
 	Meter *telemetry.Meter
-	// CollectMetrics attaches an observability hub to every timed run and
-	// merges the per-cell snapshots; Metrics returns the merged result.
+	// CollectMetrics asks the checkers to attach an observability hub to
+	// every timed run and leave the cell's snapshot on its record
+	// (telemetry.Record.Metrics). Sweep merges each snapshot into the
+	// cell's policy row as the cell finishes; Rows and Metrics read them.
 	CollectMetrics bool
 
-	mu     sync.Mutex
-	merged *obs.Snapshot
+	mu sync.Mutex
+	// cells counts the cells of the sweeps so far: a sweep numbers its
+	// cells from here, so the numbers order cells across sweeps.
+	cells int
+	rows  map[string]*metricsRow
 }
 
-// Sink folds one cell's snapshot into the campaign aggregate. Safe for
-// concurrent use (the checkers' MetricsSink options require it).
-func (s *SweepObs) Sink(snap *obs.Snapshot) {
+// PolicyMetrics is one policy's metrics row: the number of its cells that
+// left a snapshot, and the merge of those snapshots.
+type PolicyMetrics struct {
+	Policy string
+	Cells  int
+	Snap   *obs.Snapshot
+}
+
+// metricsRow is a policy row and the number of its first merged cell.
+type metricsRow struct {
+	PolicyMetrics
+	first int
+}
+
+// reserve numbers the n cells of a new sweep and returns the first number.
+func (s *SweepObs) reserve(n int) int {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.merged == nil {
-		s.merged = snap
+	base := s.cells
+	s.cells += n
+	return base
+}
+
+// merge moves the snapshot a finished cell left on its record into the
+// row of the cell's policy; cell is the cell's number (see reserve). A
+// record without a snapshot counts for nothing.
+func (s *SweepObs) merge(cell int, rec *telemetry.Record) {
+	if s == nil || rec.Metrics == nil {
 		return
 	}
-	// Merge only errors on histogram bucket-bound mismatches, which cannot
-	// happen here: every cell uses the Hub's fixed bucket sets.
-	_ = s.merged.Merge(snap)
-}
-
-// Metrics returns the merged campaign snapshot (nil unless CollectMetrics
-// was set and at least one cell ran).
-func (s *SweepObs) Metrics() *obs.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.merged
+	r := s.rows[rec.Policy]
+	if r == nil {
+		if s.rows == nil {
+			s.rows = map[string]*metricsRow{}
+		}
+		r = &metricsRow{PolicyMetrics: PolicyMetrics{Policy: rec.Policy, Snap: &obs.Snapshot{}}, first: cell}
+		s.rows[rec.Policy] = r
+	}
+	r.first = min(r.first, cell)
+	r.Cells++
+	// Merge only fails on histogram bucket-bound mismatches, which cannot
+	// happen here: every cell uses the hub's fixed bucket sets.
+	_ = r.Snap.Merge(rec.Metrics)
+	rec.Metrics = nil
+}
+
+// Rows returns the policy rows in the order of each policy's first merged
+// cell (cell order within a sweep, sweep order across sweeps), which is the
+// same at any worker count. The snapshots are the rows' own: read them,
+// do not modify them.
+func (s *SweepObs) Rows() []PolicyMetrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rows := make([]*metricsRow, 0, len(s.rows))
+	for _, r := range s.rows {
+		rows = append(rows, r)
+	}
+	sort.Slice(rows, func(a, b int) bool { return rows[a].first < rows[b].first })
+	out := make([]PolicyMetrics, len(rows))
+	for i, r := range rows {
+		out[i] = r.PolicyMetrics
+	}
+	return out
+}
+
+// Metrics returns the merge of every policy row: the campaign's total (nil
+// when no cell left a snapshot).
+func (s *SweepObs) Metrics() *obs.Snapshot {
+	rows := s.Rows()
+	if len(rows) == 0 {
+		return nil
+	}
+	total := &obs.Snapshot{}
+	for _, r := range rows {
+		_ = total.Merge(r.Snap)
+	}
+	return total
 }
 
 // Sweep checks cells on a pool of workers (see Do) and reports one result
@@ -166,6 +235,10 @@ func (s *SweepObs) Metrics() *obs.Snapshot {
 // sweep and records the rest as skipped, exactly as when ctx expires, so an
 // interrupted campaign's ledger is the same at any worker count and on any
 // host. The stop is not an error.
+//
+// A snapshot a check leaves on its cell's record is merged into so's row
+// for the cell's policy as the cell finishes (see SweepObs.Rows), and the
+// record drops it; the re-checked prior findings of a resume are merged too.
 //
 // The error is the lowest-index check error, else ctx's error.
 func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[CellID]string, stopAfter, workers int, so *SweepObs) (Report[R], error) {
@@ -193,6 +266,7 @@ func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[
 	if so != nil {
 		ledger, meter = so.Ledger, so.Meter
 	}
+	base := so.reserve(len(cells))
 	n := len(pending)
 	var seqBase uint64
 	if ledger != nil {
@@ -226,6 +300,7 @@ func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[
 		res, err := ch.Check(i, cells[i], rec)
 		rec.Seq = seqBase + uint64(j)
 		rec.Worker = telemetry.Worker(ctx)
+		so.merge(base+i, rec)
 		rep.Results[j] = res
 		if ledger != nil {
 			ledger.Emit(*rec)
@@ -252,6 +327,7 @@ func Sweep[C, R any](ctx context.Context, ch Checker[C, R], cells []C, done map[
 	for _, i := range redo {
 		rec := ch.Cell(cells[i])
 		res, _ := ch.Check(i, cells[i], &rec)
+		so.merge(base+i, &rec)
 		if ch.finding(rec.Verdict) {
 			findings = append(findings, found{i, res, &rec})
 		}

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"authpoint/internal/obs"
 	"authpoint/internal/telemetry"
 )
 
@@ -280,5 +284,158 @@ func TestSweepResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Findings, full.Findings) {
 		t.Fatalf("resumed findings\n%+v\nwant\n%+v", rep.Findings, full.Findings)
+	}
+}
+
+// metricsCell is a cell of the metrics checker: its policy, a seed that
+// sets its snapshot, whether it leaves one, and how long its check takes.
+type metricsCell struct {
+	Policy string
+	Seed   int64
+	Snap   bool
+	Delay  time.Duration
+}
+
+// cellSnapshot is the snapshot a metrics cell leaves: a count, a sum and a
+// one-sample histogram that every merge must carry.
+func cellSnapshot(c metricsCell) *obs.Snapshot {
+	v := uint64(c.Seed)
+	counts := []uint64{0, 0, 0}
+	counts[v%3] = 1
+	return &obs.Snapshot{
+		Counters:   map[string]uint64{"cells": 1, "seed." + c.Policy: v},
+		Histograms: map[string]obs.HistSnapshot{"h": {Bounds: []uint64{2, 20}, Counts: counts, Sum: v, Count: 1, Max: v}},
+	}
+}
+
+// metricsChecker leaves each cell's snapshot on its record after the cell's
+// delay.
+func metricsChecker() Checker[metricsCell, int64] {
+	return Checker[metricsCell, int64]{
+		Cell: func(c metricsCell) telemetry.Record {
+			return telemetry.Record{Kind: "fake", Policy: c.Policy, Seed: c.Seed}
+		},
+		Check: func(_ int, c metricsCell, rec *telemetry.Record) (int64, error) {
+			time.Sleep(c.Delay)
+			rec.Verdict = "ok"
+			if c.Snap {
+				rec.Metrics = cellSnapshot(c)
+			}
+			return c.Seed, nil
+		},
+	}
+}
+
+// TestSweepMetricsRows pins the per-policy metrics rows: across two sweeps
+// on one SweepObs, at 1 and 8 workers with random check times, the rows
+// come in the order of each policy's first merged cell, count only the
+// cells that left a snapshot, hold the same merges, and sum to a plain
+// merge of every snapshot. The first cell to leave a snapshot is the
+// slowest, so at 8 workers its policy is not the first to finish one.
+func TestSweepMetricsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sweep := func(pols []string, seed0 int64) []metricsCell {
+		var cells []metricsCell
+		for s := seed0; s < seed0+6; s++ {
+			for _, p := range pols {
+				cells = append(cells, metricsCell{Policy: p, Seed: s, Snap: p != "none" && s%4 != 1,
+					Delay: time.Duration(rng.Intn(300)) * time.Microsecond})
+			}
+		}
+		return cells
+	}
+	// No seed-1 cell leaves a snapshot, and "none" leaves none: the first
+	// snapshot is cell 4's, policy "c" at seed 2.
+	first := sweep([]string{"none", "c", "a"}, 1)
+	first[4].Delay = 20 * time.Millisecond
+	second := sweep([]string{"b", "a", "d"}, 11)
+	total := &obs.Snapshot{}
+	want := map[string]int{}
+	for _, c := range append(append([]metricsCell(nil), first...), second...) {
+		if c.Snap {
+			if err := total.Merge(cellSnapshot(c)); err != nil {
+				t.Fatal(err)
+			}
+			want[c.Policy]++
+		}
+	}
+
+	rows := func(workers int) ([]PolicyMetrics, *obs.Snapshot) {
+		so := &SweepObs{CollectMetrics: true}
+		for _, cells := range [][]metricsCell{first, second} {
+			rep, err := Sweep(context.Background(), metricsChecker(), cells, nil, 0, workers, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rep.Records {
+				if r.Metrics != nil {
+					t.Fatalf("workers=%d: record %d still carries its merged snapshot", workers, i)
+				}
+			}
+		}
+		return so.Rows(), so.Metrics()
+	}
+	serial, serialTotal := rows(1)
+	var order []string
+	for _, r := range serial {
+		order = append(order, r.Policy)
+		if r.Cells != want[r.Policy] {
+			t.Errorf("policy %s merged %d cells, want the %d that left a snapshot", r.Policy, r.Cells, want[r.Policy])
+		}
+	}
+	if !reflect.DeepEqual(order, []string{"c", "a", "b", "d"}) {
+		t.Errorf("rows in order %v, want c a b d", order)
+	}
+	if !reflect.DeepEqual(serialTotal, total) {
+		t.Errorf("total %+v, want the plain merge %+v", serialTotal, total)
+	}
+	parallel, parallelTotal := rows(8)
+	if !reflect.DeepEqual(parallel, serial) {
+		t.Errorf("rows at 8 workers differ from serial: %s, serial %s", rowString(parallel), rowString(serial))
+	}
+	if !reflect.DeepEqual(parallelTotal, total) {
+		t.Errorf("total at 8 workers %+v, want %+v", parallelTotal, total)
+	}
+	if (&SweepObs{}).Metrics() != nil {
+		t.Error("a SweepObs no cell merged into has a total")
+	}
+}
+
+// rowString names each row's policy, cells and merged seed count.
+func rowString(rows []PolicyMetrics) string {
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, " %s:%d/%d", r.Policy, r.Cells, r.Snap.Counters["cells"])
+	}
+	return b.String()
+}
+
+// TestSweepMetricsResume: the prior findings a resume checks again are
+// merged into their policy rows too, as every cell of an uninterrupted
+// sweep is.
+func TestSweepMetricsResume(t *testing.T) {
+	cells := fakeCells()
+	ch := fakeChecker(nil)
+	check := ch.Check
+	ch.Check = func(i int, c fakeCell, rec *telemetry.Record) (fakeCell, error) {
+		res, err := check(i, c, rec)
+		rec.Metrics = &obs.Snapshot{Counters: map[string]uint64{"seed": uint64(c.Seed)}}
+		return res, err
+	}
+	done := map[CellID]string{}
+	findings := map[string]int{}
+	for _, c := range cells {
+		done[CellID{Kind: "fake", Policy: c.Policy, Seed: c.Seed, Tamper: c.Tamper}] = c.Verdict
+		if c.Verdict == "bad" {
+			findings[c.Policy]++
+		}
+	}
+	so := &SweepObs{CollectMetrics: true}
+	if _, err := Sweep(context.Background(), ch, cells, done, 0, 4, so); err != nil {
+		t.Fatal(err)
+	}
+	rows := so.Rows()
+	if len(rows) != 2 || rows[0].Policy != "b" || rows[0].Cells != findings["b"] || rows[1].Cells != findings["a"] {
+		t.Fatalf("rows %+v, want b then a with the %d and %d re-checked findings", rows, findings["b"], findings["a"])
 	}
 }

@@ -52,16 +52,15 @@ type Finding struct {
 func IsFinding(v Verdict) bool { return v == VerdictUnsound || v == VerdictError }
 
 // Campaign is the two-run contract campaign over cells as the campaign
-// engine runs it: each cell is checked with opt under the cell's policy. It
-// attaches so's metrics sink when so collects metrics. A seed memo, sized to
-// the cells' seeds, generates and digests each seed's program once and
-// prepares its check at most once, for the first of its cells the result
-// cache does not serve: assembles it, derives its contract, draws its secret
-// images and patches its two data images.
+// engine runs it: each cell is checked with opt under the cell's policy.
+// When so collects metrics, each cell leaves the merge of its two runs'
+// snapshots on its record. A seed memo, sized to the cells' seeds, generates
+// and digests each seed's program once and prepares its check at most once,
+// for the first of its cells the result cache does not serve: assembles it,
+// derives its contract, draws its secret images and patches its two data
+// images.
 func Campaign(opt Options, cells []Cell, so *campaign.SweepObs) campaign.Checker[Cell, Result] {
-	if so != nil && so.CollectMetrics {
-		opt.MetricsSink = so.Sink
-	}
+	collect := so != nil && so.CollectMetrics
 	sources := campaign.NewMemo[int64, source](campaign.Distinct(cells, func(c Cell) int64 { return c.Seed }))
 	return campaign.Checker[Cell, Result]{
 		Cell: func(c Cell) telemetry.Record {
@@ -70,6 +69,9 @@ func Campaign(opt Options, cells []Cell, so *campaign.SweepObs) campaign.Checker
 		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
 			o := opt
 			o.Policy, o.Seed = c.Policy, c.Seed
+			if collect {
+				o.MetricsSink = rec.AddMetrics
+			}
 			start := time.Now()
 			// The preparation reads o's policy-free options only, so the
 			// cell that builds the entry may prepare it for every policy.

@@ -194,3 +194,33 @@ func TestCacheHitSkipsPreparation(t *testing.T) {
 		t.Fatalf("cold check: cached=%v, %d loads", res.Cached, loads)
 	}
 }
+
+// TestCampaignRecordCarriesBothRuns: a campaign that collects metrics
+// leaves on each cell's record the merge of its two runs' snapshots, which
+// the engine then merges into the cell's policy row.
+func TestCampaignRecordCarriesBothRuns(t *testing.T) {
+	c := Cell{Seed: 3, Policy: policy.ThenCommit}
+	var runs []*obs.Snapshot
+	CheckSeed(c.Seed, Options{Policy: c.Policy, MetricsSink: func(s *obs.Snapshot) { runs = append(runs, s) }})
+	if len(runs) != 2 || runs[0].Counters["pipe.commit"] == 0 {
+		t.Fatalf("a check left %d snapshots, want runs A and B with commits", len(runs))
+	}
+	want := &obs.Snapshot{}
+	for _, s := range runs {
+		if err := want.Merge(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch := Campaign(Options{}, []Cell{c}, &campaign.SweepObs{CollectMetrics: true})
+	rec := ch.Cell(c)
+	if _, err := ch.Check(0, c, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Metrics == nil {
+		t.Fatal("record carries no snapshot")
+	}
+	if !reflect.DeepEqual(rec.Metrics, want) {
+		t.Fatalf("record carries %d commits, want runs A and B merged (%d)",
+			rec.Metrics.Counters["pipe.commit"], want.Counters["pipe.commit"])
+	}
+}

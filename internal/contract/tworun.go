@@ -78,11 +78,11 @@ type Options struct {
 	// cuts both runs at the same horizon.
 	ObserveWatchdog bool
 	// MetricsSink, if set, receives each timed run's observability snapshot
-	// (two per check — run A and run B). It must be safe for concurrent
-	// use: sweeps call it from every worker. The hub reads no bus event,
-	// so the adversary collector keeps the bus observer slot and the
-	// recorded view is unchanged. Cache hits produce no snapshot: nothing
-	// was simulated.
+	// (two per check — run A and run B). A campaign that collects metrics
+	// sets it per cell, so the cell's record carries both runs merged. The
+	// hub reads no bus event, so the adversary collector keeps the bus
+	// observer slot and the recorded view is unchanged. Cache hits produce
+	// no snapshot: nothing was simulated.
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: CheckProgram consults it
 	// before simulating and records fresh results into it, keyed on

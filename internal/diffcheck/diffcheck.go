@@ -101,10 +101,6 @@ type Options struct {
 	// Policy is the authentication control point for the timed run. The
 	// zero value is the decrypt-only baseline.
 	Policy policy.ControlPoint
-	// Mutate, if set, adjusts the timed config after the policy is applied
-	// (prefetcher on, MSHR bounds, ...). Mutations are not recorded in
-	// repro files; corpus entries must not rely on them.
-	Mutate func(*sim.Config)
 	// Tamper flips one bit in the encrypted image at TamperSite before the
 	// run and checks containment invariants instead of equivalence.
 	Tamper bool
@@ -119,24 +115,22 @@ type Options struct {
 	WatchdogCycles uint64
 	// MetricsSink, if set, receives the timed run's observability snapshot
 	// (sim.Machine.Metrics: hub metrics, counts and fast-path perf
-	// counters). It must be safe for concurrent use: sweeps call it from
-	// every worker. Attaching the observer does not change the Result —
-	// the fast path is pinned cycle-identical with a hub attached — so
-	// replay files stay valid. Cache hits produce no snapshot: nothing was
-	// simulated.
+	// counters). A campaign that collects metrics sets it per cell, so the
+	// snapshot rides on the cell's record. Attaching the observer does not
+	// change the Result — the fast path is pinned cycle-identical with a
+	// hub attached — so replay files stay valid. Cache hits produce no
+	// snapshot: nothing was simulated.
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: Check consults it before
 	// simulating and records fresh results into it, keyed on (CheckSchema,
 	// source digest, normalized policy, options, tamper+site, model
 	// fingerprint). Cached and fresh results are bit-identical — the same
-	// determinism the .repro replay corpus pins. Checks with Mutate set
-	// bypass the cache (a mutation function has no canonical fingerprint).
+	// determinism the .repro replay corpus pins.
 	Cache *campaign.Store
 	// Oracle, if set, memoizes the in-order oracle leg across checks: the
 	// oracle run is policy-independent (up to the architectural PAC mode),
 	// so a cross campaign pays it once per seed instead of once per
-	// (seed x policy). Checks with Mutate set bypass the memo (mutations
-	// may move the digest windows).
+	// (seed x policy).
 	Oracle *OracleMemo
 }
 
@@ -244,11 +238,10 @@ func newSource(src string) source {
 // and the final memory image of the data segment and stack. Under Tamper it
 // instead asserts the policy's containment invariants (see Verdicts).
 //
-// With Options.Cache set (and no Mutate), Check first consults the campaign
-// result cache and returns the recorded Result on a hit, marked Cached;
-// fresh results are recorded for the next campaign. Cached results are
-// bit-identical to fresh ones by the same determinism the replay corpus
-// pins.
+// With Options.Cache set, Check first consults the campaign result cache
+// and returns the recorded Result on a hit, marked Cached; fresh results are
+// recorded for the next campaign. Cached results are bit-identical to fresh
+// ones by the same determinism the replay corpus pins.
 func Check(src string, opt Options) Result {
 	return checkSource(newSource(src), opt)
 }
@@ -256,7 +249,7 @@ func Check(src string, opt Options) Result {
 // checkSource is Check on a source the caller may share between checks.
 func checkSource(s source, opt Options) Result {
 	opt = opt.withDefaults()
-	if opt.Cache == nil || opt.Mutate != nil {
+	if opt.Cache == nil {
 		return check(s.load(), opt)
 	}
 	key := cacheKey(s.digest, opt)
@@ -328,9 +321,6 @@ func check(pr program, opt Options) Result {
 			cfg.Sec.UseTree = true
 		}
 	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
 	ranges := digestRanges(p, cfg.StackB)
 
 	// Oracle leg. Tamper runs still record the untampered reference digest:
@@ -341,7 +331,7 @@ func check(pr program, opt Options) Result {
 	// across the policies of a cross campaign.
 	mode := pacModeFor(res.Policy)
 	var oracle *oracleState
-	if opt.Oracle != nil && opt.Mutate == nil {
+	if opt.Oracle != nil {
 		key := oracleKey{prog: pr.digest, mode: mode, maxInsts: opt.MaxOracleInsts}
 		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, opt.MaxOracleInsts, ranges) })
 	} else {

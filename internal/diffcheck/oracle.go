@@ -76,9 +76,7 @@ type oracleKey struct {
 
 // OracleMemo memoizes in-order oracle runs across differential checks.
 // Sweeps share one memo across all cells, and each oracle run is a miss:
-// its Hits count the runs the memo saved. The memo only serves checks with
-// default digest windows (Options.Mutate unset); Check bypasses it
-// otherwise. Safe for concurrent use.
+// its Hits count the runs the memo saved. Safe for concurrent use.
 type OracleMemo = campaign.Memo[oracleKey, *oracleState]
 
 // NewOracleMemo builds a memo holding at most cap entries (<=0 means

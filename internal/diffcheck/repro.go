@@ -44,8 +44,9 @@ type Repro struct {
 	Source string `json:"source"`
 }
 
-// NewRepro records a result (produced with default Options — mutations are
-// not replayable) and its source as a repro.
+// NewRepro records a result and its source as a repro. Replay re-checks the
+// source under the recorded policy and tamper site with default bounds, so
+// the result must have been produced with them.
 func NewRepro(res Result, src, note string) *Repro {
 	// Entry is the default site; recording it as "" keeps entry-site repro
 	// files (the whole pre-site corpus) byte-identical across replay.

@@ -83,18 +83,16 @@ func IsFinding(v Verdict) bool { return v == VerdictDivergence || v == VerdictEr
 type SweepObs = campaign.SweepObs
 
 // Campaign is the fuzz campaign over cells as the campaign engine runs it:
-// each cell is checked with opt under the cell's policy and tamper site. It
-// attaches so's metrics sink when so collects metrics. A seed memo, sized to
-// the cells' seeds, generates and digests each seed's program once and
-// assembles it at most once, for the first of its cells the result cache
-// does not serve. When the cells repeat seeds and opt has no oracle memo,
-// Campaign attaches one, so the policy-independent oracle leg runs once per
-// seed and pac-mode; it keeps the default cap, because its snapshots carry a
-// 64 KB stack.
+// each cell is checked with opt under the cell's policy and tamper site.
+// When so collects metrics, each cell leaves its timed run's snapshot on its
+// record. A seed memo, sized to the cells' seeds, generates and digests each
+// seed's program once and assembles it at most once, for the first of its
+// cells the result cache does not serve. When the cells repeat seeds and opt
+// has no oracle memo, Campaign attaches one, so the policy-independent oracle
+// leg runs once per seed and pac-mode; it keeps the default cap, because its
+// snapshots carry a 64 KB stack.
 func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Result] {
-	if so != nil && so.CollectMetrics {
-		opt.MetricsSink = so.Sink
-	}
+	collect := so != nil && so.CollectMetrics
 	seeds := campaign.Distinct(cells, func(c Cell) int64 { return c.Seed })
 	sources := campaign.NewMemo[int64, source](seeds)
 	if seeds < len(cells) && opt.Oracle == nil {
@@ -108,6 +106,9 @@ func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Re
 		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
 			o := opt
 			o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, c.Site
+			if collect {
+				o.MetricsSink = rec.AddMetrics
+			}
 			start := time.Now()
 			res := checkSource(sources.Get(c.Seed, func() source { return newSource(GenProgram(c.Seed)) }), o)
 			res.Seed = c.Seed

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/harness"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -45,6 +47,45 @@ func TestSweepParallelOutputByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(serialTable, "gapx") || !strings.Contains(serialTable, "MEAN") {
 		t.Errorf("render shape unexpected:\n%s", serialTable)
+	}
+}
+
+// TestSweepMetricsParallelIdentical pins the per-policy metrics rows of
+// bench sweeps: at 1 and 4 workers they hold the same cells and snapshots,
+// in sweep order (the baseline, then each policy), one cell per workload;
+// a second sweep on the same runner serves its baselines from the memo and
+// merges none of them again.
+func TestSweepMetricsParallelIdentical(t *testing.T) {
+	p := Params{Warmup: 4_000, Measure: 12_000}
+	for _, n := range []string{"gapx", "swimx"} {
+		w, _ := workload.ByName(n)
+		p.Workloads = append(p.Workloads, w)
+	}
+	rows := func(parallelism int) []campaign.PolicyMetrics {
+		t.Helper()
+		so := &campaign.SweepObs{CollectMetrics: true}
+		pp := p
+		pp.Runner = &harness.Runner{Parallelism: parallelism, Obs: so}
+		for _, pols := range [][]policy.ControlPoint{{policy.ThenIssue, policy.ThenCommit}, {policy.ThenWrite}} {
+			if _, err := RunSweep("metrics", pp, pols, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return so.Rows()
+	}
+	serial := rows(1)
+	want := []policy.ControlPoint{policy.Baseline, policy.ThenIssue, policy.ThenCommit, policy.ThenWrite}
+	if len(serial) != len(want) {
+		t.Fatalf("%d rows, want %d", len(serial), len(want))
+	}
+	for i, r := range serial {
+		if r.Policy != want[i].String() || r.Cells != len(p.Workloads) || r.Snap.Counters["pipe.commit"] == 0 {
+			t.Errorf("row %d: %s with %d cells and %d commits, want %s with %d cells",
+				i, r.Policy, r.Cells, r.Snap.Counters["pipe.commit"], want[i], len(p.Workloads))
+		}
+	}
+	if parallel := rows(4); !reflect.DeepEqual(parallel, serial) {
+		t.Errorf("rows at 4 workers differ from serial:\n%+v\nserial:\n%+v", parallel, serial)
 	}
 }
 

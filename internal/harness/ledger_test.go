@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/telemetry"
 )
 
@@ -18,7 +19,7 @@ func runLedgered(t *testing.T, specs []Spec, parallelism int) *telemetry.LedgerF
 	if err := l.WriteHeader(telemetry.NewHeader("ledger-test", parallelism)); err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Parallelism: parallelism, Ledger: l}
+	r := &Runner{Parallelism: parallelism, Obs: &campaign.SweepObs{Ledger: l}}
 	if _, err := r.RunAll(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestLedgerRecordsFailures(t *testing.T) {
 	if err := l.WriteHeader(telemetry.NewHeader("ledger-fail", 2)); err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Parallelism: 2, Ledger: l}
+	r := &Runner{Parallelism: 2, Obs: &campaign.SweepObs{Ledger: l}}
 	if _, err := r.RunAll(context.Background(), specs); err == nil {
 		t.Fatal("broken cell did not fail the sweep")
 	}

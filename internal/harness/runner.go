@@ -55,18 +55,13 @@ type Runner struct {
 	// from inside it.
 	OnProgress func(Progress)
 
-	// CollectMetrics forces Spec.Metrics on for every cell, so each
-	// Outcome's Measurement carries an obs.Snapshot. Memoized baseline
-	// cells share one snapshot; use Outcome.Cached to avoid aggregating it
-	// twice.
-	CollectMetrics bool
-
-	// Ledger, if set, receives one telemetry record per finished RunAll
-	// cell. Sequence numbers are reserved in input order before dispatch,
-	// so a parallel ledger re-sorted by seq matches a serial one.
-	Ledger *telemetry.Ledger
-	// Meter, if set, is fed live progress (one tick per finished cell).
-	Meter *telemetry.Meter
+	// Obs, if set, observes every RunAll as a campaign sweep (see
+	// campaign.SweepObs): its ledger receives one bench record per cell,
+	// its meter one tick per finished cell, and with CollectMetrics every
+	// cell is measured with Spec.Metrics on and its snapshot merged into
+	// the cell's policy row. A memoized baseline cell (Outcome.Cached)
+	// leaves no snapshot, so each measurement is merged once.
+	Obs *campaign.SweepObs
 
 	// baselines memoizes decrypt-only baseline measurements keyed on
 	// (workload, config with the control point forced to baseline, windows),
@@ -106,8 +101,8 @@ func (r *Runner) BaselineSims() int64 { return r.baselineSims.Load() }
 // (their Outcome.Err is the context error); cells already running finish
 // normally. The returned error is the error of the lowest-index failing
 // cell, which is deterministic because cells are dispatched in input order.
-// An external ctx cancellation stops dispatch the same way. With a Ledger,
-// every cell gets one bench record, skipped cells an explicit skipped one.
+// An external ctx cancellation stops dispatch the same way. With Obs, every
+// cell gets one bench record, skipped cells an explicit skipped one.
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -127,6 +122,9 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 			if o.Err != nil {
 				rec.Err = o.Err.Error()
 			}
+			if !o.Cached {
+				rec.Metrics = o.Measurement.Metrics
+			}
 			if r.OnProgress != nil {
 				mu.Lock()
 				done++
@@ -136,7 +134,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 			return o, o.Err
 		},
 	}
-	rep, err := campaign.Sweep(ctx, bench, specs, nil, 0, r.Parallelism, &campaign.SweepObs{Ledger: r.Ledger, Meter: r.Meter})
+	rep, err := campaign.Sweep(ctx, bench, specs, nil, 0, r.Parallelism, r.Obs)
 	// Cells never run carry the context error, so callers can tell them from
 	// successes: the caller's, or Canceled when a failing cell cancelled the
 	// sweep.
@@ -156,7 +154,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 // memo.
 func (r *Runner) runOne(s Spec) Outcome {
 	start := time.Now()
-	if r.CollectMetrics {
+	if r.Obs != nil && r.Obs.CollectMetrics {
 		s.Metrics = true
 	}
 	o := Outcome{Spec: s}

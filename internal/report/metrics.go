@@ -9,8 +9,8 @@ import (
 	"io"
 	"strings"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/obs"
-	"authpoint/internal/policy"
 )
 
 // WriteMetrics renders a metrics snapshot: histograms with distribution
@@ -37,52 +37,10 @@ func WriteMetrics(w io.Writer, s *obs.Snapshot) {
 	}
 }
 
-// SchemeSummary is the per-control-point aggregate of every measured cell's
-// metrics snapshot.
-type SchemeSummary struct {
-	Policy policy.ControlPoint
-	Cells  int
-	Snap   *obs.Snapshot
-}
-
-// Aggregator folds per-cell snapshots into per-control-point summaries,
-// preserving first-seen policy order.
-type Aggregator struct {
-	order []policy.ControlPoint
-	by    map[policy.ControlPoint]*SchemeSummary
-}
-
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{by: map[policy.ControlPoint]*SchemeSummary{}}
-}
-
-// Add merges one cell's snapshot into its control point's summary (nil
-// snapshots are counted but contribute nothing).
-func (a *Aggregator) Add(pt policy.ControlPoint, snap *obs.Snapshot) error {
-	s, ok := a.by[pt]
-	if !ok {
-		s = &SchemeSummary{Policy: pt, Snap: &obs.Snapshot{}}
-		a.by[pt] = s
-		a.order = append(a.order, pt)
-	}
-	s.Cells++
-	return s.Snap.Merge(snap)
-}
-
-// Summaries returns the per-control-point summaries in first-seen order.
-func (a *Aggregator) Summaries() []SchemeSummary {
-	out := make([]SchemeSummary, 0, len(a.order))
-	for _, sc := range a.order {
-		out = append(out, *a.by[sc])
-	}
-	return out
-}
-
 // WriteSchemeSummaries renders the per-scheme stall/gap summary table: the
 // auth-latency and decrypt→auth gap distributions plus the per-control-point
-// stall-cycle breakdown, one row per scheme.
-func WriteSchemeSummaries(w io.Writer, sums []SchemeSummary) {
+// stall-cycle breakdown, one row per policy row of a sweep, in row order.
+func WriteSchemeSummaries(w io.Writer, sums []campaign.PolicyMetrics) {
 	if len(sums) == 0 {
 		return
 	}

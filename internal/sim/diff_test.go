@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"testing"
 
+	"authpoint/internal/asm"
 	"authpoint/internal/diffcheck"
+	"authpoint/internal/interp"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
@@ -63,11 +65,39 @@ func TestDifferentialAcrossSchemes(t *testing.T) {
 }
 
 // Functional correctness with the next-line prefetcher on: prefetch changes
-// miss timing only, never architectural state.
+// miss timing only, never architectural state. Each program must halt with
+// the oracle's instruction count and state digest over the data segment and
+// stack.
 func TestDifferentialWithPrefetch(t *testing.T) {
 	for seed := int64(200); seed < 206; seed++ {
-		checkSeed(t, seed, diffcheck.Options{
-			Mutate: func(c *sim.Config) { c.Mem.NextLinePrefetch = true },
-		})
+		p := asm.MustAssemble(diffcheck.GenProgram(seed))
+		cfg := sim.DefaultConfig()
+		cfg.Mem.NextLinePrefetch = true
+		var ranges []interp.MemRange
+		if len(p.Data) > 0 {
+			ranges = append(ranges, interp.MemRange{Start: p.DataBase, Len: uint64(len(p.Data))})
+		}
+		ranges = append(ranges, interp.MemRange{Start: sim.StackBase, Len: cfg.StackB})
+
+		o := interp.New(p)
+		if stop := o.Run(diffcheck.DefaultMaxOracleInsts); stop != interp.StopHalt {
+			t.Fatalf("seed %d: oracle stopped with %v, want a halt", seed, stop)
+		}
+		m, err := sim.NewMachine(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil || res.Reason != sim.StopHalt || res.Insts != o.Insts {
+			t.Errorf("seed %d: core stopped with %v (%v) after %d insts, oracle halted after %d",
+				seed, res.Reason, err, res.Insts, o.Insts)
+		}
+		if got, want := m.ArchDigest(ranges...), o.StateDigest(ranges...); got != want {
+			t.Errorf("seed %d: state digest %x, oracle %x", seed, got, want)
+		}
+		if m.MS.Prefetches == 0 {
+			t.Errorf("seed %d: the prefetcher never fetched", seed)
+		}
+		m.Release()
 	}
 }

@@ -3,6 +3,8 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"authpoint/internal/asm"
@@ -352,5 +354,84 @@ func TestObserverDoesNotPerturbTiming(t *testing.T) {
 	if plain.Cycles != observed.Cycles || plain.Insts != observed.Insts {
 		t.Fatalf("observer perturbed timing: %d/%d cycles, %d/%d insts",
 			plain.Cycles, observed.Cycles, plain.Insts, observed.Insts)
+	}
+}
+
+// issueGateProgram is a 100-iteration loop on the text line 0x10c0. Each
+// iteration loads conflicts data lines 64 KB apart, all in the 4-way L2 set
+// of the loop's own line, and then, with textLoad, a word of that line.
+func issueGateProgram(conflicts int, textLoad bool) *asm.Program {
+	var b strings.Builder
+	b.WriteString("_start:\n\tbeq r0, r0, setup\n")
+	// Pad from 0x1004 to the loop's line.
+	b.WriteString(strings.Repeat("\tadd r1, r1, r0\n", (0x10c0-0x1004)/4))
+	b.WriteString("loop:\n")
+	for k := 0; k < conflicts; k++ {
+		fmt.Fprintf(&b, "\tld r%d, 0(r%d)\n", 4+k, 12+k)
+	}
+	if textLoad {
+		b.WriteString("\tld r11, 32(r2)\n")
+	}
+	b.WriteString("\taddi r3, r3, -1\n\tbne r3, r0, loop\n\thalt\nsetup:\n")
+	for k := 0; k < conflicts; k++ {
+		fmt.Fprintf(&b, "\tli r%d, %#x\n", 12+k, 0x1010c0+k<<16)
+	}
+	b.WriteString("\tla r2, loop\n\tli r3, 100\n\tbeq r0, r0, loop\n.data\n\t.space 0x50000\n")
+	p := asm.MustAssemble(b.String())
+	if p.Symbols["loop"] != 0x10c0 {
+		panic(fmt.Sprintf("loop at %#x", p.Symbols["loop"]))
+	}
+	return p
+}
+
+// The authen-then-issue gate holds when an instruction is fetched from an
+// L1I line whose L2 line a data access has re-fetched: the L1I hit is ready
+// at once, but it carries the re-fetched line's verification time. Here the
+// four data lines evict the loop's L2 line, and the load from the loop's
+// own line fetches it again. The snapshot's stall cycles are the core's on
+// the fast and the slow path; without the re-fetch, or under a policy with
+// no issue gate, nothing stalls.
+func TestIssueGateHoldsOnRefetchedText(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		conflicts         int
+		textLoad          bool
+		pol               policy.ControlPoint
+		stall, stallCount uint64
+	}{
+		{"then-issue", 4, true, policy.ThenIssue, 784, 1},
+		{"authen-only", 4, true, policy.AuthOnly, 0, 0},
+		{"no text load", 4, false, policy.ThenIssue, 0, 0},
+		{"three conflicts", 3, true, policy.ThenIssue, 0, 0},
+	} {
+		p := issueGateProgram(tc.conflicts, tc.textLoad)
+		var cycles [2]uint64
+		for i, slow := range []bool{false, true} {
+			cfg := sim.DefaultConfig()
+			cfg.Policy = tc.pol
+			m, err := sim.NewMachine(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slow {
+				m.DisableFastPath()
+			}
+			hub := obs.NewHub(nil, true)
+			m.SetObserver(hub)
+			res, err := m.Run()
+			if err != nil || res.Reason != sim.StopHalt {
+				t.Fatalf("%s: %v %v", tc.name, res.Reason, err)
+			}
+			snap := m.Metrics(hub, nil)
+			got, events := snap.Counters["stall.issue-auth.cycles"], snap.Counters["stall.issue-auth.events"]
+			if got != res.Core.IssueAuthStall || got != tc.stall || events != tc.stallCount {
+				t.Errorf("%s (slow path %v): stall.issue-auth.cycles = %d in %d events, the core counted %d; want %d in %d",
+					tc.name, slow, got, events, res.Core.IssueAuthStall, tc.stall, tc.stallCount)
+			}
+			cycles[i] = res.Cycles
+		}
+		if cycles[0] != cycles[1] {
+			t.Errorf("%s: fast path halts at cycle %d, slow path at %d", tc.name, cycles[0], cycles[1])
+		}
 	}
 }

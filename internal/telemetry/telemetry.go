@@ -21,6 +21,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"authpoint/internal/obs"
 )
 
 // LedgerSchema versions the ledger format; the first line of every ledger is
@@ -90,6 +92,25 @@ type Record struct {
 	Cached bool `json:"cached,omitempty"`
 
 	Err string `json:"err,omitempty"`
+
+	// Metrics is the cell's observability snapshot, when the check
+	// collected one. It rides on the record only until the campaign engine
+	// merges it into the cell's policy row, and is never written to the
+	// ledger.
+	Metrics *obs.Snapshot `json:"-"`
+}
+
+// AddMetrics folds one timed run's snapshot into the record's, so a cell
+// that runs twice carries the merge of both. The first snapshot is taken
+// as is.
+func (r *Record) AddMetrics(snap *obs.Snapshot) {
+	if r.Metrics == nil {
+		r.Metrics = snap
+		return
+	}
+	// Merge only fails on histogram bucket-bound mismatches, which cannot
+	// happen here: every run uses the hub's fixed bucket sets.
+	_ = r.Metrics.Merge(snap)
 }
 
 // Canonical returns the record with host-dependent fields zeroed, so records
