@@ -154,7 +154,7 @@ func (b *bench) runLeaf(name string) error {
 
 	case "lattice":
 		section("Lattice: normalized IPC across the composable control-point space")
-		return runLatticeExperiment(w, p, b.obs.Parallel)
+		return runLatticeExperiment(w, p)
 
 	case "table1":
 		section("Table 1")

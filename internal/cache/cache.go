@@ -17,10 +17,12 @@ type Line struct {
 	Tag   uint64
 	Valid bool
 	Dirty bool
-	// Aux carries model-specific per-line state (e.g. "verified" for L2
-	// lines whose authentication completed, or the ready-cycle of an
-	// in-flight fill).
+	// Aux carries model-specific per-line state (e.g. the ready-cycle of
+	// an in-flight fill).
 	Aux uint64
+	// AuthDone is the cycle the line's integrity verification completes,
+	// for caches that hold verified lines (the L2); Fill zeroes it.
+	AuthDone uint64
 }
 
 // Config describes a cache shape.
@@ -192,7 +194,6 @@ func (c *Cache) Access(addr uint64, write bool) (*Line, bool) {
 type Victim struct {
 	Addr  uint64
 	Dirty bool
-	Aux   uint64
 }
 
 // Fill installs addr's line (after a miss), evicting the LRU way. It returns
@@ -212,7 +213,6 @@ func (c *Cache) Fill(addr uint64, write bool) (l *Line, victim Victim, evicted b
 		victim = Victim{
 			Addr:  (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineB),
 			Dirty: l.Dirty,
-			Aux:   l.Aux,
 		}
 		evicted = true
 		if l.Dirty {
@@ -222,42 +222,6 @@ func (c *Cache) Fill(addr uint64, write bool) (l *Line, victim Victim, evicted b
 	*l = Line{Tag: tag, Valid: true, Dirty: write && c.cfg.WriteBck}
 	c.touch(set, way)
 	return l, victim, evicted
-}
-
-// Invalidate drops addr's line if present, returning its prior state.
-func (c *Cache) Invalidate(addr uint64) *Victim {
-	set, tag := c.index(addr)
-	for w := range c.lines[set] {
-		l := &c.lines[set][w]
-		if l.Valid && l.Tag == tag {
-			v := &Victim{Addr: c.LineAddr(addr), Dirty: l.Dirty, Aux: l.Aux}
-			l.Valid = false
-			return v
-		}
-	}
-	return nil
-}
-
-// InvalidateAll drops every line, returning the dirty victims (for
-// write-back flushing).
-func (c *Cache) InvalidateAll() []Victim {
-	var out []Victim
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			l := &c.lines[s][w]
-			if l.Valid {
-				if l.Dirty {
-					out = append(out, Victim{
-						Addr:  (l.Tag*uint64(c.sets) + uint64(s)) * uint64(c.cfg.LineB),
-						Dirty: true,
-						Aux:   l.Aux,
-					})
-				}
-				l.Valid = false
-			}
-		}
-	}
-	return out
 }
 
 func (c *Cache) touch(set, way int) {

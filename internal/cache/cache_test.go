@@ -137,49 +137,18 @@ func TestProbeDoesNotTouch(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := dmCache(t)
-	c.Fill(0x40, true)
-	v := c.Invalidate(0x47)
-	if v == nil || !v.Dirty || v.Addr != 0x40 {
-		t.Fatalf("invalidate %+v", v)
-	}
-	if _, hit := c.Access(0x40, false); hit {
-		t.Error("line survived invalidation")
-	}
-	if c.Invalidate(0x40) != nil {
-		t.Error("double invalidation returned a victim")
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	c := dmCache(t)
-	c.Fill(0x0, true)
-	c.Fill(0x20, false)
-	c.Fill(0x40, true)
-	victims := c.InvalidateAll()
-	if len(victims) != 2 {
-		t.Fatalf("dirty victims %d want 2", len(victims))
-	}
-	for _, a := range []uint64{0x0, 0x20, 0x40} {
-		if _, hit := c.Access(a, false); hit {
-			t.Errorf("%#x survived InvalidateAll", a)
-		}
-	}
-}
-
 func TestAuxRoundTrip(t *testing.T) {
 	c := dmCache(t)
 	l, _, _ := c.Fill(0x80, false)
-	l.Aux = 42
+	l.Aux, l.AuthDone = 42, 99
 	got, hit := c.Access(0x80, false)
-	if !hit || got.Aux != 42 {
-		t.Error("Aux lost")
+	if !hit || got.Aux != 42 || got.AuthDone != 99 {
+		t.Error("Aux or AuthDone lost")
 	}
 	c.Fill(0x480, false) // evict
 	l2, _, _ := c.Fill(0x80, false)
-	if l2.Aux != 0 {
-		t.Error("Aux leaked across refill")
+	if l2.Aux != 0 || l2.AuthDone != 0 {
+		t.Error("Aux or AuthDone leaked across refill")
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 
 	"authpoint/internal/asm"
 	"authpoint/internal/campaign"
 	"authpoint/internal/cryptoengine/mactree"
-	"authpoint/internal/cryptoengine/pacmac"
 	"authpoint/internal/interp"
 	"authpoint/internal/isa"
 	"authpoint/internal/obs"
@@ -106,9 +106,6 @@ type Options struct {
 	Tamper bool
 	// TamperSite selects the tampered line; empty means SiteEntry.
 	TamperSite TamperSite
-	// MaxOracleInsts bounds the oracle run (0 = DefaultMaxOracleInsts).
-	// Programs that exceed it report VerdictError, not a divergence.
-	MaxOracleInsts uint64
 	// WatchdogCycles overrides the timed machine's watchdog (0 = the
 	// simulator default). The minimizer lowers it so non-terminating
 	// shrink candidates fail fast.
@@ -136,7 +133,8 @@ type Options struct {
 
 // DefaultMaxOracleInsts bounds the in-order oracle: generated programs
 // terminate within a few thousand instructions, so anything near this bound
-// is a runaway shrink candidate, not a real program.
+// is a runaway shrink candidate, not a real program. Programs that exceed
+// it report VerdictError, not a divergence.
 const DefaultMaxOracleInsts = 2_000_000
 
 // tamperMaxInsts bounds tampered timed runs: a tampered instruction stream
@@ -175,9 +173,6 @@ type Result struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxOracleInsts == 0 {
-		o.MaxOracleInsts = DefaultMaxOracleInsts
-	}
 	if o.Tamper && o.TamperSite == "" {
 		o.TamperSite = SiteEntry
 	}
@@ -269,15 +264,15 @@ func checkSource(s source, opt Options) Result {
 
 // cacheKey derives the content address of one check of the program whose
 // source text has the given digest. opt must already have defaults applied,
-// so the key is canonical: an entry-site tamper always records "entry",
-// bounds are always explicit.
+// so the key is canonical: an entry-site tamper always records "entry", and
+// the option text names both bounds.
 func cacheKey(digest [32]byte, opt Options) campaign.Key {
 	k := campaign.Key{
 		Check:      CheckSchema,
 		Kind:       "fuzz",
 		ProgDigest: hex.EncodeToString(digest[:]),
 		Policy:     opt.Policy.Normalize().String(),
-		Options:    fmt.Sprintf("max_oracle=%d watchdog=%d", opt.MaxOracleInsts, opt.WatchdogCycles),
+		Options:    fmt.Sprintf("max_oracle=%d watchdog=%d", DefaultMaxOracleInsts, opt.WatchdogCycles),
 		Model:      ModelFingerprint(opt.Policy),
 	}
 	if opt.Tamper {
@@ -329,17 +324,17 @@ func check(pr program, opt Options) Result {
 	// match the timed machine's: auth-failure behaviour is architectural.
 	// The leg is policy-independent beyond that mode, so a memo shares it
 	// across the policies of a cross campaign.
-	mode := pacModeFor(res.Policy)
+	mode := sim.PACMode(res.Policy)
 	var oracle *oracleState
 	if opt.Oracle != nil {
-		key := oracleKey{prog: pr.digest, mode: mode, maxInsts: opt.MaxOracleInsts}
-		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, opt.MaxOracleInsts, ranges) })
+		key := oracleKey{prog: pr.digest, mode: mode}
+		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, ranges) })
 	} else {
-		oracle = runOracle(p, mode, opt.MaxOracleInsts, ranges)
+		oracle = runOracle(p, mode, ranges)
 	}
 	if oracle.stop == interp.StopMaxInsts {
 		res.Verdict = VerdictError
-		res.Divergence = fmt.Sprintf("oracle did not terminate within %d instructions", opt.MaxOracleInsts)
+		res.Divergence = fmt.Sprintf("oracle did not terminate within %d instructions", DefaultMaxOracleInsts)
 		return res
 	}
 	res.OracleDigest = hex.EncodeToString(oracle.digest[:])
@@ -407,14 +402,7 @@ func check(pr program, opt Options) Result {
 
 	if opt.Tamper {
 		res.SimDigest = archDigest(m, ranges)
-		switch opt.TamperSite {
-		case SiteData:
-			return checkTamperData(res, m, simRes, p.DataBase&^63)
-		case SiteMac, SiteTree:
-			return checkTamperMeta(res, m, simRes, oracle, ranges)
-		default: // entry, ctr: the fetched instruction stream is garbage
-			return checkTamper(res, m, simRes)
-		}
+		return checkTamper(res, m, simRes, oracle, ranges)
 	}
 	if runErr != nil && simRes.Reason == sim.StopModelError {
 		res.Verdict = VerdictError
@@ -442,89 +430,63 @@ func archDigest(m *sim.Machine, ranges []interp.MemRange) string {
 	return hex.EncodeToString(d[:])
 }
 
-// pacModeFor maps policy knobs to the architectural auth-failure mode, the
-// same mapping the simulator's applyPolicy uses.
-func pacModeFor(pt policy.ControlPoint) pacmac.Mode {
-	k := pt.Knobs()
-	switch {
-	case k.PACFault:
-		return pacmac.ModeFaultAuth
-	case k.PAC:
-		return pacmac.ModePoison
-	default:
-		return pacmac.ModeOff
-	}
-}
-
-// checkTamperMeta asserts the invariants of a run whose integrity metadata
-// (stored MAC or tree node) was tampered while the data and counter stayed
-// intact. The fetched plaintext is bit-identical to the untampered image, so
-// under the baseline the run must be architecturally equivalent to the
-// oracle; any authenticating policy must flag the entry line the moment it
-// verifies, and issue/commit gates must contain it with zero commits.
-func checkTamperMeta(res Result, m *sim.Machine, simRes sim.Result, oracle *oracleState, ranges []interp.MemRange) Result {
+// checkTamper asserts the containment invariants of a tampered run. Every
+// site climbs one ladder: the baseline verifies nothing, an authenticating
+// policy must flag the tampered line, an issue or commit gate must end the
+// run in a security fault with zero commits, and any other policy contains
+// the failure if it fires before the run ends and detects it otherwise.
+// The sites differ at three rungs:
+//
+//   - mac, tree: the fetched plaintext is bit-identical to the untampered
+//     image, so the baseline run must equal the oracle's;
+//   - data: the program may never touch the tampered first data line, so an
+//     unflagged run is correct when that line never reached the bus;
+//   - data: the zero-commit rung does not apply, since the line may be
+//     fetched late in the run, or only by a squashed wrong-path access that
+//     no retiring instruction depends on.
+//
+// At entry and ctr the fetched instruction stream is garbage from the first
+// fetch on.
+func checkTamper(res Result, m *sim.Machine, simRes sim.Result, oracle *oracleState, ranges []interp.MemRange) Result {
 	k := res.Policy.Knobs()
-	if !k.Authenticate {
-		// Baseline: the metadata is never read, so the tamper must be
-		// completely invisible — full architectural equivalence.
-		if d := compare(oracle, m, simRes, ranges); d != "" {
-			res.Verdict = VerdictDivergence
-			res.Divergence = "metadata tamper perturbed an unauthenticated run: " + d
-			return res
-		}
-		res.Verdict = VerdictUndetected
-		return res
-	}
-	if m.Ctrl.Fault() == nil {
-		res.Verdict = VerdictDivergence
-		res.Divergence = "tampered integrity metadata of the entry line was never flagged by verification"
-		return res
-	}
-	if k.GateIssue || k.GateCommit {
-		if simRes.Reason != sim.StopSecurityFault {
-			res.Verdict = VerdictDivergence
-			res.Divergence = fmt.Sprintf("issue/commit-gated policy stopped with %v, want security-fault", simRes.Reason)
-			return res
-		}
-		if simRes.Insts != 0 {
-			res.Verdict = VerdictDivergence
-			res.Divergence = fmt.Sprintf("issue/commit-gated policy committed %d instructions before the metadata fault", simRes.Insts)
-			return res
-		}
-		res.Verdict = VerdictContained
-		return res
-	}
-	if simRes.Reason == sim.StopSecurityFault {
-		res.Verdict = VerdictContained
-		return res
-	}
-	res.Verdict = VerdictDetected
-	return res
-}
-
-// checkTamper asserts the metamorphic containment invariants of a tampered
-// run: gated policies never commit tampered-but-unverified state.
-func checkTamper(res Result, m *sim.Machine, simRes sim.Result) Result {
-	k := res.Policy.Knobs()
+	meta := res.Site == SiteMac || res.Site == SiteTree
 	if !k.Authenticate {
 		// Baseline: nothing verifies, so nothing can be asserted beyond
 		// determinism. The tamper executing unnoticed is the vulnerability
-		// the paper measures, not a bug in the model.
+		// the paper measures, not a bug in the model; a metadata tamper is
+		// never even read, so it must be invisible.
+		if meta {
+			if d := compare(oracle, m, simRes, ranges); d != "" {
+				res.Verdict = VerdictDivergence
+				res.Divergence = "metadata tamper perturbed an unauthenticated run: " + d
+				return res
+			}
+		}
 		res.Verdict = VerdictUndetected
 		return res
 	}
-	// Every authenticating policy must at least flag the tampered line: the
-	// entry line is always fetched, always enqueued, always verified.
+	// The controller verifies eagerly at fetch, so a fetched tampered line
+	// is always flagged. The entry line is always fetched.
 	if m.Ctrl.Fault() == nil {
+		switch {
+		case res.Site == SiteData:
+			if !slices.Contains(m.ReadLineAddrsBefore(sim.StopCycle(simRes)), m.Prog.DataBase&^63) {
+				res.Verdict = VerdictOK // line never fetched: nothing to assert
+				return res
+			}
+			res.Divergence = "tampered data line was fetched but never flagged by verification"
+		case meta:
+			res.Divergence = "tampered integrity metadata of the entry line was never flagged by verification"
+		default:
+			res.Divergence = "tampered entry line was fetched but never flagged by verification"
+		}
 		res.Verdict = VerdictDivergence
-		res.Divergence = "tampered entry line was fetched but never flagged by verification"
 		return res
 	}
-	if k.GateIssue || k.GateCommit {
+	if (k.GateIssue || k.GateCommit) && res.Site != SiteData {
 		// Containment gates: the tainted entry instruction may not issue
 		// (then-issue) or retire (then-commit) before its line verifies, and
-		// its verification fails — so the run must end in a security fault
-		// with zero instructions committed.
+		// its verification fails.
 		if simRes.Reason != sim.StopSecurityFault {
 			res.Verdict = VerdictDivergence
 			res.Divergence = fmt.Sprintf("issue/commit-gated policy stopped with %v, want security-fault", simRes.Reason)
@@ -532,53 +494,20 @@ func checkTamper(res Result, m *sim.Machine, simRes sim.Result) Result {
 		}
 		if simRes.Insts != 0 {
 			res.Verdict = VerdictDivergence
-			res.Divergence = fmt.Sprintf("issue/commit-gated policy committed %d tainted instructions before the fault", simRes.Insts)
+			if meta {
+				res.Divergence = fmt.Sprintf("issue/commit-gated policy committed %d instructions before the metadata fault", simRes.Insts)
+			} else {
+				res.Divergence = fmt.Sprintf("issue/commit-gated policy committed %d tainted instructions before the fault", simRes.Insts)
+			}
 			return res
 		}
 		res.Verdict = VerdictContained
 		return res
 	}
-	// Weaker points (authen-only, write/fetch gates): detection is
-	// guaranteed, containment is not — execution may run ahead and even
-	// halt before the exception fires. That gap is the paper's Table 2.
-	if simRes.Reason == sim.StopSecurityFault {
-		res.Verdict = VerdictContained
-		return res
-	}
-	res.Verdict = VerdictDetected
-	return res
-}
-
-// checkTamperData asserts the containment invariants of a run whose first
-// data line was tampered at rest. Unlike the entry line, a data line is not
-// guaranteed to be fetched — the program may never touch it — so the
-// invariants are conditional: the controller computes verification eagerly
-// at fetch, so a fetched tampered line must always be flagged; gated
-// policies contain the failure when it fires before the run ends. The
-// strong zero-commits assertion of the entry site does not carry over: the
-// line may be fetched late in the run, or only by a squashed wrong-path
-// access that no retiring instruction depends on.
-func checkTamperData(res Result, m *sim.Machine, simRes sim.Result, lineAddr uint64) Result {
-	k := res.Policy.Knobs()
-	if !k.Authenticate {
-		// Baseline: nothing verifies; whatever garbage the tampered line
-		// decrypts to is the vulnerability, not a model bug.
-		res.Verdict = VerdictUndetected
-		return res
-	}
-	if m.Ctrl.Fault() == nil {
-		// Eager verification means fetched => flagged; an unflagged run is
-		// only legitimate if the tampered line never reached the bus.
-		for _, a := range m.ReadLineAddrsBefore(sim.StopCycle(simRes)) {
-			if a == lineAddr {
-				res.Verdict = VerdictDivergence
-				res.Divergence = "tampered data line was fetched but never flagged by verification"
-				return res
-			}
-		}
-		res.Verdict = VerdictOK // line never fetched: nothing to assert
-		return res
-	}
+	// Weaker points (authen-only, write/fetch gates), and any policy at the
+	// data site: detection is guaranteed, containment is not — execution
+	// may run ahead and even halt before the exception fires. That gap is
+	// the paper's Table 2.
 	if simRes.Reason == sim.StopSecurityFault {
 		res.Verdict = VerdictContained
 		return res

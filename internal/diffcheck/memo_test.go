@@ -34,7 +34,7 @@ func runCell(t *testing.T, seed int64, pt policy.ControlPoint) okRun {
 	cfg := sim.DefaultConfig()
 	cfg.Policy = pt
 	ranges := digestRanges(p, cfg.StackB)
-	oracle := runOracle(p, pacModeFor(pt), DefaultMaxOracleInsts, ranges)
+	oracle := runOracle(p, sim.PACMode(pt), ranges)
 	m, err := sim.NewMachine(cfg, p)
 	if err != nil {
 		t.Fatal(err)

@@ -80,6 +80,15 @@ func TestModelFingerprintCanarySensitivity(t *testing.T) {
 	}
 }
 
+// TestCacheKeyOptionText pins the option text of a check's cache key, so
+// result stores written by earlier builds keep hitting.
+func TestCacheKeyOptionText(t *testing.T) {
+	k := cacheKey(sha256.Sum256([]byte("halt")), Options{WatchdogCycles: 500}.withDefaults())
+	if want := "max_oracle=2000000 watchdog=500"; k.Options != want {
+		t.Fatalf("cache key options %q, want %q", k.Options, want)
+	}
+}
+
 // TestModelFingerprint pins that the memoized fingerprint is the digest the
 // tests above perturb, taken under the key's own (normalized) policy and
 // carried by the cache key, and that the canary tells policies of different

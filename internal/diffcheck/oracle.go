@@ -28,12 +28,13 @@ type oracleState struct {
 }
 
 // runOracle executes the in-order oracle on p and snapshots the outcome over
-// the given digest windows. maxInsts bounds the run; a StopMaxInsts snapshot
-// carries no digest or memory (the check errors out before using them).
-func runOracle(p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []interp.MemRange) *oracleState {
+// the given digest windows. DefaultMaxOracleInsts bounds the run; a
+// StopMaxInsts snapshot carries no digest or memory (the check errors out
+// before using them).
+func runOracle(p *asm.Program, mode pacmac.Mode, ranges []interp.MemRange) *oracleState {
 	o := interp.New(p)
 	o.PACMode = mode
-	st := &oracleState{stop: o.Run(maxInsts), ranges: ranges}
+	st := &oracleState{stop: o.Run(DefaultMaxOracleInsts), ranges: ranges}
 	st.insts = o.Insts
 	st.regs = o.Regs
 	st.fregs = o.FRegs
@@ -69,9 +70,8 @@ func (st *oracleState) readUint(ri int, off uint64, n int) uint64 {
 // mode, so a -mode cross campaign pays it once per (seed, pac-mode) instead
 // of once per (seed × policy).
 type oracleKey struct {
-	prog     [32]byte // SHA-256 of the source text
-	mode     pacmac.Mode
-	maxInsts uint64
+	prog [32]byte // SHA-256 of the source text
+	mode pacmac.Mode
 }
 
 // OracleMemo memoizes in-order oracle runs across differential checks.

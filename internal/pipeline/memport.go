@@ -4,8 +4,7 @@ package pipeline
 type InstFetch struct {
 	Word     uint32
 	Ready    uint64 // cycle the bytes are available to decode
-	AuthIdx  uint64 // authentication request covering the I-line (0 = none)
-	AuthDone uint64 // cycle that request completes
+	AuthDone uint64 // cycle the I-line's verification completes (0 = none)
 	Fault    bool   // instruction address not mapped
 }
 
@@ -13,8 +12,7 @@ type InstFetch struct {
 type DataRead struct {
 	Raw      uint64 // raw little-endian loaded bytes (zero-extended)
 	Ready    uint64 // cycle the value is usable by dependents
-	AuthIdx  uint64 // authentication request covering the D-line (0 = none)
-	AuthDone uint64
+	AuthDone uint64 // cycle the D-line's verification completes (0 = none)
 }
 
 // MemPort is the pipeline's window onto the memory system (caches, secure

@@ -156,9 +156,7 @@ type entry struct {
 	isCond    bool
 	taken     bool
 
-	instAuthIdx  uint64
 	instAuthDone uint64
-	dataAuthIdx  uint64
 	dataAuthDone uint64
 	authTagIssue uint64 // LastRequest at issue (authen-then-write tag)
 
@@ -179,7 +177,6 @@ type fetchedInst struct {
 	uop          Uop
 	predNPC      uint64
 	predTaken    bool
-	instAuthIdx  uint64
 	instAuthDone uint64
 }
 
@@ -605,12 +602,10 @@ func (c *Core) NextEventAt() uint64 {
 // Steps would have. The caller guarantees the window [Now(), t) is quiet:
 // the previous Step made no progress and t does not exceed any component's
 // NextEventAt, so the blocking conditions observed now hold for the whole
-// window. It returns the number of skipped cycles in which the commit head
-// was a ready store rejected by a full store buffer (0 or t-Now()), which
-// the machine forwards to the store buffer's rejection counter.
-func (c *Core) SkipTo(t uint64) (sbFullCycles uint64) {
+// window.
+func (c *Core) SkipTo(t uint64) {
 	if t <= c.now {
-		return 0
+		return
 	}
 	delta := t - c.now
 	c.stats.Cycles += delta
@@ -626,7 +621,6 @@ func (c *Core) SkipTo(t uint64) (sbFullCycles uint64) {
 				// Done, past the gate, not faulting, yet it did not commit
 				// on the quiet Step: the store buffer refused it.
 				c.stats.SBFullStall += delta
-				sbFullCycles = delta
 			}
 		}
 	}
@@ -643,5 +637,4 @@ func (c *Core) SkipTo(t uint64) (sbFullCycles uint64) {
 		}
 	}
 	c.now = t
-	return sbFullCycles
 }

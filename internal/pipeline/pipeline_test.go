@@ -78,7 +78,6 @@ func (m *testMem) FetchInst(now uint64, addr uint64, fetchTag uint64) InstFetch 
 	}
 	if m.authDelay > 0 {
 		m.nextAuthIdx++
-		f.AuthIdx = m.nextAuthIdx
 		f.AuthDone = f.Ready + m.authDelay
 	}
 	return f
@@ -89,7 +88,6 @@ func (m *testMem) ReadData(now uint64, addr uint64, size int, fetchTag uint64) D
 	r := DataRead{Raw: m.read(addr, size), Ready: now + m.dataLat}
 	if m.authDelay > 0 {
 		m.nextAuthIdx++
-		r.AuthIdx = m.nextAuthIdx
 		r.AuthDone = r.Ready + m.authDelay
 	}
 	return r

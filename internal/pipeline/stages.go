@@ -362,7 +362,6 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 		return true
 	}
 	r := c.mem.ReadData(c.now+1, e.addr, e.memSize, e.authTagIssue)
-	e.dataAuthIdx = r.AuthIdx
 	e.dataAuthDone = r.AuthDone
 	c.finishLoad(e, r.Raw, max(r.Ready, c.now+2))
 	return true
@@ -570,7 +569,6 @@ func (c *Core) dispatch() {
 			state:        stWaiting,
 			predNPC:      fi.predNPC,
 			predTaken:    fi.predTaken,
-			instAuthIdx:  fi.instAuthIdx,
 			instAuthDone: fi.instAuthDone,
 			consumers:    cons,
 		}
@@ -691,7 +689,6 @@ func (c *Core) fetch() {
 		fi := &c.ifq[(c.ifqHead+c.ifqLen)%c.cfg.IFQSize]
 		*fi = fetchedInst{
 			pc:           c.pc,
-			instAuthIdx:  f.AuthIdx,
 			instAuthDone: f.AuthDone,
 		}
 		if cached, ok := c.uops.Lookup(c.pc, f.Word); ok {

@@ -40,7 +40,6 @@ type Uop struct {
 	IsLoad  bool
 	IsStore bool
 	IsCtl   bool
-	IsCond  bool // conditional branch (fetch steering + predictor training)
 	IsMem   bool
 }
 
@@ -96,7 +95,6 @@ func DecodeUop(w uint32) Uop {
 		u.addSrc(inst.Rs2, true)
 	case isa.ClassBranch:
 		u.IsCtl = true
-		u.IsCond = true
 		fp := op == isa.OpFBLT || op == isa.OpFBGE
 		u.addSrc(inst.Rs1, fp)
 		u.addSrc(inst.Rs2, fp)

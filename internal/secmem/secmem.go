@@ -257,10 +257,6 @@ type Controller struct {
 	// dependency); see Err.
 	modelErr error
 
-	// updateFree is the tree-update unit's occupancy horizon (write-back
-	// path recomputation; does not gate verifications).
-	updateFree uint64
-
 	sink   obs.Sink
 	obsNow uint64 // cycle of the timed operation in progress (internal clocks)
 
@@ -388,7 +384,7 @@ func (c *Controller) Reset(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, 
 	c.lastAtNow, c.lastAt = 0, 0
 	c.engineFree = resize(c.engineFree, cfg.MacUnits)
 	clear(c.engineFree)
-	c.fault, c.modelErr, c.updateFree = nil, nil, 0
+	c.fault, c.modelErr = nil, nil
 	c.sink, c.obsNow, c.stats = nil, 0, Stats{}
 	c.sealWork, c.workBase = cryptoWork{}, c.work()
 	return nil
@@ -1018,15 +1014,9 @@ func (c *Controller) WriteBack(now uint64, lineAddr uint64, plaintext []byte) (u
 		busStart = max(busStart, ready)
 	}
 	_, done := c.bus.Transact(busStart, bus.WriteLine, busAddr, burst)
-	if c.cfg.Authenticate && c.cfg.UseTree {
-		// Tree path update: recompute/stash the path nodes. This work is
-		// off the verification critical path in a real design (a separate
-		// update unit, or idle engine slots); charging it to the in-order
-		// verification engine couples write-back storms to every pending
-		// verification and lets the engine drift unboundedly ahead of the
-		// core. A dedicated update-unit accumulator tracks its occupancy.
-		c.updateFree = max(c.updateFree, now) + uint64(c.tree.Levels()*c.cfg.MacLat)
-	}
+	// The tree path update costs the verification engine no time: it runs
+	// off the critical path in a real design, and charging it there would
+	// let a write-back storm push every pending verification far ahead.
 	return done, nil
 }
 

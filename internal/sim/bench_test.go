@@ -212,9 +212,8 @@ func TestRebuildAllocs(t *testing.T) {
 // run must not allocate per cycle or per instruction. It runs a
 // cache-resident kernel (bzip2x) and a memory-bound one (mcfx, whose caches
 // evict a line every instruction or so). The small budget tolerates what
-// still grows on a warm machine — the authentication queue's slices and
-// MemSystem.lines, the resident L2 lines' authentication state — a few dozen
-// allocations. Per-cycle allocation would show up as hundreds of thousands,
+// still grows on a warm machine — the authentication queue's slices — a few
+// dozen allocations. Per-cycle allocation would show up as hundreds of thousands,
 // and one allocation per line decrypted, MACed or evicted as hundreds on
 // bzip2x and hundreds of thousands on mcfx.
 func TestRunSteadyStateAllocs(t *testing.T) { steadyStateAllocs(t, false) }

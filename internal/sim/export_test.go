@@ -25,7 +25,3 @@ func (m *Machine) Observer() obs.Sink { return m.sink }
 
 // SlowPath reports whether DisableFastPath is in force.
 func (m *Machine) SlowPath() bool { return m.slowPath }
-
-// LineStates returns how many L2 lines the memory system holds
-// authentication state for.
-func (m *Machine) LineStates() int { return len(m.MS.lines) }

@@ -153,3 +153,57 @@ func TestMSHRBoundThrottles(t *testing.T) {
 		t.Errorf("1 MSHR (%d cycles) should be slower than unbounded (%d)", one, unbounded)
 	}
 }
+
+// An L1 hit reports the verification cycle of its L2 line as the L2 holds
+// it now: 0 once the L2 has evicted the line, though an L1D half of it
+// survives, and the re-fetch's cycle once a miss on the other half has
+// fetched the line again. The four lines D+32+k*64KB fill line D's L2 set
+// and share the L1D set of D's second half only.
+func TestL1HitReportsL2LineAuth(t *testing.T) {
+	const d = 0x100fc0
+	p := asm.MustAssemble(`
+	_start:
+		halt
+	.data
+	.space 0x41000
+	`)
+	cfg := DefaultConfig()
+	cfg.Policy = policy.ThenCommit
+	m, err := NewMachine(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	_, l1d, _ := m.MS.Caches()
+	now := uint64(1)
+	load := func(addr uint64, wantHit bool) uint64 {
+		t.Helper()
+		hits := l1d.Stats().Hits
+		r := m.MS.ReadData(now, addr, 8, 0)
+		if hit := l1d.Stats().Hits > hits; hit != wantHit {
+			t.Fatalf("load of %#x: L1D hit %v, want %v", addr, hit, wantHit)
+		}
+		now = max(now, r.Ready) + 1
+		return r.AuthDone
+	}
+	first := load(d, false)
+	if first == 0 {
+		t.Fatal("the fetch of D reports no verification cycle")
+	}
+	if got := load(d+8, true); got != first {
+		t.Errorf("L1 hit on D reports AuthDone %d, want the fetch's %d", got, first)
+	}
+	for k := uint64(1); k <= 4; k++ {
+		load(d+32+k<<16, false)
+	}
+	if got := load(d+8, true); got != 0 {
+		t.Errorf("L1 hit on D after the L2 evicted it reports AuthDone %d, want 0", got)
+	}
+	refetch := load(d+32, false)
+	if refetch <= first {
+		t.Fatalf("the re-fetch of D reports AuthDone %d, want a cycle after the first fetch's %d", refetch, first)
+	}
+	if got := load(d+8, true); got != refetch {
+		t.Errorf("L1 hit on D after its re-fetch reports AuthDone %d, want the re-fetch's %d", got, refetch)
+	}
+}

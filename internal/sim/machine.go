@@ -80,13 +80,21 @@ func (c *Config) applyPolicy() {
 	c.Pipeline.StoreWaitAuth = k.StoreWaitAuth
 	c.Mem.GateFetch = k.GateFetch
 	c.Mem.UseAtAuth = k.UseAtAuth
+	c.Pipeline.PACMode = PACMode(p)
+}
+
+// PACMode maps a control point to the pointer-authentication mode
+// applyPolicy gives the core. Auth-failure behaviour is architectural, so a
+// reference model of the same program runs under the same mode.
+func PACMode(pt policy.ControlPoint) pacmac.Mode {
+	k := pt.Knobs()
 	switch {
 	case k.PACFault:
-		c.Pipeline.PACMode = pacmac.ModeFaultAuth
+		return pacmac.ModeFaultAuth
 	case k.PAC:
-		c.Pipeline.PACMode = pacmac.ModePoison
+		return pacmac.ModePoison
 	default:
-		c.Pipeline.PACMode = pacmac.ModeOff
+		return pacmac.ModeOff
 	}
 }
 
@@ -488,9 +496,7 @@ func (m *Machine) Run() (Result, error) {
 				m.sink.Emit(obs.Event{Cycle: now, Kind: obs.EvSkip,
 					Track: obs.TrackFastForward, A: next - now, B: uint64(bound)})
 			}
-			if n := m.Core.SkipTo(next); n > 0 {
-				m.MS.AddSkippedRejects(n)
-			}
+			m.Core.SkipTo(next)
 		}
 	}
 }

@@ -74,12 +74,6 @@ func DefaultMemConfig() MemConfig {
 	}
 }
 
-type lineInfo struct {
-	authIdx  uint64
-	authDone uint64
-	usableAt uint64
-}
-
 type sbEntry struct {
 	addr    uint64
 	val     uint64
@@ -102,8 +96,6 @@ type MemSystem struct {
 	shadow *mem.Memory // architectural plaintext view (fills overwrite it)
 	space  *mem.AddressSpace
 
-	lines map[uint64]lineInfo // resident L2 lines' authentication state
-
 	inflight []uint64 // usable-at cycles of outstanding fills (MSHR model)
 
 	// wbBuf stages a victim line's plaintext for WriteBack — reused so
@@ -122,7 +114,6 @@ type MemSystem struct {
 	tickProgress bool
 
 	// Stats.
-	SBFullRejects uint64
 	FetchGateWait uint64 // cycles external fetches (prefetches too) waited on then-fetch
 	Prefetches    uint64
 }
@@ -138,8 +129,8 @@ func NewMemSystem(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.Memory, sp
 	return ms, nil
 }
 
-// reset is NewMemSystem in place: it empties the caches, TLBs, store
-// buffer and per-line authentication state and zeroes the counters,
+// reset is NewMemSystem in place: it empties the caches (the L2 lines with
+// their verification state), TLBs and store buffer and zeroes the counters,
 // keeping their storage where cfg keeps their shapes. On an error the
 // memory system is unusable.
 func (ms *MemSystem) reset(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.Memory, space *mem.AddressSpace) error {
@@ -178,11 +169,6 @@ func (ms *MemSystem) reset(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.M
 	if err != nil {
 		return err
 	}
-	lines := ms.lines
-	if lines == nil {
-		lines = map[uint64]lineInfo{}
-	}
-	clear(lines)
 	sb := ms.sb
 	if len(sb) != cfg.StoreBufSize {
 		sb = make([]sbEntry, cfg.StoreBufSize)
@@ -196,7 +182,6 @@ func (ms *MemSystem) reset(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.M
 		cfg: cfg, l1i: ms.l1i, l1d: ms.l1d, l2: ms.l2, itlb: ms.itlb, dtlb: ms.dtlb,
 		ctrl: ctrl, shadow: shadow, space: space,
 		wbBuf:    wbBuf,
-		lines:    lines,
 		inflight: ms.inflight[:0],
 		sb:       sb,
 	}
@@ -234,8 +219,9 @@ func (ms *MemSystem) ResetCacheStats() {
 func (ms *MemSystem) TLBs() (itlb, dtlb *mem.TLB) { return ms.itlb, ms.dtlb }
 
 // access runs one timed access through the hierarchy and returns the cycle
-// the data is usable plus the authentication info of the backing L2 line.
-func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetchTag uint64) (ready uint64, info lineInfo, err error) {
+// the data is usable and the cycle the backing L2 line's verification
+// completes (0 once the L2 has evicted the line).
+func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetchTag uint64) (ready, authDone uint64, err error) {
 	l1 := ms.l1d
 	tlb := ms.dtlb
 	if isInst {
@@ -249,28 +235,23 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 	if !tlb.Lookup(addr) {
 		t += uint64(ms.cfg.TLBMissPenalty)
 	}
-	l2Line := ms.l2.LineAddr(addr)
 
 	if l, hit := l1.Access(addr, isWrite); hit {
-		ready = t
-		if l.Aux > ready {
-			ready = l.Aux // fill still in flight
+		if l2, ok := ms.l2.Probe(addr); ok {
+			authDone = l2.AuthDone
 		}
-		return ready, ms.lines[l2Line], nil
+		return max(t, l.Aux), authDone, nil // l.Aux > t: fill still in flight
 	}
 
 	// L1 miss -> L2.
 	t += uint64(ms.cfg.L2Lat)
 	if l, hit := ms.l2.Access(addr, false); hit {
-		ready = t
-		if l.Aux > ready {
-			ready = l.Aux
-		}
+		ready = max(t, l.Aux)
 		ms.fillL1(l1, addr, isWrite, ready)
 		if isWrite {
 			l.Dirty = true
 		}
-		return ready, ms.lines[l2Line], nil
+		return ready, l.AuthDone, nil
 	}
 
 	// L2 miss -> external fetch through the secure memory controller.
@@ -290,11 +271,43 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		}
 		constraint, _ = ms.ctrl.DoneAt(tag)
 	}
-	res, ferr := ms.ctrl.Fetch(t, l2Line, constraint)
-	if ferr != nil {
-		return 0, lineInfo{}, ferr
+	l2Line := ms.l2.LineAddr(addr)
+	l, dataReady, err := ms.fillL2(now, t, l2Line, constraint)
+	if err != nil {
+		return 0, 0, err
 	}
-	ms.noteGateWait(t, constraint)
+	if isWrite {
+		l.Dirty = true
+	}
+	ready, authDone = l.Aux, l.AuthDone
+	ms.fillL1(l1, addr, isWrite, ready)
+	if ms.cfg.MSHRs > 0 {
+		ms.inflight = append(ms.inflight, dataReady)
+	}
+
+	if ms.cfg.NextLinePrefetch {
+		ms.prefetch(now, l2Line+uint64(ms.cfg.L2LineB), constraint)
+	}
+	return ready, authDone, nil
+}
+
+// fillL2 fetches the L2 line at lineAddr through the secure memory
+// controller at cycle t, its bus grant held until gate, and installs it in
+// the L2 with the cycle its data is usable (Aux) and the cycle its
+// verification completes (AuthDone); a dirty victim is written back at
+// cycle now. It returns the filled line and the cycle the fetched data
+// arrived.
+func (ms *MemSystem) fillL2(now, t, lineAddr, gate uint64) (*cache.Line, uint64, error) {
+	res, err := ms.ctrl.Fetch(t, lineAddr, gate)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Only a fetch the controller accepted waits for its bus grant: one it
+	// refuses (an unprotected line, such as a wrong-path fetch past the
+	// text) never reaches the bus.
+	if gate > t {
+		ms.FetchGateWait += gate - t
+	}
 	usable := res.PlainReady
 	if ms.cfg.UseAtAuth && ms.ctrl.Config().Authenticate {
 		usable = max(usable, res.AuthDone)
@@ -303,44 +316,18 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 	// except where a committed store still sitting in the store buffer is
 	// architecturally newer than the external copy (the write-allocate
 	// fill of a fresh store target races its own drain).
-	ms.shadow.Write(l2Line, res.Data)
-	ms.overlaySB(l2Line)
+	ms.shadow.Write(lineAddr, res.Data)
+	ms.overlaySB(lineAddr)
 
-	l, victim, evicted := ms.l2.Fill(addr, false)
-	l.Aux = usable
-	if isWrite {
-		l.Dirty = true
-	}
-	if evicted {
-		delete(ms.lines, victim.Addr)
-		if victim.Dirty {
-			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
-			if _, err := ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf); err != nil {
-				return 0, lineInfo{}, err
-			}
+	l, victim, evicted := ms.l2.Fill(lineAddr, false)
+	l.Aux, l.AuthDone = usable, res.AuthDone
+	if evicted && victim.Dirty {
+		ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
+		if _, err := ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf); err != nil {
+			return nil, 0, err
 		}
 	}
-	info = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone, usableAt: usable}
-	ms.lines[l2Line] = info
-	ms.fillL1(l1, addr, isWrite, usable)
-	if ms.cfg.MSHRs > 0 {
-		ms.inflight = append(ms.inflight, res.DataReady)
-	}
-
-	if ms.cfg.NextLinePrefetch {
-		ms.prefetch(now, l2Line+uint64(ms.cfg.L2LineB), constraint)
-	}
-	return usable, info, nil
-}
-
-// noteGateWait counts the cycles a fetch the controller accepted at cycle t
-// waited for its bus grant at gate. A fetch the controller refuses (an
-// unprotected line, such as a wrong-path fetch past the text) never
-// reaches the bus, so it waits for nothing.
-func (ms *MemSystem) noteGateWait(t, gate uint64) {
-	if gate > t {
-		ms.FetchGateWait += gate - t
-	}
+	return l, res.DataReady, nil
 }
 
 // mshrAdmit models a bounded miss-register file: prune fills that complete
@@ -371,34 +358,12 @@ func (ms *MemSystem) mshrAdmit(t uint64) uint64 {
 // (e.g. running off the protected region) silently drop the prefetch, as
 // hardware would.
 func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
-	if !ms.ctrl.IsProtected(lineAddr) {
-		return
-	}
 	if _, hit := ms.l2.Probe(lineAddr); hit {
 		return
 	}
-	res, err := ms.ctrl.Fetch(now, lineAddr, constraint)
-	if err != nil {
-		return
+	if _, _, err := ms.fillL2(now, now, lineAddr, constraint); err == nil {
+		ms.Prefetches++
 	}
-	ms.noteGateWait(now, constraint)
-	usable := res.PlainReady
-	if ms.cfg.UseAtAuth && ms.ctrl.Config().Authenticate {
-		usable = max(usable, res.AuthDone)
-	}
-	ms.shadow.Write(lineAddr, res.Data)
-	ms.overlaySB(lineAddr)
-	l, victim, evicted := ms.l2.Fill(lineAddr, false)
-	l.Aux = usable
-	if evicted {
-		delete(ms.lines, victim.Addr)
-		if victim.Dirty {
-			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
-			ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf)
-		}
-	}
-	ms.lines[lineAddr] = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone, usableAt: usable}
-	ms.Prefetches++
 }
 
 // fillL1 installs an L1 line, pushing dirty victims down into the L2.
@@ -407,9 +372,7 @@ func (ms *MemSystem) fillL1(l1 *cache.Cache, addr uint64, isWrite bool, readyAt 
 	l.Aux = readyAt
 	if evicted && victim.Dirty {
 		// Inclusive hierarchy: the victim's L2 line is normally resident.
-		if vl, hit := ms.l2.Access(victim.Addr, true); hit {
-			_ = vl
-		}
+		ms.l2.Access(victim.Addr, true)
 	}
 }
 
@@ -418,30 +381,28 @@ func (ms *MemSystem) FetchInst(now uint64, addr uint64, fetchTag uint64) pipelin
 	if !ms.space.Valid(addr) {
 		return pipeline.InstFetch{Fault: true}
 	}
-	ready, info, err := ms.access(now, addr, false, true, fetchTag)
+	ready, authDone, err := ms.access(now, addr, false, true, fetchTag)
 	if err != nil {
 		return pipeline.InstFetch{Fault: true}
 	}
 	return pipeline.InstFetch{
 		Word:     uint32(ms.shadow.ReadUint(addr, 4)),
 		Ready:    ready,
-		AuthIdx:  info.authIdx,
-		AuthDone: info.authDone,
+		AuthDone: authDone,
 	}
 }
 
 // ReadData implements pipeline.MemPort. The core asks only for addresses
 // ValidAddr accepted in the same cycle.
 func (ms *MemSystem) ReadData(now uint64, addr uint64, size int, fetchTag uint64) pipeline.DataRead {
-	ready, info, err := ms.access(now, addr, false, false, fetchTag)
+	ready, authDone, err := ms.access(now, addr, false, false, fetchTag)
 	if err != nil {
 		return pipeline.DataRead{}
 	}
 	return pipeline.DataRead{
 		Raw:      ms.shadow.ReadUint(addr, size),
 		Ready:    ready,
-		AuthIdx:  info.authIdx,
-		AuthDone: info.authDone,
+		AuthDone: authDone,
 	}
 }
 
@@ -462,7 +423,6 @@ func (ms *MemSystem) overlaySB(lineAddr uint64) {
 // immediately; the timed cache write drains from the store buffer.
 func (ms *MemSystem) CommitStore(now uint64, addr uint64, val uint64, size int, authTag uint64) bool {
 	if ms.sbLen >= ms.cfg.StoreBufSize {
-		ms.SBFullRejects++
 		return false
 	}
 	ms.shadow.WriteUint(addr, val, size)
@@ -531,11 +491,6 @@ func (ms *MemSystem) NextEventAt(now uint64) uint64 {
 	}
 	return e.readyAt
 }
-
-// AddSkippedRejects credits n cycles of head-of-ROB store retries that the
-// idle-cycle fast-forward skipped: the slow path would have called
-// CommitStore once per cycle against a full buffer.
-func (ms *MemSystem) AddSkippedRejects(n uint64) { ms.SBFullRejects += n }
 
 // SetStoreWaitAuth enables authen-then-write gating in the store buffer.
 func (ms *MemSystem) SetStoreWaitAuth(on bool) { ms.waitStoreAuth = on }
