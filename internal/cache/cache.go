@@ -190,6 +190,18 @@ func (c *Cache) Access(addr uint64, write bool) (*Line, bool) {
 	return nil, false
 }
 
+// RepeatHit charges a hit on addr's line without looking it up: the hit
+// count and, with an observer, the EvCacheHit event. The caller must know
+// the line is its set's most recently used, as it is right after an Access
+// that hit it when nothing has touched the cache since, so that the lookup
+// would change no LRU state.
+func (c *Cache) RepeatHit(addr uint64) {
+	c.stats.Hits++
+	if c.sink != nil {
+		c.sink.Emit(obs.Event{Cycle: c.clock(), Kind: obs.EvCacheHit, Track: c.track, Addr: addr})
+	}
+}
+
 // Victim describes a line evicted by Fill.
 type Victim struct {
 	Addr  uint64

@@ -212,46 +212,43 @@ func (m *Memory) Snapshot(addr uint64, n int) []byte { return m.Read(addr, n) }
 // keeps the fault log that Section 3.3's "read the displayed fault address"
 // attack consumes.
 type AddressSpace struct {
-	valid map[uint64]bool
-	// Disabled turns off translation checking entirely, as on the no-VM
-	// embedded processors the paper notes (§3.3): every address is valid.
-	Disabled bool
+	// ranges holds each MapRange's pages, in the order mapped. A machine
+	// maps three or four ranges (text, data, stack, any probe windows), so
+	// Valid scans them rather than looking a page up in a map.
+	ranges   []pageRange
 	faultLog []uint64
 }
 
-// NewAddressSpace creates an address space with no valid pages.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{valid: map[uint64]bool{}}
-}
+// pageRange is the inclusive page-number range [first, last].
+type pageRange struct{ first, last uint64 }
 
-// Reset unmaps every page, re-enables translation checking and empties the
-// fault log, keeping the page map's storage.
+// NewAddressSpace creates an address space with no valid pages.
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
+
+// Reset unmaps every page and empties the fault log, keeping their storage.
 func (s *AddressSpace) Reset() {
-	clear(s.valid)
-	s.Disabled = false
+	s.ranges = s.ranges[:0]
 	s.faultLog = s.faultLog[:0]
 }
 
-// MapRange marks [addr, addr+n) valid.
+// MapRange marks every page that [addr, addr+n) touches valid.
 func (s *AddressSpace) MapRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	for pn := addr >> PageShift; pn <= (addr+n-1)>>PageShift; pn++ {
-		s.valid[pn] = true
-	}
+	s.ranges = append(s.ranges, pageRange{addr >> PageShift, (addr + n - 1) >> PageShift})
 }
-
-// UnmapPage invalidates the page containing addr.
-func (s *AddressSpace) UnmapPage(addr uint64) { delete(s.valid, addr>>PageShift) }
 
 // Valid reports whether addr is mapped.
 func (s *AddressSpace) Valid(addr uint64) bool {
-	return s.Disabled || s.valid[addr>>PageShift]
+	pn := addr >> PageShift
+	for _, r := range s.ranges {
+		if r.first <= pn && pn <= r.last {
+			return true
+		}
+	}
+	return false
 }
-
-// MappedPages returns how many pages are mapped.
-func (s *AddressSpace) MappedPages() int { return len(s.valid) }
 
 // Fault records a translation fault for addr. Faulting addresses are logged
 // in the clear: the paper observes that real systems display or log faulting
@@ -335,6 +332,12 @@ func (t *TLB) Lookup(addr uint64) bool {
 	t.touch(set, victim)
 	return false
 }
+
+// RepeatHit charges a hit without looking the page up. The caller must know
+// the page is its set's most recently used, as it is right after a Lookup of
+// it when nothing has looked up another page since, so that the lookup would
+// change no LRU state.
+func (t *TLB) RepeatHit() { t.hits++ }
 
 func (t *TLB) touch(set, way int) {
 	ord := t.order[set]

@@ -220,24 +220,63 @@ func TestAddressSpaceValidity(t *testing.T) {
 	if s.Valid(0x3000) {
 		t.Error("page past range valid")
 	}
-	if s.MappedPages() != 2 {
-		t.Errorf("mapped pages %d", s.MappedPages())
-	}
-	s.UnmapPage(0x1000)
-	if s.Valid(0x1800) {
-		t.Error("unmapped page still valid")
-	}
 	s.MapRange(0x5000, 0) // no-op
 	if s.Valid(0x5000) {
 		t.Error("zero-length map mapped a page")
 	}
 }
 
-func TestAddressSpaceDisabled(t *testing.T) {
-	s := NewAddressSpace()
-	s.Disabled = true
-	if !s.Valid(0xdeadbeef) {
-		t.Error("disabled translation should accept anything")
+// TestAddressSpaceRanges pins the range list against a page-set model:
+// adjacent and overlapping ranges, unaligned ends (a range maps every page
+// it touches, up to its last byte's page and not the page after), zero
+// lengths, and Reset.
+func TestAddressSpaceRanges(t *testing.T) {
+	type rng struct{ addr, n uint64 }
+	cases := []struct {
+		name   string
+		ranges []rng
+	}{
+		{"adjacent", []rng{{0x10000, 0x2000}, {0x12000, 0x1000}}},
+		{"overlapping", []rng{{0x10000, 0x3000}, {0x11800, 0x4000}, {0x10400, 0x100}}},
+		{"unaligned ends", []rng{{0x10ff0, 0x20}, {0x13001, 0xfff}}},
+		{"zero lengths", []rng{{0x10000, 0}, {0x14000, 1}, {0x16000, 0}}},
+		{"last byte of the address space", []rng{{^uint64(0) - 0x1fff, 0x2000}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewAddressSpace()
+			want := map[uint64]bool{}
+			var probes []uint64
+			for _, r := range tc.ranges {
+				s.MapRange(r.addr, r.n)
+				probes = append(probes, r.addr-1, r.addr, r.addr+r.n-1, r.addr+r.n,
+					(r.addr+r.n-1)|(PageSize-1), ((r.addr+r.n-1)|(PageSize-1))+1)
+				if r.n == 0 {
+					continue
+				}
+				for pn := r.addr >> PageShift; ; pn++ {
+					want[pn] = true
+					if pn == (r.addr+r.n-1)>>PageShift {
+						break
+					}
+				}
+			}
+			for _, a := range probes {
+				if got := s.Valid(a); got != want[a>>PageShift] {
+					t.Errorf("Valid(%#x) = %v, want %v", a, got, want[a>>PageShift])
+				}
+			}
+			s.Reset()
+			for _, a := range probes {
+				if s.Valid(a) {
+					t.Errorf("Valid(%#x) after Reset", a)
+				}
+			}
+			s.MapRange(0x40000, 0x1000)
+			if !s.Valid(0x40000) || !s.Valid(0x40fff) || s.Valid(0x41000) {
+				t.Error("a range mapped after Reset is not exactly its page")
+			}
+		})
 	}
 }
 

@@ -148,6 +148,7 @@ type entry struct {
 	addr      uint64
 	addrValid bool
 	memSize   int
+	blocker   int // a parked load's blocking store, an RUU index (see parkMask)
 
 	isCtl     bool
 	predNPC   uint64
@@ -245,9 +246,11 @@ type Core struct {
 	// readyMask holds exactly the waiting entries the issue stage can act
 	// on (entry.canAct): every operand captured, or a store whose address
 	// operand has arrived but whose address is not computed yet. parkMask
-	// holds the waiting loads that memory disambiguation blocked; any change
-	// to a store's address, data or presence in the window returns them all
-	// to readyMask (unpark), so a parked load is always still blocked.
+	// holds the waiting loads that memory disambiguation blocked, each on
+	// the one store whose change can unblock it (entry.blocker, named by
+	// disambiguate). When that store's address is computed, its data
+	// arrives or it commits, unpark returns its loads, and only those, to
+	// readyMask, so a parked load is always still blocked by its blocker.
 	// Waiting entries in neither mask wait for an operand broadcast.
 	// issueMask holds the issued, incomplete entries and storeMask the
 	// stores (any state).
@@ -456,13 +459,19 @@ func (e *entry) canAct() bool {
 	return e.operandsReady() || e.isStore && !e.addrValid && e.srcTag[0] == -1
 }
 
-// unpark returns every parked load to readyMask. It runs whenever a store's
-// address, data or presence in the window changes, the only events that can
-// unblock a load memory disambiguation blocked.
-func (c *Core) unpark() {
-	for i, w := range c.parkMask {
-		c.readyMask[i] |= w
-		c.parkMask[i] = 0
+// unpark returns to readyMask the parked loads that the store at RUU index
+// store blocks. It runs when that store's address is computed, its data
+// arrives or it commits, the only events that can unblock those loads.
+func (c *Core) unpark(store int) {
+	for w, pm := range c.parkMask {
+		for pm != 0 {
+			i := bits.TrailingZeros64(pm)
+			pm &= pm - 1
+			if c.ruu[w<<6|i].blocker == store {
+				c.parkMask[w] &^= 1 << i
+				c.readyMask[w] |= 1 << i
+			}
+		}
 	}
 }
 

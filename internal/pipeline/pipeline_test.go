@@ -149,8 +149,9 @@ func run(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int
 // returns the number of parked loads. readyMask and parkMask are disjoint,
 // their union is exactly the waiting entries the issue stage can act on
 // (every operand captured, or a store whose address can be computed), no
-// bit is set outside the live window, and every parked load is a load that
-// disambiguation, re-run without side effects, still blocks.
+// bit is set outside the live window, and every parked load is a load whose
+// recorded blocker is the store that disambiguation, re-run without side
+// effects, names now.
 func checkScheduler(t *testing.T, c *Core) int {
 	t.Helper()
 	for w := range c.readyMask {
@@ -187,8 +188,9 @@ func checkScheduler(t *testing.T, c *Core) int {
 		if !e.isLoad || !e.addrValid {
 			t.Fatalf("cycle %d: parked slot %d (pc %#x) is not a load with its address computed", c.Now(), idx, e.pc)
 		}
-		if _, blocked, _ := c.disambiguate(e); !blocked {
-			t.Fatalf("cycle %d: parked load at slot %d (pc %#x) is no longer blocked", c.Now(), idx, e.pc)
+		if _, b, _ := c.disambiguate(e); b != e.blocker {
+			t.Fatalf("cycle %d: parked load at slot %d (pc %#x) waits on slot %d, but disambiguation names %d",
+				c.Now(), idx, e.pc, e.blocker, b)
 		}
 	}
 	return parked

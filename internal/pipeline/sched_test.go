@@ -230,14 +230,115 @@ func TestUnparkedLoadIssuesInSameScan(t *testing.T) {
 		t.Fatal("the load was never parked")
 	}
 	p := asm.MustAssemble(src)
-	issued := map[uint64]uint64{}
-	for _, e := range sink.events {
-		if e.Kind == obs.EvIssue {
-			issued[e.Addr] = e.Cycle
-		}
-	}
+	issued := sink.cycles(obs.EvIssue)
 	st, lo := issued[p.Symbols["st"]], issued[p.Symbols["lo"]]
 	if st == 0 || lo != st {
 		t.Errorf("store issued at cycle %d, the load it unblocked at %d; want the same cycle", st, lo)
+	}
+}
+
+// TestParkedLoadWaitsOnItsBlocker pins that a parked load waits on the one
+// store that blocks it. The store b, whose base waits on a slow load, blocks
+// the load lo from its first attempt until the slow load returns.
+// Meanwhile the unrelated store u1, older than b, receives its data and
+// commits, and u2, between b and lo, receives its data and computes its
+// address; none of those four changes may re-scan lo. So the run makes three
+// disambiguation scans: one for the slow load (u1 is in the window), and two
+// for lo, its park and its issue; releasing every parked load on any
+// store's change would re-scan lo in the two cycles those changes fall in.
+// lo issues in cycle 68, when b computes its address and issues.
+func TestParkedLoadWaitsOnItsBlocker(t *testing.T) {
+	src := `
+		_start:
+			la   r2, buf
+			addi r1, r0, 84
+			addi r3, r0, 2
+			div  r5, r1, r3     ; u1's data, 12 cycles
+		u1:	sd   r5, 16(r2)
+			ld   r9, 128(r2)    ; slow load
+			and  r10, r9, r0
+			add  r10, r10, r2   ; b's base waits on it
+		b:	sd   r1, 0(r10)
+			div  r6, r1, r3     ; u2's data, then its base
+			and  r7, r6, r0
+			add  r7, r7, r2
+		u2:	sd   r6, 32(r7)
+		lo:	ld   r11, 8(r2)     ; parked on b
+			halt
+		.data
+		buf: .word 0, 333
+		     .space 240
+	`
+	p := asm.MustAssemble(src)
+	m := newTestMem(p)
+	m.dataLat = 60
+	c, err := New(DefaultConfig(), m, p.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perf obs.Perf
+	sink := &recSink{}
+	c.SetPerf(&perf)
+	c.SetObserver(sink)
+	for i := 0; i < 1000 && !c.Halted(); i++ {
+		c.Step()
+		m.parked += checkScheduler(t, c)
+	}
+	if !c.Halted() || c.Reg(11) != 333 {
+		t.Fatalf("halted %v, r11 = %d; want a halt and 333", c.Halted(), c.Reg(11))
+	}
+	issued, committed := sink.cycles(obs.EvIssue), sink.cycles(obs.EvCommit)
+	at := func(sym string, cycles map[uint64]uint64) uint64 { return cycles[p.Symbols[sym]] }
+	lo := at("lo", issued)
+	// The four unrelated changes all fall while lo is parked.
+	for _, ch := range []struct {
+		what  string
+		cycle uint64
+	}{{"u1's data arrival", at("u1", issued)}, {"u1's commit", at("u1", committed)}, {"u2's address and data", at("u2", issued)}} {
+		if ch.cycle == 0 || ch.cycle >= lo {
+			t.Errorf("%s at cycle %d, not before lo issues at %d", ch.what, ch.cycle, lo)
+		}
+	}
+	if b := at("b", issued); lo != 68 || b != lo {
+		t.Errorf("lo issued at cycle %d and b at %d, want both at 68", lo, b)
+	}
+	if perf.DisambScans != 3 {
+		t.Errorf("%d disambiguation scans, want 3", perf.DisambScans)
+	}
+}
+
+// TestParkedLoadWaitsOnYoungestOverlap pins which overlapping store a load
+// waits on: the youngest. The load lo overlaps o, which covers it in part
+// and cannot commit before the slow load ahead of it, and matches y, whose
+// data a divide delivers late. lo waits on y, and forwards from it in the
+// cycle y's data arrives and y issues, long before o commits.
+func TestParkedLoadWaitsOnYoungestOverlap(t *testing.T) {
+	src := `
+		_start:
+			la   r2, buf
+			addi r1, r0, 7
+			addi r3, r0, 84
+			addi r4, r0, 2
+			ld   r9, 64(r2)     ; slow load: holds o's commit
+		o:	sw   r1, 4(r2)
+			div  r5, r3, r4     ; y's data, 12 cycles
+		y:	sd   r5, 0(r2)
+		lo:	ld   r6, 0(r2)      ; parked on y, then forwards 42
+			halt
+		.data
+		buf: .space 128
+	`
+	c, m, sink := runObserved(t, src, func(cfg *Config, m *testMem) { m.dataLat = 60 }, 20000)
+	if c.Reg(6) != 42 || c.Stats().Forwards == 0 {
+		t.Errorf("r6 = %d after %d forwards, want 42 forwarded", c.Reg(6), c.Stats().Forwards)
+	}
+	if m.parked == 0 {
+		t.Fatal("the load was never parked")
+	}
+	p := asm.MustAssemble(src)
+	issued, committed := sink.cycles(obs.EvIssue), sink.cycles(obs.EvCommit)
+	y, lo, o := issued[p.Symbols["y"]], issued[p.Symbols["lo"]], committed[p.Symbols["o"]]
+	if y == 0 || lo != y || lo >= o {
+		t.Errorf("lo issued at cycle %d, y at %d, o committed at %d; want lo with y, before o commits", lo, y, o)
 	}
 }

@@ -78,7 +78,7 @@ func (c *Core) commit() {
 		if e.isStore {
 			c.storeCount--
 			maskClear(c.storeMask, c.head)
-			c.unpark()
+			c.unpark(c.head)
 		}
 		if c.CommitHook != nil {
 			c.CommitHook(e.pc, e.inst, e.result)
@@ -167,7 +167,7 @@ func (c *Core) writeback() {
 // producer is live), so resolving through a stale record is still correct;
 // a duplicate record then finds srcTag already -1 and is a no-op. A wake
 // that lets the issue stage act on its consumer sets the consumer's ready
-// bit, and a store's data arriving unparks the loads it may have blocked.
+// bit, and a store's data arriving unparks the loads it blocks.
 // (When the producer sits in RUU slot 0, a stale operand-1 record can also
 // match a one-operand consumer, whose unused srcTag[1] reads 0; that wake
 // changes no operand the consumer reads, and no mask.)
@@ -184,7 +184,7 @@ func (c *Core) broadcast(idx int, e *entry) {
 				maskSet(c.readyMask, int(packed>>1))
 			}
 			if s == 1 && w.isStore {
-				c.unpark()
+				c.unpark(int(packed >> 1))
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func (c *Core) issue() {
 		// lets younger loads disambiguate sooner. A ready store with its
 		// address not computed has its base operand captured.
 		if e.isStore && !e.addrValid {
-			c.computeAddr(e)
+			c.computeAddr(idx, e)
 			if e.srcTag[1] != -1 {
 				maskClear(c.readyMask, idx) // now waits for its data
 				return true
@@ -278,7 +278,8 @@ func (c *Core) issue() {
 			return true
 		}
 		if e.isLoad {
-			if !c.issueLoad(idx, e) {
+			if b := c.issueLoad(idx, e); b >= 0 {
+				e.blocker = b
 				maskClear(c.readyMask, idx)
 				maskSet(c.parkMask, idx)
 				return true
@@ -300,31 +301,32 @@ func (c *Core) issue() {
 	}
 }
 
-func (c *Core) computeAddr(e *entry) {
+func (c *Core) computeAddr(idx int, e *entry) {
 	e.addr = e.srcVal[0] + uint64(int64(e.inst.Imm))
 	e.addrValid = true
 	e.memSize = e.inst.MemBytes()
 	c.progress = true
 	if e.isStore {
-		c.unpark() // a resolved store address can unblock younger loads
+		c.unpark(idx) // a resolved store address can unblock younger loads
 	}
 }
 
-// issueLoad attempts to issue a load; reports whether it consumed an issue
-// slot (false = blocked by disambiguation; the caller parks the load).
-func (c *Core) issueLoad(idx int, e *entry) bool {
+// issueLoad attempts to issue the load at RUU index idx. It returns -1 when
+// the load took an issue slot, or else the RUU index of the store that
+// blocks it, on which the caller parks it.
+func (c *Core) issueLoad(idx int, e *entry) int {
 	if !e.addrValid {
-		c.computeAddr(e)
+		c.computeAddr(idx, e)
 	}
 	var forward *entry
 	if c.storeCount > 0 {
-		f, blocked, visits := c.disambiguate(e)
+		f, blocker, visits := c.disambiguate(e)
 		if c.perf != nil {
 			c.perf.DisambScans++
 			c.perf.DisambVisits += visits
 		}
-		if blocked {
-			return false
+		if blocker >= 0 {
+			return blocker
 		}
 		forward = f
 	} else if c.perf != nil {
@@ -335,14 +337,14 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 		c.stats.Forwards++
 		raw := truncate(forward.srcVal[1], e.memSize)
 		c.finishLoad(e, raw, c.now+2)
-		return true
+		return -1
 	}
 	if e.addr%uint64(e.memSize) != 0 {
 		e.fault = FaultMisaligned
 		e.faultAddr = e.addr
 		e.doneCycle = c.now + 2
 		c.noteDone(e.doneCycle)
-		return true
+		return -1
 	}
 	if !c.mem.ValidAddr(e.addr) {
 		// Translation fault: no memory access reaches the bus; the fault
@@ -351,7 +353,7 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 		e.faultAddr = e.addr
 		e.doneCycle = c.now + 2
 		c.noteDone(e.doneCycle)
-		return true
+		return -1
 	}
 	if e.inst.Op == isa.OpPREF {
 		// Prefetch: touches the hierarchy, produces no value.
@@ -359,12 +361,12 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 		e.result = 0
 		e.doneCycle = c.now + 2
 		c.noteDone(e.doneCycle)
-		return true
+		return -1
 	}
 	r := c.mem.ReadData(c.now+1, e.addr, e.memSize, e.authTagIssue)
 	e.dataAuthDone = r.AuthDone
 	c.finishLoad(e, r.Raw, max(r.Ready, c.now+2))
-	return true
+	return -1
 }
 
 // disambiguate checks load e, address computed, against the older stores in
@@ -373,9 +375,18 @@ func (c *Core) issueLoad(idx int, e *entry) bool {
 // invalidate any forwarding candidate found so far, because the unresolved
 // store is younger than that candidate and may overwrite it. A younger exact
 // covering match, conversely, supersedes an older partial overlap. It
-// returns the store to forward from (nil = read memory), whether the load is
-// blocked, and the store entries visited; it changes no state.
-func (c *Core) disambiguate(e *entry) (forward *entry, blocked bool, visits uint64) {
+// returns the store to forward from (nil = read memory), the RUU index of
+// the store that blocks the load (-1 = none), and the store entries
+// visited; it changes no state.
+//
+// The blocker is the oldest older store whose address is unresolved, or
+// else the youngest overlapping older store, which covers the load only in
+// part or whose data is outstanding. Only that store's change can unblock
+// the load: the scan stops at the unresolved store whatever the stores
+// before it do, the youngest overlapping store decides for every older
+// one, and a store dispatched later is younger than the load.
+func (c *Core) disambiguate(e *entry) (forward *entry, blocker int, visits uint64) {
+	blocker = -1
 	// The store bitmap visits stores oldest to youngest; stores younger
 	// than the load (larger sequence number) end the scan.
 	c.maskOrder(c.storeMask, func(p int, older *entry) bool {
@@ -384,22 +395,19 @@ func (c *Core) disambiguate(e *entry) (forward *entry, blocked bool, visits uint
 			return false
 		}
 		if !older.addrValid {
-			forward = nil
-			blocked = true // conservative: unknown older store address
+			forward, blocker = nil, p // conservative: unknown older store address
 			return false
 		}
 		if rangesOverlap(older.addr, older.memSize, e.addr, e.memSize) {
 			if older.addr == e.addr && older.memSize >= e.memSize && older.srcTag[1] == -1 {
-				forward = older // youngest older matching store wins
-				blocked = false
+				forward, blocker = older, -1 // youngest older matching store wins
 			} else {
-				forward = nil
-				blocked = true // partial overlap or data not ready
+				forward, blocker = nil, p // partial overlap or data not ready
 			}
 		}
 		return true
 	})
-	return forward, blocked, visits
+	return forward, blocker, visits
 }
 
 func (c *Core) finishLoad(e *entry, raw uint64, ready uint64) {
@@ -472,7 +480,7 @@ func (c *Core) execute(idx int, e *entry) {
 		}
 	case isa.ClassStore, isa.ClassFPStore:
 		if !e.addrValid {
-			c.computeAddr(e)
+			c.computeAddr(idx, e)
 		}
 		switch {
 		case e.addr%uint64(e.memSize) != 0:

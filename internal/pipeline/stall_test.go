@@ -13,6 +13,18 @@ type recSink struct{ events []obs.Event }
 
 func (r *recSink) Emit(e obs.Event) { r.events = append(r.events, e) }
 
+// cycles maps the PC of each event of kind k to the cycle of its last such
+// event.
+func (r *recSink) cycles(k obs.Kind) map[uint64]uint64 {
+	out := map[uint64]uint64{}
+	for _, e := range r.events {
+		if e.Kind == k {
+			out[e.Addr] = e.Cycle
+		}
+	}
+	return out
+}
+
 // runObserved is run() with an event sink attached before the first cycle.
 func runObserved(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int) (*Core, *testMem, *recSink) {
 	t.Helper()

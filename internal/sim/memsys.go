@@ -50,12 +50,14 @@ type MemConfig struct {
 	// NextLinePrefetch adds a tagged next-line prefetcher at the L2: every
 	// demand miss also fetches the following line. Prefetches are real
 	// external fetches — they occupy the bus, enqueue verification
-	// requests, and are subject to the same authentication gates.
+	// requests, take a miss register, and are subject to the same
+	// authentication gates.
 	NextLinePrefetch bool
 
 	// MSHRs bounds the number of outstanding external line fetches
 	// (0 = unbounded, the default). With a bound, a miss arriving while all
-	// miss registers are busy waits for the earliest in-flight fill.
+	// miss registers are busy waits for the earliest in-flight fill, and a
+	// prefetch is dropped.
 	MSHRs int
 }
 
@@ -113,9 +115,21 @@ type MemSystem struct {
 	// licenses the idle-cycle fast-forward.
 	tickProgress bool
 
+	// rep is the answer of the last FetchInst that found its L1I line
+	// ready, which later fetches of that line in the same cycle repeat
+	// (see FetchInst). Every access through the hierarchy ends it.
+	rep fetchRepeat
+
 	// Stats.
 	FetchGateWait uint64 // cycles external fetches (prefetches too) waited on then-fetch
 	Prefetches    uint64
+}
+
+// fetchRepeat is one fetch's answer for the L1I line at line in cycle now.
+type fetchRepeat struct {
+	ok              bool
+	now, line       uint64
+	ready, authDone uint64
 }
 
 // NewMemSystem wires the hierarchy. shadow must already contain the
@@ -222,6 +236,7 @@ func (ms *MemSystem) TLBs() (itlb, dtlb *mem.TLB) { return ms.itlb, ms.dtlb }
 // the data is usable and the cycle the backing L2 line's verification
 // completes (0 once the L2 has evicted the line).
 func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetchTag uint64) (ready, authDone uint64, err error) {
+	ms.rep.ok = false
 	l1 := ms.l1d
 	tlb := ms.dtlb
 	if isInst {
@@ -354,15 +369,27 @@ func (ms *MemSystem) mshrAdmit(t uint64) uint64 {
 	return t
 }
 
-// prefetch fetches one line into the L2 without a waiting consumer. Errors
-// (e.g. running off the protected region) silently drop the prefetch, as
-// hardware would.
+// prefetch fetches one line into the L2 without a waiting consumer. Like a
+// demand miss it takes a miss register, held until its data arrives. A
+// prefetch that finds every register busy, or that errors (e.g. running off
+// the protected region), is silently dropped, as hardware would. The demand
+// miss that issues it has just freed every register whose fill arrived by
+// its own admission, no earlier than now, so each register still held is
+// busy at now.
 func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 	if _, hit := ms.l2.Probe(lineAddr); hit {
 		return
 	}
-	if _, _, err := ms.fillL2(now, now, lineAddr, constraint); err == nil {
-		ms.Prefetches++
+	if ms.cfg.MSHRs > 0 && len(ms.inflight) >= ms.cfg.MSHRs {
+		return
+	}
+	_, dataReady, err := ms.fillL2(now, now, lineAddr, constraint)
+	if err != nil {
+		return
+	}
+	ms.Prefetches++
+	if ms.cfg.MSHRs > 0 {
+		ms.inflight = append(ms.inflight, dataReady)
 	}
 }
 
@@ -376,14 +403,35 @@ func (ms *MemSystem) fillL1(l1 *cache.Cache, addr uint64, isWrite bool, readyAt 
 	}
 }
 
-// FetchInst implements pipeline.MemPort.
+// FetchInst implements pipeline.MemPort. A fetch whose ITLB and L1I lookups
+// hit a line that is ready by now is repeated for every later fetch of that
+// L1I line in the same cycle, until another access goes through the
+// hierarchy: the line's page is mapped, the page and the line are the most
+// recently used of their sets, and the L2 line under it is unchanged, so a
+// full lookup would give the same ready cycle and AuthDone. The repeat
+// charges what that lookup would charge, an ITLB hit and an L1I hit with its
+// EvCacheHit event, and reads its own word.
 func (ms *MemSystem) FetchInst(now uint64, addr uint64, fetchTag uint64) pipeline.InstFetch {
+	line := ms.l1i.LineAddr(addr)
+	if r := &ms.rep; r.ok && r.now == now && r.line == line {
+		ms.itlb.RepeatHit()
+		ms.l1i.RepeatHit(addr)
+		return pipeline.InstFetch{
+			Word:     uint32(ms.shadow.ReadUint(addr, 4)),
+			Ready:    r.ready,
+			AuthDone: r.authDone,
+		}
+	}
 	if !ms.space.Valid(addr) {
 		return pipeline.InstFetch{Fault: true}
 	}
 	ready, authDone, err := ms.access(now, addr, false, true, fetchTag)
 	if err != nil {
 		return pipeline.InstFetch{Fault: true}
+	}
+	// Only an ITLB and L1I hit on a filled line is ready at once.
+	if ready <= now {
+		ms.rep = fetchRepeat{ok: true, now: now, line: line, ready: ready, authDone: authDone}
 	}
 	return pipeline.InstFetch{
 		Word:     uint32(ms.shadow.ReadUint(addr, 4)),

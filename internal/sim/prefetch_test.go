@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/bus"
 	"authpoint/internal/policy"
 )
 
@@ -58,5 +60,59 @@ func TestNextLinePrefetch(t *testing.T) {
 	}
 	if onMisses >= offMisses {
 		t.Errorf("prefetch did not reduce demand misses: %d vs %d", onMisses, offMisses)
+	}
+}
+
+// A prefetch takes a miss register like a demand miss, and holds it until
+// its data arrives; with every register busy it is dropped. Two demand
+// misses at cycles 100 and 101 on lines whose next lines are missing too:
+// with one register, neither prefetch runs and the second miss reaches the
+// bus only once the first fill is in; with two, the first miss's prefetch
+// takes the free register and the second's finds both busy.
+func TestPrefetchTakesMissRegister(t *testing.T) {
+	p := asm.MustAssemble(`
+	_start:
+		halt
+	.data
+	buf: .space 65536
+	`)
+	a, b := p.DataBase, p.DataBase+16384
+	for _, tc := range []struct {
+		mshrs      int
+		prefetches uint64
+		reads      []uint64
+	}{
+		{1, 0, []uint64{a, b}},
+		{2, 1, []uint64{a, a + 64, b}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Policy = policy.Baseline
+		cfg.TraceBus = true
+		cfg.Mem.MSHRs = tc.mshrs
+		cfg.Mem.NextLinePrefetch = true
+		m, err := NewMachine(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.MS.ReadData(100, a, 8, 0)
+		firstFill := m.MS.inflight[0] // the cycle the first miss's data arrives
+		m.MS.ReadData(101, b, 8, 0)
+		if got := m.MS.Prefetches; got != tc.prefetches {
+			t.Errorf("MSHRs=%d: %d prefetches counted, want %d", tc.mshrs, got, tc.prefetches)
+		}
+		var reads []uint64
+		for _, e := range m.Bus.Trace() {
+			if e.Kind != bus.ReadLine {
+				continue
+			}
+			reads = append(reads, e.Addr)
+			if tc.mshrs == 1 && e.Addr != a && e.Cycle < firstFill {
+				t.Errorf("MSHRs=1: line %#x on the bus at cycle %d, while the fill of %#x is outstanding until %d",
+					e.Addr, e.Cycle, a, firstFill)
+			}
+		}
+		if !slices.Equal(reads, tc.reads) {
+			t.Errorf("MSHRs=%d: line reads %#x, want %#x", tc.mshrs, reads, tc.reads)
+		}
 	}
 }

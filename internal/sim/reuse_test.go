@@ -169,12 +169,12 @@ func sealedDiff(got, want *sim.Machine) string {
 	if r := residentL2(got); len(r) > 0 {
 		return fmt.Sprintf("%d lines resident in the L2 before the run, the first %#x", len(r), r[0])
 	}
-	if g, w := got.Space.MappedPages(), want.Space.MappedPages(); g != w {
-		return fmt.Sprintf("%d mapped pages, want %d", g, w)
-	}
-	for _, pn := range append(got.Memory.Pages(), got.Shadow.Pages()...) {
-		if a := pn << mem.PageShift; got.Space.Valid(a) != want.Space.Valid(a) {
-			return fmt.Sprintf("page %#x mapped %v, want %v", pn, got.Space.Valid(a), want.Space.Valid(a))
+	// Every range a spec maps lies below 16 MB (the stack, at 0x700000, is
+	// the highest), so comparing every page there compares the mappings,
+	// a range left over from an earlier build included.
+	for a := uint64(0); a < 16<<20; a += mem.PageSize {
+		if g, w := got.Space.Valid(a), want.Space.Valid(a); g != w {
+			return fmt.Sprintf("page %#x mapped %v, want %v", a>>mem.PageShift, g, w)
 		}
 	}
 	return ""
