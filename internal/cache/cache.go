@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"authpoint/internal/obs"
 )
@@ -49,6 +50,12 @@ type Cache struct {
 	lines [][]Line // [set][way]
 	order [][]int  // LRU order: order[s][0] = MRU way
 	stats Stats
+
+	// index shifts and masks where it would divide (Reset requires the
+	// line size and the set count to be powers of two): an address's line
+	// is addr>>lineShift, its set line&setMask and its tag line>>setShift.
+	lineShift, setShift uint
+	setMask             uint64
 
 	// filled lists, once each, the sets Fill has written since the last
 	// Reset, and filledBits marks them: every other set is still in its
@@ -100,6 +107,9 @@ func (c *Cache) Reset(cfg Config) error {
 	}
 	same := c.lines != nil && sets == c.sets && cfg.Ways == c.cfg.Ways
 	c.cfg, c.sets, c.stats = cfg, sets, Stats{}
+	c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineB)))
+	c.setShift = uint(bits.TrailingZeros(uint(sets)))
+	c.setMask = uint64(sets - 1)
 	c.sink, c.track, c.clock = nil, 0, nil
 	if same {
 		for _, s := range c.filled {
@@ -149,8 +159,8 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB-1) }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	line := addr / uint64(c.cfg.LineB)
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	line := addr >> c.lineShift
+	return int(line & c.setMask), line >> c.setShift
 }
 
 // Probe reports whether addr hits, without updating LRU or stats.
@@ -223,7 +233,7 @@ func (c *Cache) Fill(addr uint64, write bool) (l *Line, victim Victim, evicted b
 	if l.Valid {
 		c.stats.Evictions++
 		victim = Victim{
-			Addr:  (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineB),
+			Addr:  (l.Tag<<c.setShift | uint64(set)) << c.lineShift,
 			Dirty: l.Dirty,
 		}
 		evicted = true

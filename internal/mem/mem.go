@@ -20,13 +20,19 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// recentPages is the number of pages Memory.page caches.
+const recentPages = 4
+
 // Memory is a sparse byte-addressable physical memory.
 type Memory struct {
 	pages map[uint64][]byte
-	// One-entry page cache: simulator accesses are heavily page-local, and
-	// this keeps the hot path off the map.
-	lastPN   uint64
-	lastPage []byte
+	// recent caches the pages page found last, so that the hot path stays
+	// off the map: the core reads its text page for every fetched word and
+	// one of a few data pages for every load and store. Entries are
+	// replaced first in, first out, at next; an empty entry has page
+	// number ^0, which no address has.
+	recent [recentPages]cachedPage
+	next   int
 	// free holds the pages of the run before the last Reset, for reuse.
 	free [][]byte
 }
@@ -49,7 +55,16 @@ func (m *Memory) Reset() {
 		m.free = append(m.free, p)
 	}
 	clear(m.pages)
-	m.lastPN, m.lastPage = ^uint64(0), nil
+	for i := range m.recent {
+		m.recent[i] = cachedPage{pn: ^uint64(0)}
+	}
+	m.next = 0
+}
+
+// cachedPage is an entry of Memory.recent: page p at page number pn.
+type cachedPage struct {
+	pn uint64
+	p  []byte
 }
 
 // PageCount returns how many pages have been written since New or the last
@@ -69,8 +84,10 @@ func (m *Memory) Pages() []uint64 {
 
 func (m *Memory) page(addr uint64, create bool) []byte {
 	pn := addr >> PageShift
-	if pn == m.lastPN {
-		return m.lastPage
+	for i := range m.recent {
+		if m.recent[i].pn == pn {
+			return m.recent[i].p
+		}
 	}
 	p, ok := m.pages[pn]
 	if !ok {
@@ -79,7 +96,8 @@ func (m *Memory) page(addr uint64, create bool) []byte {
 		}
 		p = m.newPage(pn, false)
 	}
-	m.lastPN, m.lastPage = pn, p
+	m.recent[m.next] = cachedPage{pn, p}
+	m.next = (m.next + 1) % recentPages
 	return p
 }
 
@@ -180,17 +198,51 @@ func (m *Memory) Write(addr uint64, data []byte) {
 	}
 }
 
-// ReadUint reads an n-byte little-endian unsigned integer (n <= 8).
+// ReadUint reads an n-byte little-endian unsigned integer (n <= 8). A word
+// within one page costs one page lookup; a page never written reads as zero
+// and stays unallocated.
 func (m *Memory) ReadUint(addr uint64, n int) uint64 {
+	off := addr & (PageSize - 1)
+	if off+uint64(n) > PageSize {
+		var b [8]byte
+		m.ReadInto(b[:n], addr)
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(p[off:])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p[off:]))
+	}
 	var b [8]byte
-	m.ReadInto(b[:n], addr)
+	copy(b[:n], p[off:])
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// WriteUint stores an n-byte little-endian unsigned integer (n <= 8).
+// WriteUint stores an n-byte little-endian unsigned integer (n <= 8). A
+// word within one page costs one page lookup.
 func (m *Memory) WriteUint(addr uint64, v uint64, n int) {
-	for i := 0; i < n; i++ {
-		m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
+	off := addr & (PageSize - 1)
+	if off+uint64(n) > PageSize {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		m.Write(addr, b[:n])
+		return
+	}
+	p := m.page(addr, true)
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(p[off:], v)
+	case 4:
+		binary.LittleEndian.PutUint32(p[off:], uint32(v))
+	default:
+		for i := range n {
+			p[off+uint64(i)] = byte(v >> (8 * i))
+		}
 	}
 }
 

@@ -410,3 +410,115 @@ func TestQuickTLBAgainstReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// byteUint composes the n-byte little-endian value at addr from LoadByte,
+// the byte-wise reference for ReadUint.
+func byteUint(m *Memory, addr uint64, n int) uint64 {
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(m.LoadByte(addr+uint64(i)))
+	}
+	return v
+}
+
+// ReadUint and WriteUint take one page lookup for a word within a page and
+// the span path for a word across a boundary. Both must equal byte-wise
+// access for 1-, 4- and 8-byte words ending at a page's last byte, and
+// across the boundary, as well as next to both.
+func TestUintWordsAtPageEdges(t *testing.T) {
+	for _, n := range []int{1, 4, 8} {
+		for back := 0; back <= n+1; back++ {
+			m := New()
+			addr := 3*PageSize - uint64(n) + uint64(back) // back > 0 crosses into page 3
+			v := 0x8877665544332211 + uint64(back)
+			m.WriteUint(addr, v, n)
+			want := v & (1<<(8*n) - 1) // all of v for n = 8
+			if got := byteUint(m, addr, n); got != want {
+				t.Errorf("%d-byte WriteUint at %#x: bytes read %#x, want %#x", n, addr, got, want)
+			}
+			if m.LoadByte(addr-1) != 0 || m.LoadByte(addr+uint64(n)) != 0 {
+				t.Errorf("%d-byte WriteUint at %#x wrote outside its word", n, addr)
+			}
+			for i := 0; i < n; i++ {
+				m.StoreByte(addr+uint64(i), byte(0xa0+i))
+			}
+			if got, want := m.ReadUint(addr, n), byteUint(m, addr, n); got != want {
+				t.Errorf("%d-byte ReadUint at %#x = %#x, bytes hold %#x", n, addr, got, want)
+			}
+		}
+	}
+}
+
+// The page cache must return each page's own bytes whatever the order the
+// pages are used in, here among more pages than it holds.
+func TestPageCacheManyPages(t *testing.T) {
+	m := New()
+	pages := []uint64{5 * PageSize, 9 * PageSize, 200 * PageSize, 1 * PageSize, 77 * PageSize, 6 * PageSize}
+	if len(pages) <= recentPages {
+		t.Fatalf("%d pages fit in the %d-entry cache", len(pages), recentPages)
+	}
+	for i, a := range pages {
+		m.WriteUint(a+8, uint64(i+1), 8)
+	}
+	for step, i := range []int{0, 1, 0, 2, 1, 2, 0, 0, 3, 4, 5, 2, 2, 1, 0, 5, 1, 4, 1, 3, 2, 5, 0} {
+		a := pages[i]
+		if got := m.ReadUint(a+8, 8); got != uint64(i+1) {
+			t.Fatalf("step %d: page %d reads %d, want %d", step, i, got, i+1)
+		}
+		m.WriteUint(a+16, uint64(step), 4)
+		for j, b := range pages {
+			if want := uint64(j + 1); m.LoadByte(b+8) != byte(want) {
+				t.Fatalf("step %d: page %d's word reads %d, want %d", step, j, m.LoadByte(b+8), want)
+			}
+		}
+	}
+}
+
+// Reset forgets every cached page: after it, no page reads its old bytes,
+// and writes land in pages the memory holds.
+func TestResetForgetsCachedPages(t *testing.T) {
+	m := New()
+	var addrs []uint64
+	for i := range recentPages {
+		a := uint64(2+5*i) * PageSize
+		addrs = append(addrs, a)
+		m.WriteUint(a, 0x1111*uint64(i+1), 8) // fills every entry
+	}
+	m.Reset()
+	for _, a := range addrs {
+		if got := m.ReadUint(a, 8); got != 0 {
+			t.Errorf("after Reset, %#x reads %#x, want 0", a, got)
+		}
+	}
+	if m.PageCount() != 0 {
+		t.Fatalf("after Reset and reads, %d pages, want 0", m.PageCount())
+	}
+	for i, a := range addrs {
+		m.WriteUint(a, uint64(i+7), 8)
+	}
+	for i, a := range addrs {
+		if got := m.ReadUint(a, 8); got != uint64(i+7) {
+			t.Errorf("after Reset and a write of %d, %#x reads %d", i+7, a, got)
+		}
+	}
+	if m.PageCount() != len(addrs) {
+		t.Errorf("after Reset, writes to %d pages hold %d", len(addrs), m.PageCount())
+	}
+}
+
+// ReadUint of a page never written reads 0 and creates no page, within a
+// page and across a boundary into one.
+func TestReadUintUnwrittenCreatesNoPage(t *testing.T) {
+	m := New()
+	m.WriteUint(PageSize, 0xff, 1)
+	for _, n := range []int{1, 4, 8} {
+		for _, addr := range []uint64{4 * PageSize, 5*PageSize - 4, 2*PageSize - 2} {
+			if got := m.ReadUint(addr, n); got != 0 {
+				t.Errorf("%d-byte ReadUint at unwritten %#x = %#x, want 0", n, addr, got)
+			}
+		}
+	}
+	if m.PageCount() != 1 {
+		t.Errorf("reads of unwritten pages left %d pages, want 1", m.PageCount())
+	}
+}

@@ -87,8 +87,10 @@ type Perf struct {
 	WatermarkRescans uint64
 
 	// Store-bitmap memory disambiguation: load issues that short-circuited
-	// the older-store scan because the window held no stores, scans actually
-	// performed, and store entries visited across them.
+	// the older-store scan, because the window held no stores or the store
+	// filter proved the scan would find none to forward from and none that
+	// blocks the load; scans actually performed; and store entries visited
+	// across them.
 	DisambShortCircuits uint64
 	DisambScans         uint64
 	DisambVisits        uint64

@@ -124,44 +124,31 @@ const (
 	stDone
 )
 
-// entry is one RUU slot.
+// entry is one RUU slot. The word-sized fields come first and the flags
+// last, so the slot carries no padding between them.
 type entry struct {
-	valid bool
-	seq   uint64
-	pc    uint64
-	inst  isa.Inst
+	seq  uint64
+	pc   uint64
+	inst isa.Inst
 
 	nsrc   int
 	srcTag [2]int // producer RUU index, -1 = value captured
 	srcVal [2]uint64
+	result uint64
 
-	hasDest bool
-	destFP  bool
-	destReg uint8
-	result  uint64
-
-	state     entryState
 	doneCycle uint64
 
-	isLoad    bool
-	isStore   bool
-	addr      uint64
-	addrValid bool
-	memSize   int
-	blocker   int // a parked load's blocking store, an RUU index (see parkMask)
+	addr    uint64
+	memSize int
+	blocker int // a parked load's blocking store, an RUU index (see parkMask)
 
-	isCtl     bool
 	predNPC   uint64
 	actualNPC uint64
-	predTaken bool // conditional prediction, for trainer
-	isCond    bool
-	taken     bool
 
 	instAuthDone uint64
 	dataAuthDone uint64
 	authTagIssue uint64 // LastRequest at issue (authen-then-write tag)
 
-	fault     FaultKind
 	faultAddr uint64
 
 	// consumers lists dependents registered at their dispatch, packed as
@@ -171,6 +158,20 @@ type entry struct {
 	// backing array is preserved across slot reuse so steady-state dispatch
 	// does not allocate.
 	consumers []int32
+
+	valid     bool
+	state     entryState
+	hasDest   bool
+	destFP    bool
+	destReg   uint8
+	isLoad    bool
+	isStore   bool
+	addrValid bool
+	isCtl     bool
+	predTaken bool // conditional prediction, for trainer
+	isCond    bool
+	taken     bool
+	fault     FaultKind
 }
 
 type fetchedInst struct {
@@ -258,6 +259,17 @@ type Core struct {
 	parkMask  []uint64
 	issueMask []uint64
 	storeMask []uint64
+
+	// The store filter over the stores in the window, which lets a load
+	// skip the disambiguation scan (filterClears). unresolvedMask holds the
+	// stores whose address is not computed yet; storeWords counts, per
+	// bucket of 8-byte words (addr>>3 mod 256), the stores whose computed
+	// address is aligned, and misalignedStores those whose computed
+	// address is not. A count reaches the window's store count at most,
+	// which an RUU of any size keeps within int32.
+	unresolvedMask   []uint64
+	storeWords       [256]int32
+	misalignedStores int
 
 	halted   bool
 	fault    FaultKind
@@ -368,18 +380,19 @@ func (c *Core) Reset(cfg Config, mem MemPort, entryPC uint64) error {
 		pacs = pacmac.DefaultSuite()
 	}
 	*c = Core{
-		cfg:       cfg,
-		mem:       mem,
-		bp:        bp,
-		pacs:      pacs,
-		pc:        entryPC,
-		ruu:       ruu,
-		ifq:       ifq,
-		readyMask: resizeMask(c.readyMask, words),
-		parkMask:  resizeMask(c.parkMask, words),
-		issueMask: resizeMask(c.issueMask, words),
-		storeMask: resizeMask(c.storeMask, words),
-		outLog:    c.outLog[:0],
+		cfg:            cfg,
+		mem:            mem,
+		bp:             bp,
+		pacs:           pacs,
+		pc:             entryPC,
+		ruu:            ruu,
+		ifq:            ifq,
+		readyMask:      resizeMask(c.readyMask, words),
+		parkMask:       resizeMask(c.parkMask, words),
+		issueMask:      resizeMask(c.issueMask, words),
+		storeMask:      resizeMask(c.storeMask, words),
+		unresolvedMask: resizeMask(c.unresolvedMask, words),
+		outLog:         c.outLog[:0],
 	}
 	for i := range c.renameInt {
 		c.renameInt[i] = -1
@@ -436,11 +449,30 @@ func (c *Core) Predictor() *Predictor { return c.bp }
 
 // ruuOrder iterates RUU indices from oldest to youngest.
 func (c *Core) ruuOrder(f func(idx int, e *entry) bool) {
-	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%c.cfg.RUUSize {
+	for i, idx := 0, c.head; i < c.count; i, idx = i+1, ringNext(idx, c.cfg.RUUSize) {
 		if !f(idx, &c.ruu[idx]) {
 			return
 		}
 	}
+}
+
+// ringNext returns the slot after slot i of a ring of n slots. It compares
+// and wraps where (i+1)%n would divide: the RUU and IFQ rings step on every
+// instruction.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+// ringAdd returns the slot k after slot i of a ring of n slots, for i < n
+// and k <= n, without dividing.
+func ringAdd(i, k, n int) int {
+	if i += k; i >= n {
+		i -= n
+	}
+	return i
 }
 
 func maskSet(m []uint64, idx int)   { m[idx>>6] |= 1 << (idx & 63) }

@@ -5,6 +5,7 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/isa"
+	"authpoint/internal/obs"
 )
 
 // testMem is a MemPort with perfect (configurable-latency) memory, used to
@@ -26,7 +27,8 @@ type testMem struct {
 	sbPending int
 	sbDrain   uint64 // cycles per store-buffer drain slot; 0 = instant
 
-	parked int // parked loads seen after each Step, summed (run, runObserved)
+	parked int      // parked loads seen after each Step, summed (run, runObserved)
+	perf   obs.Perf // the core's fast-path counters (run, runObserved)
 }
 
 type storeRec struct {
@@ -131,6 +133,7 @@ func run(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetPerf(&m.perf)
 	c.SetReg(isa.RegSP, 0x7fff00)
 	for i := 0; i < maxCycles && !c.Halted(); i++ {
 		c.Step()
@@ -149,9 +152,9 @@ func run(t *testing.T, src string, mutate func(*Config, *testMem), maxCycles int
 // returns the number of parked loads. readyMask and parkMask are disjoint,
 // their union is exactly the waiting entries the issue stage can act on
 // (every operand captured, or a store whose address can be computed), no
-// bit is set outside the live window, and every parked load is a load whose
+// bit is set outside the live window, every parked load is a load whose
 // recorded blocker is the store that disambiguation, re-run without side
-// effects, names now.
+// effects, names now, and the store filter holds (checkStoreFilter).
 func checkScheduler(t *testing.T, c *Core) int {
 	t.Helper()
 	for w := range c.readyMask {
@@ -193,7 +196,73 @@ func checkScheduler(t *testing.T, c *Core) int {
 				c.Now(), idx, e.pc, e.blocker, b)
 		}
 	}
+	checkStoreFilter(t, c)
 	return parked
+}
+
+// checkStoreFilter asserts the store filter's invariant between Steps. It
+// re-derives the filter's state from the window (the stores whose address
+// is not computed, the aligned stores per 8-byte-word bucket and the
+// misaligned stores) and checks the core's copy against it. Then, for each
+// waiting load whose address is or can now be computed, it checks that if
+// the filter would clear the load, disambiguation re-run without side
+// effects finds neither a store to forward from nor one that blocks it.
+func checkStoreFilter(t *testing.T, c *Core) {
+	t.Helper()
+	unresolved := make([]uint64, len(c.unresolvedMask))
+	var words [256]int
+	misalignedN := 0
+	c.ruuOrder(func(idx int, e *entry) bool {
+		switch {
+		case !e.isStore:
+		case !e.addrValid:
+			maskSet(unresolved, idx)
+		case misaligned(e.addr, e.memSize):
+			misalignedN++
+		default:
+			words[uint8(e.addr>>3)]++
+		}
+		return true
+	})
+	for w := range unresolved {
+		if unresolved[w] != c.unresolvedMask[w] {
+			t.Fatalf("cycle %d: unresolved-store mask word %d is %#x, the window's unresolved stores %#x",
+				c.Now(), w, c.unresolvedMask[w], unresolved[w])
+		}
+	}
+	for b, n := range words {
+		if int(c.storeWords[b]) != n {
+			t.Fatalf("cycle %d: store filter counts %d stores in word bucket %d, the window holds %d",
+				c.Now(), c.storeWords[b], b, n)
+		}
+	}
+	if misalignedN != c.misalignedStores {
+		t.Fatalf("cycle %d: store filter counts %d misaligned stores, the window holds %d",
+			c.Now(), c.misalignedStores, misalignedN)
+	}
+	c.ruuOrder(func(idx int, e *entry) bool {
+		if !e.isLoad || e.state != stWaiting || c.storeCount == 0 {
+			return true
+		}
+		probe := *e
+		if !probe.addrValid {
+			if probe.srcTag[0] != -1 {
+				return true
+			}
+			probe.addr = probe.srcVal[0] + uint64(int64(probe.inst.Imm))
+			probe.memSize = probe.inst.MemBytes()
+			probe.addrValid = true
+		}
+		if !c.filterClears(&probe) {
+			return true
+		}
+		if f, b, _ := c.disambiguate(&probe); f != nil || b >= 0 {
+			t.Fatalf("cycle %d: the store filter clears the load at slot %d (pc %#x, %d bytes at %#x), "+
+				"but disambiguation finds a store to forward from (%v) or a blocker (slot %d)",
+				c.Now(), idx, e.pc, probe.memSize, probe.addr, f != nil, b)
+		}
+		return true
+	})
 }
 
 func TestStraightLineALU(t *testing.T) {

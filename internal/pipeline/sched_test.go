@@ -242,11 +242,14 @@ func TestUnparkedLoadIssuesInSameScan(t *testing.T) {
 // the load lo from its first attempt until the slow load returns.
 // Meanwhile the unrelated store u1, older than b, receives its data and
 // commits, and u2, between b and lo, receives its data and computes its
-// address; none of those four changes may re-scan lo. So the run makes three
-// disambiguation scans: one for the slow load (u1 is in the window), and two
-// for lo, its park and its issue; releasing every parked load on any
-// store's change would re-scan lo in the two cycles those changes fall in.
-// lo issues in cycle 68, when b computes its address and issues.
+// address; none of those four changes may make lo decide again. So the run
+// makes three disambiguation decisions: one for the slow load (u1 is in the
+// window), and two for lo, its park and its issue; releasing every parked
+// load on any store's change would make lo decide again in the two cycles
+// those changes fall in. Only lo's park scans the stores: the store filter
+// clears the slow load (u1, the one older store, is resolved and in another
+// word) and lo's issue (b and u2 resolved, neither in lo's word) without a
+// scan. lo issues in cycle 68, when b computes its address and issues.
 func TestParkedLoadWaitsOnItsBlocker(t *testing.T) {
 	src := `
 		_start:
@@ -302,8 +305,8 @@ func TestParkedLoadWaitsOnItsBlocker(t *testing.T) {
 	if b := at("b", issued); lo != 68 || b != lo {
 		t.Errorf("lo issued at cycle %d and b at %d, want both at 68", lo, b)
 	}
-	if perf.DisambScans != 3 {
-		t.Errorf("%d disambiguation scans, want 3", perf.DisambScans)
+	if d := perf.DisambScans + perf.DisambShortCircuits; d != 3 || perf.DisambScans != 1 {
+		t.Errorf("%d disambiguation decisions, %d of them scans; want 3, 1 of them a scan", d, perf.DisambScans)
 	}
 }
 

@@ -78,6 +78,7 @@ func (c *Core) commit() {
 		if e.isStore {
 			c.storeCount--
 			maskClear(c.storeMask, c.head)
+			c.countStore(e, -1)
 			c.unpark(c.head)
 		}
 		if c.CommitHook != nil {
@@ -87,7 +88,7 @@ func (c *Core) commit() {
 			c.sink.Emit(obs.Event{Cycle: c.now, Kind: obs.EvCommit, Track: obs.TrackCore, Addr: e.pc})
 		}
 		e.valid = false
-		c.head = (c.head + 1) % c.cfg.RUUSize
+		c.head = ringNext(c.head, c.cfg.RUUSize)
 		c.count--
 		c.stats.Committed++
 		c.progress = true
@@ -202,13 +203,13 @@ func (c *Core) broadcast(idx int, e *entry) {
 func (c *Core) squashAfter(idx int) {
 	// Count survivors from head through idx.
 	keep := 0
-	for i, p := 0, c.head; i < c.count; i, p = i+1, (p+1)%c.cfg.RUUSize {
+	for i, p := 0, c.head; i < c.count; i, p = i+1, ringNext(p, c.cfg.RUUSize) {
 		keep++
 		if p == idx {
 			break
 		}
 	}
-	for i, p := keep, (idx+1)%c.cfg.RUUSize; i < c.count; i, p = i+1, (p+1)%c.cfg.RUUSize {
+	for i, p := keep, ringNext(idx, c.cfg.RUUSize); i < c.count; i, p = i+1, ringNext(p, c.cfg.RUUSize) {
 		e := &c.ruu[p]
 		if e.valid {
 			if e.isLoad || e.isStore {
@@ -216,6 +217,11 @@ func (c *Core) squashAfter(idx int) {
 			}
 			if e.isStore {
 				c.storeCount--
+				if e.addrValid {
+					c.countStore(e, -1)
+				} else {
+					maskClear(c.unresolvedMask, p)
+				}
 			}
 			if e.state == stIssued {
 				c.inflight--
@@ -230,7 +236,7 @@ func (c *Core) squashAfter(idx int) {
 	}
 	c.earliestDone = 0
 	c.count = keep
-	c.tail = (idx + 1) % c.cfg.RUUSize
+	c.tail = ringNext(idx, c.cfg.RUUSize)
 	for i := range c.renameInt {
 		c.renameInt[i] = -1
 	}
@@ -307,8 +313,44 @@ func (c *Core) computeAddr(idx int, e *entry) {
 	e.memSize = e.inst.MemBytes()
 	c.progress = true
 	if e.isStore {
+		maskClear(c.unresolvedMask, idx)
+		c.countStore(e, 1)
 		c.unpark(idx) // a resolved store address can unblock younger loads
 	}
+}
+
+// countStore adds d to the store filter's count for store e, whose address
+// is computed: its 8-byte-word bucket if the address is aligned, else the
+// misaligned count.
+func (c *Core) countStore(e *entry, d int32) {
+	if misaligned(e.addr, e.memSize) {
+		c.misalignedStores += int(d)
+	} else {
+		c.storeWords[uint8(e.addr>>3)] += d
+	}
+}
+
+// misaligned reports whether an access of size bytes (1, 4 or 8) at addr is
+// misaligned.
+func misaligned(addr uint64, size int) bool { return addr&uint64(size-1) != 0 }
+
+// filterClears reports whether the store filter proves that disambiguate
+// would find neither a store to forward from nor one that blocks load e,
+// address computed: no store in the window has a misaligned address, the
+// load is aligned, no store's address falls in the load's 8-byte-word
+// bucket, and the oldest store whose address is unresolved, if any, is
+// younger than the load. Two aligned accesses of 1, 4 or 8 bytes overlap
+// only within one 8-byte word, so then no older store overlaps the load.
+func (c *Core) filterClears(e *entry) bool {
+	if c.misalignedStores != 0 || misaligned(e.addr, e.memSize) || c.storeWords[uint8(e.addr>>3)] != 0 {
+		return false
+	}
+	clears := true
+	c.maskOrder(c.unresolvedMask, func(_ int, s *entry) bool {
+		clears = s.seq > e.seq
+		return false
+	})
+	return clears
 }
 
 // issueLoad attempts to issue the load at RUU index idx. It returns -1 when
@@ -319,7 +361,7 @@ func (c *Core) issueLoad(idx int, e *entry) int {
 		c.computeAddr(idx, e)
 	}
 	var forward *entry
-	if c.storeCount > 0 {
+	if c.storeCount > 0 && !c.filterClears(e) {
 		f, blocker, visits := c.disambiguate(e)
 		if c.perf != nil {
 			c.perf.DisambScans++
@@ -339,7 +381,7 @@ func (c *Core) issueLoad(idx int, e *entry) int {
 		c.finishLoad(e, raw, c.now+2)
 		return -1
 	}
-	if e.addr%uint64(e.memSize) != 0 {
+	if misaligned(e.addr, e.memSize) {
 		e.fault = FaultMisaligned
 		e.faultAddr = e.addr
 		e.doneCycle = c.now + 2
@@ -483,7 +525,7 @@ func (c *Core) execute(idx int, e *entry) {
 			c.computeAddr(idx, e)
 		}
 		switch {
-		case e.addr%uint64(e.memSize) != 0:
+		case misaligned(e.addr, e.memSize):
 			e.fault = FaultMisaligned
 			e.faultAddr = e.addr
 		case !c.mem.ValidAddr(e.addr):
@@ -564,25 +606,26 @@ func (c *Core) dispatch() {
 			return
 		}
 		idx := c.tail
-		c.tail = (c.tail + 1) % c.cfg.RUUSize
+		c.tail = ringNext(c.tail, c.cfg.RUUSize)
 		c.count++
 		c.progress = true
+		// Rebuild the slot where it lies: a composite literal would be built
+		// on the stack and copied into the slot whole. The consumer list
+		// keeps its backing array, so dispatch does not allocate.
 		e := &c.ruu[idx]
-		cons := e.consumers[:0] // keep the backing array: dispatch must not allocate
-		*e = entry{
-			valid:        true,
-			seq:          c.nextSeq,
-			pc:           fi.pc,
-			inst:         fi.uop.Inst,
-			state:        stWaiting,
-			predNPC:      fi.predNPC,
-			predTaken:    fi.predTaken,
-			instAuthDone: fi.instAuthDone,
-			consumers:    cons,
-		}
+		cons := e.consumers[:0]
+		*e = entry{}
+		e.consumers = cons
+		e.valid = true
+		e.seq = c.nextSeq
+		e.pc = fi.pc
+		e.inst = fi.uop.Inst
+		e.predNPC = fi.predNPC
+		e.predTaken = fi.predTaken
+		e.instAuthDone = fi.instAuthDone
 		c.nextSeq++
 		if fi.uop.Illegal {
-			c.ifqHead = (c.ifqHead + 1) % c.cfg.IFQSize
+			c.ifqHead = ringNext(c.ifqHead, c.cfg.IFQSize)
 			c.ifqLen--
 			e.fault = FaultIllegalInst
 			e.faultAddr = e.pc
@@ -598,7 +641,7 @@ func (c *Core) dispatch() {
 			continue
 		}
 		c.wireOperands(idx, e, &fi.uop)
-		c.ifqHead = (c.ifqHead + 1) % c.cfg.IFQSize
+		c.ifqHead = ringNext(c.ifqHead, c.cfg.IFQSize)
 		c.ifqLen--
 		if isMem {
 			c.lsqCount++
@@ -606,6 +649,7 @@ func (c *Core) dispatch() {
 		if e.isStore {
 			c.storeCount++
 			maskSet(c.storeMask, idx)
+			maskSet(c.unresolvedMask, idx)
 		}
 		if c.sink != nil {
 			c.sink.Emit(obs.Event{Cycle: c.now, Kind: obs.EvDispatch, Track: obs.TrackCore, Addr: e.pc})
@@ -694,7 +738,7 @@ func (c *Core) fetch() {
 			c.fetchBlocked = f.Ready
 			return
 		}
-		fi := &c.ifq[(c.ifqHead+c.ifqLen)%c.cfg.IFQSize]
+		fi := &c.ifq[ringAdd(c.ifqHead, c.ifqLen, c.cfg.IFQSize)]
 		*fi = fetchedInst{
 			pc:           c.pc,
 			instAuthDone: f.AuthDone,

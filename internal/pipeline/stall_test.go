@@ -43,6 +43,7 @@ func runObserved(t *testing.T, src string, mutate func(*Config, *testMem), maxCy
 	}
 	sink := &recSink{}
 	c.SetObserver(sink)
+	c.SetPerf(&m.perf)
 	c.SetReg(isa.RegSP, 0x7fff00)
 	for i := 0; i < maxCycles && !c.Halted(); i++ {
 		c.Step()

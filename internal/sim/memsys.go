@@ -55,9 +55,9 @@ type MemConfig struct {
 	NextLinePrefetch bool
 
 	// MSHRs bounds the number of outstanding external line fetches
-	// (0 = unbounded, the default). With a bound, a miss arriving while all
-	// miss registers are busy waits for the earliest in-flight fill, and a
-	// prefetch is dropped.
+	// (0 = unbounded, the default; a negative count is an error). With a
+	// bound, a miss arriving while all miss registers are busy waits for
+	// the earliest in-flight fill, and a prefetch is dropped.
 	MSHRs int
 }
 
@@ -156,6 +156,9 @@ func (ms *MemSystem) reset(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.M
 	}
 	if cfg.StoreBufSize <= 0 || cfg.DrainPerTick <= 0 {
 		return fmt.Errorf("sim: store buffer config must be positive")
+	}
+	if cfg.MSHRs < 0 {
+		return fmt.Errorf("sim: negative MSHRs %d", cfg.MSHRs)
 	}
 	var err error
 	if ms.l1i, err = resetCache(ms.l1i, cache.Config{Name: "l1i", SizeB: cfg.L1IB, LineB: cfg.L1ILineB, Ways: cfg.L1IWays}); err != nil {
@@ -454,13 +457,24 @@ func (ms *MemSystem) ReadData(now uint64, addr uint64, size int, fetchTag uint64
 	}
 }
 
+// sbSlot returns the store-buffer ring slot k entries past the head, for
+// k <= StoreBufSize. It compares and wraps where (sbHead+k)%StoreBufSize
+// would divide.
+func (ms *MemSystem) sbSlot(k int) int {
+	i := ms.sbHead + k
+	if i >= len(ms.sb) {
+		i -= len(ms.sb)
+	}
+	return i
+}
+
 // overlaySB re-applies committed-but-undrained stores that land in a freshly
 // filled line: the store buffer is architecturally newer than the external
 // copy (the write-allocate fill of a fresh store target races its own drain).
 func (ms *MemSystem) overlaySB(lineAddr uint64) {
 	lineEnd := lineAddr + uint64(ms.cfg.L2LineB)
 	for i := 0; i < ms.sbLen; i++ {
-		e := &ms.sb[(ms.sbHead+i)%ms.cfg.StoreBufSize]
+		e := &ms.sb[ms.sbSlot(i)]
 		if e.addr >= lineAddr && e.addr < lineEnd {
 			ms.shadow.WriteUint(e.addr, e.val, e.size)
 		}
@@ -474,7 +488,7 @@ func (ms *MemSystem) CommitStore(now uint64, addr uint64, val uint64, size int, 
 		return false
 	}
 	ms.shadow.WriteUint(addr, val, size)
-	ms.sb[(ms.sbHead+ms.sbLen)%ms.cfg.StoreBufSize] = sbEntry{addr: addr, val: val, size: size, authTag: authTag}
+	ms.sb[ms.sbSlot(ms.sbLen)] = sbEntry{addr: addr, val: val, size: size, authTag: authTag}
 	ms.sbLen++
 	return true
 }
@@ -510,7 +524,7 @@ func (ms *MemSystem) Tick(now uint64) {
 		if now < e.readyAt {
 			return
 		}
-		ms.sbHead = (ms.sbHead + 1) % ms.cfg.StoreBufSize
+		ms.sbHead = ms.sbSlot(1)
 		ms.sbLen--
 		drained++
 		ms.tickProgress = true

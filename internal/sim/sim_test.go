@@ -384,6 +384,7 @@ func TestBadConfigsRejected(t *testing.T) {
 		func(c *Config) { c.Mem.L1IB = 100 }, // not divisible by line*ways
 		func(c *Config) { c.Mem.L2LineB = 48 },
 		func(c *Config) { c.Mem.StoreBufSize = 0 },
+		func(c *Config) { c.Mem.MSHRs = -1 }, // would run as unbounded
 		func(c *Config) { c.Sec.MacB = 0 },
 		func(c *Config) { c.Bus.CorePerBus = 0 },
 		func(c *Config) { c.DRAM.Banks = 0 },
