@@ -29,8 +29,9 @@ type memoEntry[V any] struct {
 }
 
 // DefaultMemoCap bounds a memo built with no cap: room for the keys of
-// 128 seeds in flight, and for a memo of oracle snapshots, whose 64 KB
-// stack makes them the largest entries, about 8 MB.
+// 128 seeds in flight. A campaign that knows its cells sizes its memos to
+// their distinct keys instead (see Distinct), so that no key is evicted
+// before its last cell.
 const DefaultMemoCap = 128
 
 // NewMemo builds a memo holding at most capacity keys (<=0 means

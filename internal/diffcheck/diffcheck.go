@@ -1,7 +1,6 @@
 package diffcheck
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"authpoint/internal/campaign"
 	"authpoint/internal/cryptoengine/mactree"
 	"authpoint/internal/interp"
-	"authpoint/internal/isa"
 	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -200,13 +198,16 @@ func CheckSeed(seed int64, opt Options) (Result, string) {
 }
 
 // program is a source text as a check uses it: the SHA-256 of the text,
-// which keys the oracle memo and the result cache, and the assembled program
-// or the assembly error. A program may be shared between checks and
-// workers: no check or machine writes to it (sim.TestProgramImmutable).
+// which keys the oracle memo and the result cache, the assembled program or
+// the assembly error, and the end states its checks have hashed. A program
+// may be shared between checks and workers: no check or machine writes to
+// the assembled program (sim.TestProgramImmutable), and the state list
+// guards its own appends.
 type program struct {
 	digest [32]byte
 	prog   *asm.Program
 	err    error
+	states *stateList
 }
 
 // source is a source text as the checks of it share it: its SHA-256, and
@@ -218,12 +219,13 @@ type source struct {
 	load   func() program
 }
 
-// newSource digests src and defers its assembly to the first load.
+// newSource digests src and defers its assembly to the first load. The
+// loaded program starts with an empty state list.
 func newSource(src string) source {
 	digest := sha256.Sum256([]byte(src))
 	return source{digest: digest, load: sync.OnceValue(func() program {
 		p, err := asm.Assemble(src)
-		return program{digest: digest, prog: p, err: err}
+		return program{digest: digest, prog: p, err: err, states: new(stateList)}
 	})}
 }
 
@@ -298,6 +300,87 @@ func check(pr program, opt Options) Result {
 		return res
 	}
 
+	cfg := timedConfig(opt)
+	ranges := digestRanges(p, cfg.StackB)
+
+	// Oracle leg. Tamper runs still record the untampered reference digest:
+	// it is the state the machine would have to "commit" for a containment
+	// break to go unnoticed. The oracle's pointer-authentication mode must
+	// match the timed machine's: auth-failure behaviour is architectural.
+	// The leg is policy-independent beyond that mode, so a memo shares it
+	// across the policies of a cross campaign.
+	mode := sim.PACMode(res.Policy)
+	var oracle *oracleState
+	if opt.Oracle != nil {
+		key := oracleKey{prog: pr.digest, mode: mode}
+		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, ranges, pr.states) })
+	} else {
+		oracle = runOracle(p, mode, ranges, pr.states)
+	}
+	if oracle.stop == interp.StopMaxInsts {
+		res.Verdict = VerdictError
+		res.Divergence = fmt.Sprintf("oracle did not terminate within %d instructions", DefaultMaxOracleInsts)
+		return res
+	}
+	res.OracleDigest = hex.EncodeToString(oracle.state.digest[:])
+
+	m, err := sim.NewMachine(cfg, p)
+	if err != nil {
+		res.Verdict = VerdictError
+		res.Divergence = "machine: " + err.Error()
+		return res
+	}
+	// The result holds only values copied out of the machine, so a later
+	// cell may rebuild it.
+	defer m.Release()
+	if opt.Tamper {
+		if d := tamper(m, opt.TamperSite); d != "" {
+			res.Verdict = VerdictError
+			res.Divergence = d
+			return res
+		}
+	}
+	var hub *obs.Hub
+	if opt.MetricsSink != nil {
+		hub = obs.NewHub(nil, true)
+		m.SetObserver(hub)
+		m.EnablePerf()
+	}
+	simRes, runErr := m.Run()
+	res.Reason = simRes.Reason.String()
+	res.Cycles = simRes.Cycles
+	res.Insts = simRes.Insts
+	if hub != nil {
+		opt.MetricsSink(m.Metrics(hub, nil))
+	}
+
+	// Every digest the timed run takes is the oracle's or a state the seed
+	// has hashed before when its end state equals one of them byte for byte.
+	live := simState(m)
+	if opt.Tamper {
+		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
+		return checkTamper(res, m, &live, simRes, oracle, ranges)
+	}
+	if runErr != nil && simRes.Reason == sim.StopModelError {
+		res.Verdict = VerdictError
+		res.Divergence = "model error: " + runErr.Error()
+		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
+		return res
+	}
+	if d := compare(oracle, &live, simRes, ranges); d != "" {
+		res.Verdict = VerdictDivergence
+		res.Divergence = d
+		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
+		return res
+	}
+	// compare has matched the oracle's end state byte for byte.
+	res.SimDigest = res.OracleDigest
+	res.Verdict = VerdictOK
+	return res
+}
+
+// timedConfig is the timed machine's configuration for a check with opt.
+func timedConfig(opt Options) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Policy = opt.Policy
 	if opt.WatchdogCycles > 0 {
@@ -316,118 +399,46 @@ func check(pr program, opt Options) Result {
 			cfg.Sec.UseTree = true
 		}
 	}
-	ranges := digestRanges(p, cfg.StackB)
-
-	// Oracle leg. Tamper runs still record the untampered reference digest:
-	// it is the state the machine would have to "commit" for a containment
-	// break to go unnoticed. The oracle's pointer-authentication mode must
-	// match the timed machine's: auth-failure behaviour is architectural.
-	// The leg is policy-independent beyond that mode, so a memo shares it
-	// across the policies of a cross campaign.
-	mode := sim.PACMode(res.Policy)
-	var oracle *oracleState
-	if opt.Oracle != nil {
-		key := oracleKey{prog: pr.digest, mode: mode}
-		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, ranges) })
-	} else {
-		oracle = runOracle(p, mode, ranges)
-	}
-	if oracle.stop == interp.StopMaxInsts {
-		res.Verdict = VerdictError
-		res.Divergence = fmt.Sprintf("oracle did not terminate within %d instructions", DefaultMaxOracleInsts)
-		return res
-	}
-	res.OracleDigest = hex.EncodeToString(oracle.digest[:])
-
-	m, err := sim.NewMachine(cfg, p)
-	if err != nil {
-		res.Verdict = VerdictError
-		res.Divergence = "machine: " + err.Error()
-		return res
-	}
-	// The result holds only values copied out of the machine, so a later
-	// cell may rebuild it.
-	defer m.Release()
-	if opt.Tamper {
-		entryLine := p.Entry &^ 63
-		switch opt.TamperSite {
-		case SiteData:
-			// One bit flipped in the encrypted first data line: tainted at
-			// rest, fetched only if the program touches it.
-			m.Memory.XorRange(p.DataBase, []byte{0x40})
-		case SiteMac:
-			// One bit flipped in the stored MAC of the entry line; the data
-			// and its counter stay intact.
-			macAddr, ok := m.Ctrl.MacAddrOf(entryLine)
-			if !ok {
-				res.Verdict = VerdictError
-				res.Divergence = "tamper site mac: entry line has no flat MAC (tree mode?)"
-				return res
-			}
-			m.Ctrl.Memory().XorRange(macAddr, []byte{0x40})
-		case SiteCtr:
-			// Counter replay: roll the entry line's write counter forward so
-			// decryption uses the wrong pad.
-			e := m.Ctrl.Encryptor()
-			e.SetCounter(entryLine, e.Counter(entryLine)+1)
-		case SiteTree:
-			// One bit flipped in the entry line's leaf digest node inside the
-			// MAC tree's (untrusted) node storage.
-			idx, ok := m.Ctrl.LeafIndex(entryLine)
-			if !ok {
-				res.Verdict = VerdictError
-				res.Divergence = "tamper site tree: entry line is not a protected leaf"
-				return res
-			}
-			m.Ctrl.Tree().TamperNode(mactree.NodeID{Level: 0, Index: idx}, []byte{0x40})
-		default:
-			// One bit flipped in the encrypted text line holding the entry
-			// point: the first instruction fetched is guaranteed tainted.
-			m.Memory.XorRange(p.Entry, []byte{0x40})
-		}
-	}
-	var hub *obs.Hub
-	if opt.MetricsSink != nil {
-		hub = obs.NewHub(nil, true)
-		m.SetObserver(hub)
-		m.EnablePerf()
-	}
-	simRes, runErr := m.Run()
-	res.Reason = simRes.Reason.String()
-	res.Cycles = simRes.Cycles
-	res.Insts = simRes.Insts
-	if hub != nil {
-		opt.MetricsSink(m.Metrics(hub, nil))
-	}
-
-	if opt.Tamper {
-		res.SimDigest = archDigest(m, ranges)
-		return checkTamper(res, m, simRes, oracle, ranges)
-	}
-	if runErr != nil && simRes.Reason == sim.StopModelError {
-		res.Verdict = VerdictError
-		res.Divergence = "model error: " + runErr.Error()
-		res.SimDigest = archDigest(m, ranges)
-		return res
-	}
-	if d := compare(oracle, m, simRes, ranges); d != "" {
-		res.Verdict = VerdictDivergence
-		res.Divergence = d
-		res.SimDigest = archDigest(m, ranges)
-		return res
-	}
-	// compare has matched everything the digest hashes: both register files,
-	// the OUT log's (port, value) pairs and every window's bytes.
-	res.SimDigest = res.OracleDigest
-	res.Verdict = VerdictOK
-	return res
+	return cfg
 }
 
-// archDigest is the hex state digest of the timed machine's committed
-// state over the digest windows.
-func archDigest(m *sim.Machine, ranges []interp.MemRange) string {
-	d := m.ArchDigest(ranges...)
-	return hex.EncodeToString(d[:])
+// tamper flips one bit of m's protected image at site before the run. It
+// returns why the site cannot be tampered with, or "".
+func tamper(m *sim.Machine, site TamperSite) string {
+	p := m.Prog
+	entryLine := p.Entry &^ 63
+	switch site {
+	case SiteData:
+		// One bit flipped in the encrypted first data line: tainted at
+		// rest, fetched only if the program touches it.
+		m.Memory.XorRange(p.DataBase, []byte{0x40})
+	case SiteMac:
+		// One bit flipped in the stored MAC of the entry line; the data
+		// and its counter stay intact.
+		macAddr, ok := m.Ctrl.MacAddrOf(entryLine)
+		if !ok {
+			return "tamper site mac: entry line has no flat MAC (tree mode?)"
+		}
+		m.Ctrl.Memory().XorRange(macAddr, []byte{0x40})
+	case SiteCtr:
+		// Counter replay: roll the entry line's write counter forward so
+		// decryption uses the wrong pad.
+		e := m.Ctrl.Encryptor()
+		e.SetCounter(entryLine, e.Counter(entryLine)+1)
+	case SiteTree:
+		// One bit flipped in the entry line's leaf digest node inside the
+		// MAC tree's (untrusted) node storage.
+		idx, ok := m.Ctrl.LeafIndex(entryLine)
+		if !ok {
+			return "tamper site tree: entry line is not a protected leaf"
+		}
+		m.Ctrl.Tree().TamperNode(mactree.NodeID{Level: 0, Index: idx}, []byte{0x40})
+	default:
+		// One bit flipped in the encrypted text line holding the entry
+		// point: the first instruction fetched is guaranteed tainted.
+		m.Memory.XorRange(p.Entry, []byte{0x40})
+	}
+	return ""
 }
 
 // checkTamper asserts the containment invariants of a tampered run. Every
@@ -447,7 +458,7 @@ func archDigest(m *sim.Machine, ranges []interp.MemRange) string {
 //
 // At entry and ctr the fetched instruction stream is garbage from the first
 // fetch on.
-func checkTamper(res Result, m *sim.Machine, simRes sim.Result, oracle *oracleState, ranges []interp.MemRange) Result {
+func checkTamper(res Result, m *sim.Machine, live *liveState, simRes sim.Result, oracle *oracleState, ranges []interp.MemRange) Result {
 	k := res.Policy.Knobs()
 	meta := res.Site == SiteMac || res.Site == SiteTree
 	if !k.Authenticate {
@@ -456,7 +467,7 @@ func checkTamper(res Result, m *sim.Machine, simRes sim.Result, oracle *oracleSt
 		// the paper measures, not a bug in the model; a metadata tamper is
 		// never even read, so it must be invisible.
 		if meta {
-			if d := compare(oracle, m, simRes, ranges); d != "" {
+			if d := compare(oracle, live, simRes, ranges); d != "" {
 				res.Verdict = VerdictDivergence
 				res.Divergence = "metadata tamper perturbed an unauthenticated run: " + d
 				return res
@@ -516,10 +527,13 @@ func checkTamper(res Result, m *sim.Machine, simRes sim.Result, oracle *oracleSt
 	return res
 }
 
-// compare diffs the architectural outcome of the timed run against the
-// oracle snapshot and returns a description of the first difference ("" if
-// equivalent).
-func compare(oracle *oracleState, m *sim.Machine, simRes sim.Result, ranges []interp.MemRange) string {
+// compare diffs the architectural outcome of the timed run, whose end
+// state is live, against the oracle snapshot and returns a description of
+// the first difference ("" if equivalent). Most end states match: they are
+// compared with the snapshot a page span at a time, and one that differs is
+// walked register by register and word by word to describe its first
+// difference.
+func compare(oracle *oracleState, live *liveState, simRes sim.Result, ranges []interp.MemRange) string {
 	switch oracle.stop {
 	case interp.StopHalt:
 		if simRes.Reason != sim.StopHalt {
@@ -538,46 +552,35 @@ func compare(oracle *oracleState, m *sim.Machine, simRes sim.Result, ranges []in
 			return fmt.Sprintf("core stopped with %v, oracle faulted (%s at %#x)", simRes.Reason, oracle.faultKind, oracle.faultAddr)
 		}
 	}
-	for r := uint8(0); r < isa.NumIntRegs; r++ {
-		if got, want := m.Core.Reg(r), oracle.regs[r]; got != want {
-			return fmt.Sprintf("r%d = %#x, oracle %#x", r, got, want)
+	want := oracle.state
+	if want.matches(live, ranges) {
+		return ""
+	}
+	for r, got := range live.regs {
+		if got != want.regs[r] {
+			return fmt.Sprintf("r%d = %#x, oracle %#x", r, got, want.regs[r])
 		}
 	}
-	for r := uint8(0); r < isa.NumFPRegs; r++ {
-		if got, want := m.Core.FReg(r), oracle.fregs[r]; got != want {
-			return fmt.Sprintf("f%d = %#x, oracle %#x", r, got, want)
+	for r, got := range live.fregs {
+		if got != want.fregs[r] {
+			return fmt.Sprintf("f%d = %#x, oracle %#x", r, got, want.fregs[r])
 		}
 	}
-	outs := m.Core.OutLog()
-	if len(outs) != len(oracle.outs) {
-		return fmt.Sprintf("%d OUTs, oracle %d", len(outs), len(oracle.outs))
+	outs := live.outs
+	if len(outs) != len(want.outs) {
+		return fmt.Sprintf("%d OUTs, oracle %d", len(outs), len(want.outs))
 	}
 	for i := range outs {
-		if outs[i].Port != oracle.outs[i].Port || outs[i].Val != oracle.outs[i].Val {
+		if outs[i] != want.outs[i] {
 			return fmt.Sprintf("out[%d] = (%#x,%#x), oracle (%#x,%#x)",
-				i, outs[i].Port, outs[i].Val, oracle.outs[i].Port, oracle.outs[i].Val)
+				i, outs[i].Port, outs[i].Val, want.outs[i].Port, want.outs[i].Val)
 		}
 	}
-	for ri, rg := range ranges {
-		// Most windows match: compare them a page span at a time, and walk
-		// a window word by word only to describe its first difference.
-		want, off := oracle.mem[ri], uint64(0)
-		if m.Shadow.Spans(rg.Start, rg.Len, func(span []byte) bool {
-			same := bytes.Equal(span, want[off:off+uint64(len(span))])
-			off += uint64(len(span))
-			return same
-		}) {
-			continue
-		}
+	for _, rg := range ranges {
 		for off := uint64(0); off < rg.Len; off += 8 {
-			n := 8
-			if rg.Len-off < 8 {
-				n = int(rg.Len - off)
-			}
-			got := m.Shadow.ReadUint(rg.Start+off, n)
-			want := oracle.readUint(ri, off, n)
-			if got != want {
-				return fmt.Sprintf("mem[%#x] = %#x, oracle %#x", rg.Start+off, got, want)
+			addr, n := rg.Start+off, int(min(8, rg.Len-off))
+			if got, w := live.mem.ReadUint(addr, n), want.readUint(addr, n); got != w {
+				return fmt.Sprintf("mem[%#x] = %#x, oracle %#x", addr, got, w)
 			}
 		}
 	}

@@ -17,9 +17,11 @@ import (
 )
 
 // okRun is an untampered cell run the way check runs it: the machine after
-// its run, kept unreleased, and the oracle snapshot it is compared with.
+// its run, kept unreleased, its end state, and the oracle snapshot it is
+// compared with.
 type okRun struct {
 	m      *sim.Machine
+	live   liveState
 	simRes sim.Result
 	oracle *oracleState
 	ranges []interp.MemRange
@@ -34,7 +36,7 @@ func runCell(t *testing.T, seed int64, pt policy.ControlPoint) okRun {
 	cfg := sim.DefaultConfig()
 	cfg.Policy = pt
 	ranges := digestRanges(p, cfg.StackB)
-	oracle := runOracle(p, sim.PACMode(pt), ranges)
+	oracle := runOracle(p, sim.PACMode(pt), ranges, new(stateList))
 	m, err := sim.NewMachine(cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -43,17 +45,23 @@ func runCell(t *testing.T, seed int64, pt policy.ControlPoint) okRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return okRun{m: m, simRes: simRes, oracle: oracle, ranges: ranges}
+	return okRun{m: m, live: simState(m), simRes: simRes, oracle: oracle, ranges: ranges}
 }
 
-// compareWords is compare's memory walk as it ran before windows were
-// compared a page span at a time: every window eight bytes at a time.
+// compareWords is compare's memory walk as it ran before end states were
+// compared a page span at a time: every window eight bytes at a time, the
+// snapshot read back through a memory its present spans are written into.
 func compareWords(oracle *oracleState, m *sim.Machine, ranges []interp.MemRange) string {
-	for ri, rg := range ranges {
+	want := mem.New()
+	for _, s := range oracle.state.spans {
+		if s.b != nil {
+			want.Write(s.addr, s.b)
+		}
+	}
+	for _, rg := range ranges {
 		for off := uint64(0); off < rg.Len; off += 8 {
 			n := int(min(8, rg.Len-off))
-			got := m.Shadow.ReadUint(rg.Start+off, n)
-			want := oracle.readUint(ri, off, n)
+			got, want := m.Shadow.ReadUint(rg.Start+off, n), want.ReadUint(rg.Start+off, n)
 			if got != want {
 				return fmt.Sprintf("mem[%#x] = %#x, oracle %#x", rg.Start+off, got, want)
 			}
@@ -62,14 +70,44 @@ func compareWords(oracle *oracleState, m *sim.Machine, ranges []interp.MemRange)
 	return ""
 }
 
+// present reports whether a holds the span at addr as present.
+func present(a *archState, addr uint64) bool {
+	for _, s := range a.spans {
+		if addr-s.addr < s.n {
+			return s.b != nil
+		}
+	}
+	return false
+}
+
+// withByte returns a copy of a with the byte at addr XORed with x; a span
+// held as absent becomes a present page of zeros first.
+func withByte(a *archState, addr uint64, x byte) *archState {
+	c := *a
+	c.spans = slices.Clone(a.spans)
+	for i := range c.spans {
+		s := &c.spans[i]
+		if addr-s.addr < s.n {
+			if s.b == nil {
+				s.b = make([]byte, s.n)
+			}
+			s.b = slices.Clone(s.b)
+			s.b[addr-s.addr] ^= x
+		}
+	}
+	return &c
+}
+
 // TestCompareMemoryText pins compare's memory divergence text: a byte
 // changed in a copy of the oracle snapshot, at the first byte, on either
 // side of a page boundary, or at the last byte of a window, is described
-// exactly as the word-by-word walk describes it.
+// exactly as the word-by-word walk describes it. The data window's bytes
+// are a page the oracle wrote; the stack's are pages it never wrote, which
+// the snapshot holds as absent.
 func TestCompareMemoryText(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		r := runCell(t, seed, policy.ThenCommit)
-		if d := compare(r.oracle, r.m, r.simRes, r.ranges); d != "" {
+		if d := compare(r.oracle, &r.live, r.simRes, r.ranges); d != "" {
 			t.Fatalf("seed %d: untouched snapshot diverges: %s", seed, d)
 		}
 		if len(r.ranges) < 2 {
@@ -81,11 +119,13 @@ func TestCompareMemoryText(t *testing.T) {
 				if off >= rg.Len {
 					continue
 				}
+				addr := rg.Start + off
+				if stack := ri == len(r.ranges)-1; present(r.oracle.state, addr) == stack {
+					t.Fatalf("seed %d: span at %#x held present=%v, want %v", seed, addr, stack, !stack)
+				}
 				st := *r.oracle
-				st.mem = slices.Clone(st.mem)
-				st.mem[ri] = slices.Clone(st.mem[ri])
-				st.mem[ri][off] ^= 0xa5
-				got, want := compare(&st, r.m, r.simRes, r.ranges), compareWords(&st, r.m, r.ranges)
+				st.state = withByte(st.state, addr, 0xa5)
+				got, want := compare(&st, &r.live, r.simRes, r.ranges), compareWords(&st, r.m, r.ranges)
 				if got != want || got == "" {
 					t.Errorf("seed %d, window %d, offset %d: compare = %q, word walk %q", seed, ri, off, got, want)
 				}

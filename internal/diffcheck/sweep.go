@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"authpoint/internal/campaign"
+	"authpoint/internal/cryptoengine/pacmac"
 	"authpoint/internal/policy"
+	"authpoint/internal/sim"
 	"authpoint/internal/telemetry"
 )
 
@@ -87,16 +89,19 @@ type SweepObs = campaign.SweepObs
 // When so collects metrics, each cell leaves its timed run's snapshot on its
 // record. A seed memo, sized to the cells' seeds, generates and digests each
 // seed's program once and assembles it at most once, for the first of its
-// cells the result cache does not serve. When the cells repeat seeds and opt
-// has no oracle memo, Campaign attaches one, so the policy-independent oracle
-// leg runs once per seed and pac-mode; it keeps the default cap, because its
-// snapshots carry a 64 KB stack.
+// cells the result cache does not serve; its entry also holds the end states
+// the seed's checks have hashed. When the cells repeat oracle keys (seed and
+// pac-mode) and opt has no oracle memo, Campaign attaches one sized to those
+// keys, so the policy-independent oracle leg runs once per seed and pac-mode
+// in any cell order.
 func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Result] {
 	collect := so != nil && so.CollectMetrics
-	seeds := campaign.Distinct(cells, func(c Cell) int64 { return c.Seed })
-	sources := campaign.NewMemo[int64, source](seeds)
-	if seeds < len(cells) && opt.Oracle == nil {
-		opt.Oracle = NewOracleMemo(0)
+	sources := campaign.NewMemo[int64, source](campaign.Distinct(cells, func(c Cell) int64 { return c.Seed }))
+	oracleKeys := campaign.Distinct(cells, func(c Cell) seedMode {
+		return seedMode{c.Seed, sim.PACMode(c.Policy.Normalize())}
+	})
+	if oracleKeys < len(cells) && opt.Oracle == nil {
+		opt.Oracle = NewOracleMemo(oracleKeys)
 	}
 	return campaign.Checker[Cell, Result]{
 		Cell: func(c Cell) telemetry.Record {
@@ -118,6 +123,13 @@ func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Re
 		},
 		Finding: func(v string) bool { return IsFinding(Verdict(v)) },
 	}
+}
+
+// seedMode is what decides a cell's oracle run: its seed, and the
+// pointer-auth mode of its policy.
+type seedMode struct {
+	seed int64
+	mode pacmac.Mode
 }
 
 // SweepObserved checks every cell on the campaign engine (parallelism <= 0

@@ -23,7 +23,10 @@ const digestVersion = "authfuzz/state/v1"
 // timed simulator hash with this same encoding, so equal digests mean equal
 // architectural state; recorded digests in .repro files stay comparable
 // across runs and machines. The windows are hashed in place, a page span at
-// a time.
+// a time. The digest is a function of exactly these inputs, so a state
+// equal to another in all of them takes the other's digest without being
+// hashed (the differential checker remembers a seed's hashed states that
+// way); an input added here must join that equality.
 func DigestArchState(regs, fregs []uint64, outs []OutEvent, m *mem.Memory, ranges []MemRange) [32]byte {
 	h := sha256.New()
 	var buf [8]byte

@@ -71,6 +71,14 @@ type cachedPage struct {
 // Reset.
 func (m *Memory) PageCount() int { return len(m.pages) }
 
+// Written reports whether the page holding addr has been written since New
+// or the last Reset. A page never written holds no storage and reads as
+// zero. Written reads nothing and changes nothing, not even the page cache.
+func (m *Memory) Written(addr uint64) bool {
+	_, ok := m.pages[addr>>PageShift]
+	return ok
+}
+
 // Pages returns the page numbers of every page written since New or the
 // last Reset, in ascending order.
 func (m *Memory) Pages() []uint64 {

@@ -522,3 +522,30 @@ func TestReadUintUnwrittenCreatesNoPage(t *testing.T) {
 		t.Errorf("reads of unwritten pages left %d pages, want 1", m.PageCount())
 	}
 }
+
+// TestWritten pins which pages Written reports: every page a write of any
+// kind touched, a page written with zeros included, and none that reads
+// touched; Reset forgets them all, and Written itself creates no page.
+func TestWritten(t *testing.T) {
+	m := New()
+	m.StoreByte(PageSize+7, 0)
+	m.Write(3*PageSize-2, []byte{1, 2, 3, 4})
+	m.XorRange(6*PageSize, []byte{0})
+	m.ReadUint(8*PageSize, 8)
+	m.Spans(9*PageSize, PageSize, func([]byte) bool { return true })
+	want := map[uint64]bool{1: true, 2: true, 3: true, 6: true}
+	for pn := uint64(0); pn < 12; pn++ {
+		if got := m.Written(pn*PageSize + PageSize/2); got != want[pn] {
+			t.Errorf("Written(page %d) = %v, want %v", pn, got, want[pn])
+		}
+	}
+	if m.PageCount() != len(want) {
+		t.Errorf("%d pages, want %d", m.PageCount(), len(want))
+	}
+	m.Reset()
+	for pn := range want {
+		if m.Written(pn * PageSize) {
+			t.Errorf("page %d written after Reset", pn)
+		}
+	}
+}
