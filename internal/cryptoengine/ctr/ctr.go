@@ -17,6 +17,8 @@
 package ctr
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 
 	"authpoint/internal/cryptoengine/aes"
@@ -184,12 +186,12 @@ func (e *Engine) Pad(addr, ctr uint64) []byte {
 // lineSize bytes. Allocation-free: every external line fetch goes through
 // here.
 func (e *Engine) padInto(dst []byte, addr, ctr uint64) {
+	// Seed block: address, counter, chunk index. Unique per
+	// (line, version, chunk) triple, which is what counter-mode security
+	// requires.
+	binary.LittleEndian.PutUint64(e.seed[0:8], addr)
 	for chunk := 0; chunk < e.PadChunks(); chunk++ {
-		// Seed block: address, counter, chunk index. Unique per
-		// (line, version, chunk) triple, which is what counter-mode security
-		// requires.
-		putUint64(e.seed[0:8], addr)
-		putUint64(e.seed[8:16], ctr+uint64(chunk)<<48)
+		binary.LittleEndian.PutUint64(e.seed[8:16], ctr+uint64(chunk)<<48)
 		e.cipher.Encrypt(dst[chunk*aes.BlockSize:], e.seed[:])
 	}
 }
@@ -214,7 +216,7 @@ func (e *Engine) EncryptLineInto(dst []byte, addr uint64, plaintext []byte) erro
 	*ctr++
 	e.emit(addr, 0)
 	e.padInto(dst, addr, *ctr)
-	xorInto(dst, plaintext)
+	subtle.XORBytes(dst, dst, plaintext)
 	return nil
 }
 
@@ -236,7 +238,7 @@ func (e *Engine) DecryptLineInto(dst []byte, addr uint64, ciphertext []byte) err
 	}
 	e.emit(addr, 1)
 	e.padInto(dst, addr, e.Counter(addr))
-	xorInto(dst, ciphertext)
+	subtle.XORBytes(dst, dst, ciphertext)
 	return nil
 }
 
@@ -250,19 +252,6 @@ func (e *Engine) DecryptLineWithCounter(addr, ctr uint64, ciphertext []byte) ([]
 	}
 	out := make([]byte, e.lineSize)
 	e.padInto(out, addr, ctr)
-	xorInto(out, ciphertext)
+	subtle.XORBytes(out, out, ciphertext)
 	return out, nil
-}
-
-// xorInto XORs b into dst element-wise.
-func xorInto(dst, b []byte) {
-	for i := range dst {
-		dst[i] ^= b[i]
-	}
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -2,6 +2,8 @@ package ctr
 
 import (
 	"bytes"
+	"crypto/aes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +35,47 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(back, pt) {
 		t.Fatal("round trip failed")
+	}
+}
+
+// Chunk i of a line's pad is AES, under the engine's key, of the block
+// LE64(addr) || LE64(ctr + i<<48), and a line encrypts to its plaintext XOR
+// the pad of its new counter.
+func TestPadLayout(t *testing.T) {
+	key := bytes.Repeat([]byte{0x5a}, 32)
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lineSize := range []int{64, 128} {
+		e, err := NewEngine(key, lineSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ addr, ctr uint64 }{{0x1000, 1}, {0xdeadbeef40, 0x0123456789abcdef}, {^uint64(0) &^ 127, ^uint64(0)}} {
+			pad := e.Pad(c.addr, c.ctr)
+			for i := 0; i < lineSize/aes.BlockSize; i++ {
+				var in, want [aes.BlockSize]byte
+				binary.LittleEndian.PutUint64(in[:8], c.addr)
+				binary.LittleEndian.PutUint64(in[8:], c.ctr+uint64(i)<<48)
+				block.Encrypt(want[:], in[:])
+				if got := pad[i*aes.BlockSize : (i+1)*aes.BlockSize]; !bytes.Equal(got, want[:]) {
+					t.Errorf("%d-byte line %#x counter %#x: pad chunk %d is %x, want %x", lineSize, c.addr, c.ctr, i, got, want)
+				}
+			}
+		}
+		pt := make([]byte, lineSize)
+		rand.New(rand.NewSource(2)).Read(pt)
+		ct, err := e.EncryptLine(0x2000, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pad := e.Pad(0x2000, e.Counter(0x2000))
+		for j := range ct {
+			if ct[j] != pt[j]^pad[j] {
+				t.Fatalf("%d-byte line: ciphertext byte %d is %#x, want plaintext XOR pad %#x", lineSize, j, ct[j], pt[j]^pad[j])
+			}
+		}
 	}
 }
 

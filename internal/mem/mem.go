@@ -325,10 +325,10 @@ func (s *AddressSpace) FaultLog() []uint64 {
 // TLB is a set-associative translation lookaside buffer timing model. It
 // holds page numbers only; translation itself is identity.
 type TLB struct {
-	sets  int
 	ways  int
-	tags  [][]uint64 // page numbers; ^0 = invalid
-	order [][]int    // LRU order per set: order[s][0] is MRU way
+	mask  uint64   // sets - 1: a page's set is its number's low bits
+	tags  []uint64 // page numbers at set*ways+way; ^0 = invalid
+	order []int    // each set's ways from most to least recently used, at set*ways
 	hits  uint64
 	miss  uint64
 }
@@ -344,31 +344,26 @@ func NewTLB(entries, ways int) (*TLB, error) {
 }
 
 // Reset empties the TLB and shapes it for entries and ways, zeroing its
-// counters. A TLB of the same shape keeps its tables. On an error the TLB
-// is unusable.
+// counters. The set count, entries/ways, must be a power of two. A TLB of
+// the same shape keeps its tables. On an error the TLB is unusable.
 func (t *TLB) Reset(entries, ways int) error {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return fmt.Errorf("mem: bad TLB shape entries=%d ways=%d", entries, ways)
 	}
 	sets := entries / ways
-	if t.tags == nil || sets != t.sets || ways != t.ways {
-		// As in cache.New, every set's tags and LRU order are cut from one
-		// backing array per table.
-		t.sets, t.ways = sets, ways
-		t.tags = make([][]uint64, sets)
-		t.order = make([][]int, sets)
-		tags := make([]uint64, entries)
-		order := make([]int, entries)
-		for s := 0; s < sets; s++ {
-			lo, hi := s*ways, (s+1)*ways
-			t.tags[s] = tags[lo:hi:hi]
-			t.order[s] = order[lo:hi:hi]
-		}
+	if sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: TLB set count %d not a power of two", sets)
 	}
-	for s := 0; s < sets; s++ {
+	if len(t.tags) != entries || ways != t.ways {
+		t.ways = ways
+		t.tags = make([]uint64, entries)
+		t.order = make([]int, entries)
+	}
+	t.mask = uint64(sets - 1)
+	for s := 0; s < entries; s += ways {
 		for w := 0; w < ways; w++ {
-			t.tags[s][w] = ^uint64(0)
-			t.order[s][w] = w
+			t.tags[s+w] = ^uint64(0)
+			t.order[s+w] = w
 		}
 	}
 	t.hits, t.miss = 0, 0
@@ -378,18 +373,21 @@ func (t *TLB) Reset(entries, ways int) error {
 // Lookup probes the TLB for addr's page, filling on miss, and reports hit.
 func (t *TLB) Lookup(addr uint64) bool {
 	pn := addr >> PageShift
-	set := int(pn % uint64(t.sets))
-	for _, w := range t.order[set] {
-		if t.tags[set][w] == pn {
-			t.touch(set, w)
+	s := int(pn&t.mask) * t.ways
+	ord := t.order[s : s+t.ways]
+	for i, w := range ord {
+		if t.tags[s+w] == pn {
+			copy(ord[1:i+1], ord[:i])
+			ord[0] = w
 			t.hits++
 			return true
 		}
 	}
 	t.miss++
-	victim := t.order[set][t.ways-1]
-	t.tags[set][victim] = pn
-	t.touch(set, victim)
+	victim := ord[len(ord)-1]
+	t.tags[s+victim] = pn
+	copy(ord[1:], ord[:len(ord)-1])
+	ord[0] = victim
 	return false
 }
 
@@ -399,25 +397,12 @@ func (t *TLB) Lookup(addr uint64) bool {
 // change no LRU state.
 func (t *TLB) RepeatHit() { t.hits++ }
 
-func (t *TLB) touch(set, way int) {
-	ord := t.order[set]
-	for i, w := range ord {
-		if w == way {
-			copy(ord[1:i+1], ord[:i])
-			ord[0] = way
-			return
-		}
-	}
-}
-
 // Stats returns hit and miss counts.
 func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.miss }
 
 // Flush invalidates all entries.
 func (t *TLB) Flush() {
-	for s := range t.tags {
-		for w := range t.tags[s] {
-			t.tags[s][w] = ^uint64(0)
-		}
+	for i := range t.tags {
+		t.tags[i] = ^uint64(0)
 	}
 }

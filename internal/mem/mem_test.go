@@ -343,6 +343,9 @@ func TestTLBBadShape(t *testing.T) {
 	if _, err := NewTLB(10, 4); err == nil {
 		t.Error("non-divisible shape accepted")
 	}
+	if _, err := NewTLB(12, 4); err == nil {
+		t.Error("3 sets accepted: the set count must be a power of two")
+	}
 }
 
 // refTLB is an executable specification of the TLB: per set, the resident

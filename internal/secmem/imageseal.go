@@ -7,13 +7,20 @@ import (
 	"authpoint/internal/cryptoengine/mactree"
 )
 
-// imageCapB bounds the bytes the sealed-image memo holds: 256 KB. A
-// campaign program's entry holds a few KB, or some 15 KB with the MAC tree,
-// so the memo holds a campaign's recent seeds even at 16 workers. The
-// sweep kernels' 200 KB-4 MB images are sealed afresh: every byte the memo
-// holds is live heap, and a 2.5 MB cap, which held one such image at a
-// time, raised a memory-bound sweep's peak RSS by about 5%.
+// imageCapB bounds the bytes the sealed-image memo's least-recently-used
+// entries hold: 256 KB. A campaign program's entry holds a few KB, or some
+// 15 KB with the MAC tree, so the memo holds a campaign's recent seeds even
+// at 16 workers. A sweep kernel's entry, 0.3-2.6 MB, is over the cap, so
+// the memo holds only the last one put (see memo). A sweep builds each
+// kernel under the baseline and then under each control point, so every
+// build of a kernel but its first is served, for one image of live heap:
+// holding every sweep image raised the sweeps' peak RSS by 16-21%.
 const imageCapB = 256 << 10
+
+// testHookSeal, if set, is called by each FinishProtection that succeeds,
+// with whether it sealed the layout rather than copied it from the image
+// memo. It is nil outside tests.
+var testHookSeal func(sealed bool)
 
 // imageKey is everything a seal reads: the seal parameters, the MAC mode
 // (the tree's arity is lineB/macB), and a SHA-256 digest of the protected

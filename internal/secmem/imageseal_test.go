@@ -3,6 +3,7 @@ package secmem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -127,18 +128,37 @@ func TestImageMemoKeyCoversSealInputs(t *testing.T) {
 }
 
 // The image memo holds at most its cap: a new entry evicts the least
-// recently used ones, a hit makes an entry the most recently used, and an
-// entry larger than the cap is not held. A layout sealed past the cap is
-// still the line-by-line seal.
+// recently used ones, and a hit makes an entry the most recently used.
+// Besides them it holds the last entry larger than the cap: a second build
+// of that layout is a hit, bit-identical to a line-by-line seal and
+// counting the miss's crypto work, and the next larger entry replaces it,
+// while the capped entries and their byte charge stay as they were.
 func TestImageMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	layout := func(b byte) []Segment {
 		return []Segment{memoSegs[0], {memoSegs[1].Addr, bytes.Repeat([]byte{b}, 100)}}
 	}
-	seal := func(images *imageMemo, segs []Segment) *rig {
+	// A big layout adds a 64-line range that a segment fills.
+	bigRegions := append(slices.Clone(sealRegions), [2]uint64{0xa000, 0x1000})
+	big := func(b byte) []Segment {
+		return append(layout(b), Segment{0xa000, bytes.Repeat([]byte{b}, 0x1000)})
+	}
+	sealed := 0
+	testHookSeal = func(miss bool) {
+		if miss {
+			sealed++
+		}
+	}
+	defer func() { testHookSeal = nil }()
+	// seal builds a controller over the regions that takes whole layouts
+	// from images; with no image memo, it seals every line.
+	seal := func(images *imageMemo, regions [][2]uint64, segs []Segment) *rig {
 		t.Helper()
 		r := newRig(t, nil)
 		r.ctrl.seals, r.ctrl.images = newZeroMemo(zeroSealCapB), images
-		for _, reg := range sealRegions {
+		if images == nil {
+			r.ctrl.seals = nil
+		}
+		for _, reg := range regions {
 			if err := r.ctrl.Protect(reg[0], reg[1]); err != nil {
 				t.Fatal(err)
 			}
@@ -149,25 +169,27 @@ func TestImageMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		return r
 	}
 	probe := newImageMemo(imageCapB)
-	seal(probe, layout('a'))
+	seal(probe, sealRegions, layout('a'))
 	entryB := probe.bytes
 	if entryB == 0 {
 		t.Fatal("an entry charged no bytes")
 	}
 
 	images := newImageMemo(2 * entryB)
-	keyOf := func(segs []Segment) imageKey { return seal(nil, segs).ctrl.imageKey(segs) }
+	keyOf := func(regions [][2]uint64, segs []Segment) imageKey {
+		return seal(nil, regions, segs).ctrl.imageKey(segs)
+	}
 	a, b, c := layout('a'), layout('b'), layout('c')
-	seal(images, a)
-	seal(images, b)
-	seal(images, a) // a hit: b is now the least recently used
-	seal(images, c)
+	seal(images, sealRegions, a)
+	seal(images, sealRegions, b)
+	seal(images, sealRegions, a) // a hit: b is now the least recently used
+	seal(images, sealRegions, c)
 	for _, x := range []struct {
 		name string
 		segs []Segment
 		held bool
 	}{{"a", a, true}, {"b", b, false}, {"c", c, true}} {
-		if _, ok := images.entries[keyOf(x.segs)]; ok != x.held {
+		if _, ok := images.entries[keyOf(sealRegions, x.segs)]; ok != x.held {
 			t.Errorf("layout %s held = %v, want %v", x.name, ok, x.held)
 		}
 	}
@@ -175,22 +197,47 @@ func TestImageMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Errorf("memo charges %d bytes under a cap of %d, want %d", images.bytes, images.capB, 2*entryB)
 	}
 
-	tiny := newImageMemo(entryB - 1)
-	got := seal(tiny, a)
-	if len(tiny.entries) != 0 || tiny.bytes != 0 {
-		t.Errorf("memo capped below one entry holds %d entries, %d bytes", len(tiny.entries), tiny.bytes)
+	lru := map[imageKey]memoEntry[*sealedImage]{}
+	for k, e := range images.entries {
+		lru[k] = *e
 	}
-	want := newRig(t, nil)
-	want.ctrl.seals = nil
-	for _, reg := range sealRegions {
-		if err := want.ctrl.Protect(reg[0], reg[1]); err != nil {
-			t.Fatal(err)
+	x, y := big('x'), big('y')
+	want, keyX, keyY := seal(nil, bigRegions, x), keyOf(bigRegions, x), keyOf(bigRegions, y)
+	sealed = 0
+	miss := seal(images, bigRegions, x)
+	if !images.over.ok || images.over.k != keyX {
+		t.Fatal("the layout over the cap is not held")
+	}
+	hit := seal(images, bigRegions, x)
+	if sealed != 1 {
+		t.Errorf("two builds of the layout over the cap sealed %d times, want 1", sealed)
+	}
+	for _, r := range []struct {
+		name string
+		r    *rig
+	}{{"miss", miss}, {"hit", hit}} {
+		if d := imageDiff(r.r, want); d != "" {
+			t.Errorf("layout over the cap, %s: %s", r.name, d)
 		}
 	}
-	if err := want.ctrl.FinishProtection(a...); err != nil {
-		t.Fatal(err)
+	if ms, hs := miss.ctrl.Stats(), hit.ctrl.Stats(); ms.AESBlocks != hs.AESBlocks || ms.MACs != hs.MACs {
+		t.Errorf("layout over the cap: miss counts %d AES blocks, %d MACs; hit %d, %d", ms.AESBlocks, ms.MACs, hs.AESBlocks, hs.MACs)
 	}
-	if d := imageDiff(got, want); d != "" {
-		t.Error(d)
+	sealed = 0
+	seal(images, bigRegions, y)
+	if images.over.k != keyY {
+		t.Error("a second layout over the cap does not replace the first")
+	}
+	seal(images, bigRegions, x)
+	if sealed != 2 {
+		t.Errorf("after the second layout over the cap, x was not sealed again (%d seals, want 2)", sealed)
+	}
+	if images.bytes != 2*entryB || len(images.entries) != len(lru) {
+		t.Errorf("memo holds %d entries, %d bytes under the cap; want %d, %d", len(images.entries), images.bytes, len(lru), 2*entryB)
+	}
+	for k, e := range images.entries {
+		if w, ok := lru[k]; !ok || *e != w {
+			t.Error("a layout over the cap changed the entries under it")
+		}
 	}
 }

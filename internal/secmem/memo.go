@@ -7,15 +7,25 @@ import "sync"
 // controller, test or goroutine filled it. A value is never modified once
 // the memo holds it; controllers copy from it and never alias it.
 //
-// The memo holds at most capB bytes, each value charged the size it was put
-// with. It makes room for a new value by evicting the least recently used
-// ones, and never holds a value larger than capB.
+// The memo holds at most capB bytes of entries, each value charged the size
+// it was put with. It makes room for a new value by evicting the least
+// recently used ones. Besides them it holds the most recently put value
+// larger than capB, uncharged, until the next such put replaces it: a
+// caller that asks for one large value many times in a row, as a sweep
+// builds one kernel under every control point, finds it there.
 type memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
-	bytes   int // charged to held entries, at most capB
+	bytes   int // charged to entries, at most capB
 	capB    int
 	tick    uint64 // advances on every get hit and put: the recency order
+	// over is the last value put that was larger than capB; ok is false
+	// until the first such put.
+	over struct {
+		k  K
+		v  V
+		ok bool
+	}
 }
 
 type memoEntry[V any] struct {
@@ -32,6 +42,9 @@ func newMemo[K comparable, V any](capB int) *memo[K, V] {
 func (m *memo[K, V]) get(k K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.over.ok && m.over.k == k {
+		return m.over.v, true
+	}
 	e, ok := m.entries[k]
 	if !ok {
 		var zero V
@@ -45,16 +58,20 @@ func (m *memo[K, V]) get(k K) (V, bool) {
 // put holds v, of the given size, as k's value and returns it, unless the
 // memo already holds a value for k: concurrent misses on one key may each
 // compute the value, and put then returns the first one held. A value
-// larger than the cap is returned but not held.
+// larger than the cap replaces the one held over the cap.
 func (m *memo[K, V]) put(k K, v V, size int) V {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.over.ok && m.over.k == k {
+		return m.over.v
+	}
 	m.tick++
 	if e, ok := m.entries[k]; ok {
 		e.used = m.tick
 		return e.v
 	}
 	if size > m.capB {
+		m.over.k, m.over.v, m.over.ok = k, v, true
 		return v
 	}
 	for m.bytes+size > m.capB {

@@ -528,9 +528,12 @@ func (c *Controller) FinishProtection(segs ...Segment) error {
 			return err
 		}
 		c.sealWork = c.work().minus(before)
-		if n := c.imageBytes(zero); c.images != nil && n <= c.images.capB {
-			c.images.put(key, c.sealedImage(zero, c.sealWork), n)
+		if c.images != nil {
+			c.images.put(key, c.sealedImage(zero, c.sealWork), c.imageBytes(zero))
 		}
+	}
+	if testHookSeal != nil {
+		testHookSeal(img == nil)
 	}
 	if c.cfg.UseTree {
 		// The node cache holds 64-byte sibling groups (eight digests), the

@@ -84,7 +84,8 @@ func TestZeroSealMemoHitEqualsMiss(t *testing.T) {
 // afterwards still seals the untampered image. With the image memo the
 // first controller filled the entry, the second was served from it, and
 // both are tampered, at a stack line the all-zero memo sealed and at a text
-// line only the image memo holds.
+// line only the image memo holds. The entry is one under the image memo's
+// cap, or, with a cap below it, the one the memo holds over its cap.
 func TestZeroSealMemoNotAliased(t *testing.T) {
 	tamper := func(r *rig, line uint64) {
 		r.m.XorRange(line, bytes.Repeat([]byte{0xff}, 64))
@@ -99,13 +100,17 @@ func TestZeroSealMemoNotAliased(t *testing.T) {
 		}
 	}
 	for _, tree := range []bool{false, true} {
-		for _, withImages := range []bool{false, true} {
-			where := fmt.Sprintf("tree=%v image memo=%v", tree, withImages)
+		for _, im := range []struct {
+			name string
+			capB int  // 0: no image memo
+			over bool // the layout's entry is over capB
+		}{{"none", 0, false}, {"capped", imageCapB, false}, {"over the cap", 1, true}} {
+			where := fmt.Sprintf("tree=%v image memo=%s", tree, im.name)
 			mutate := func(c *Config) { c.UseTree = tree }
 			zero := newZeroMemo(zeroSealCapB)
 			var images *imageMemo
-			if withImages {
-				images = newImageMemo(imageCapB)
+			if im.capB > 0 {
+				images = newImageMemo(im.capB)
 			}
 			want := mustSeal(t, nil, nil, mutate)
 			for build := 0; build < 3; build++ {
@@ -119,44 +124,60 @@ func TestZeroSealMemoNotAliased(t *testing.T) {
 					t.Fatalf("%s: tampering left the image unchanged", where)
 				}
 			}
-			if withImages && len(images.entries) != 1 {
-				t.Errorf("%s: image memo holds %d entries, want 1", where, len(images.entries))
+			if images != nil {
+				held := len(images.entries)
+				if images.over.ok {
+					held++
+				}
+				if held != 1 || images.over.ok != im.over {
+					t.Errorf("%s: image memo holds %d entries, one over its cap: %v; want 1, %v", where, held, images.over.ok, im.over)
+				}
 			}
 		}
 	}
 }
 
-// Controllers sealing at once share the memo safely: eight goroutines, half
-// with the MAC tree, build the layout together from an empty memo, and each
-// seals the image a line-by-line seal gives. Run it under -race.
+// Controllers sealing at once share the memos safely: eight goroutines,
+// half with the MAC tree, build the layout together from an empty all-zero
+// memo, and each seals the image a line-by-line seal gives. In the second
+// case they share an image memo capped below the layout's entry, so they
+// take turns holding the flat and the tree image over its cap. Run it
+// under -race.
 func TestZeroSealMemoConcurrent(t *testing.T) {
 	const workers = 8
 	treeMode := func(g int) func(*Config) {
 		return func(c *Config) { c.UseTree = g%2 == 1 }
 	}
 	want := []*rig{mustSeal(t, nil, nil, treeMode(0)), mustSeal(t, nil, nil, treeMode(1))}
-	memo := newZeroMemo(zeroSealCapB)
-	rigs := make([]*rig, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for g := range rigs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rigs[g], errs[g] = sealLayout(memo, nil, treeMode(g))
-		}()
-	}
-	wg.Wait()
-	for g, r := range rigs {
-		if errs[g] != nil {
-			t.Fatalf("worker %d: %v", g, errs[g])
+	for _, images := range []*imageMemo{nil, newImageMemo(1)} {
+		memo := newZeroMemo(zeroSealCapB)
+		rigs := make([]*rig, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := range rigs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rigs[g], errs[g] = sealLayout(memo, images, treeMode(g))
+			}()
 		}
-		if d := imageDiff(r, want[g%2]); d != "" {
-			t.Errorf("worker %d: %s", g, d)
+		wg.Wait()
+		where := fmt.Sprintf("image memo=%v", images != nil)
+		for g, r := range rigs {
+			if errs[g] != nil {
+				t.Fatalf("%s, worker %d: %v", where, g, errs[g])
+			}
+			if d := imageDiff(r, want[g%2]); d != "" {
+				t.Errorf("%s, worker %d: %s", where, g, d)
+			}
 		}
-	}
-	if n, b, want := len(memo.entries), memo.bytes, memoEntryB(256)+memoEntryB(0x400); n != 2 || b != want {
-		t.Errorf("memo holds %d entries, %d bytes; want 2 entries, %d bytes", n, b, want)
+		if n, b, want := len(memo.entries), memo.bytes, memoEntryB(256)+memoEntryB(0x400); n != 2 || b != want {
+			t.Errorf("%s: memo holds %d entries, %d bytes; want 2 entries, %d bytes", where, n, b, want)
+		}
+		if images != nil && (len(images.entries) != 0 || images.bytes != 0 || !images.over.ok) {
+			t.Errorf("image memo holds %d entries, %d bytes under its cap, one over it: %v; want 0, 0, true",
+				len(images.entries), images.bytes, images.over.ok)
+		}
 	}
 }
 

@@ -120,12 +120,12 @@ func BenchmarkNewMachine(b *testing.B) {
 
 // TestNewMachineAllocs pins machine set-up at a few allocations per
 // structure rather than per cache set or per protected line: carved cache
-// and TLB set arrays, leaf indices derived from the protected ranges, the
-// counter table in 64-line blocks and leaf-indexed re-map slots. A build of
-// a generated campaign program takes 160 to 180 allocations under these
-// configurations, about 20 of them the standard library's HMAC and AES key
-// states; one allocation per set or per line would take thousands. The count
-// does not depend on the hardware.
+// set arrays, flat TLB tables, leaf indices derived from the protected
+// ranges, the counter table in 64-line blocks and leaf-indexed re-map
+// slots. A build of a generated campaign program takes 160 to 180
+// allocations under these configurations, about 20 of them the standard
+// library's HMAC and AES key states; one allocation per set or per line
+// would take thousands. The count does not depend on the hardware.
 func TestNewMachineAllocs(t *testing.T) {
 	p, err := asm.Assemble(diffcheck.GenProgram(1))
 	if err != nil {
