@@ -118,13 +118,15 @@ func runKernels(s *cli.Session) bool {
 	checked := 0
 	start := time.Now()
 	for _, kc := range cases {
+		// One preparation serves every policy of the case.
+		k, err := contract.PrepareKernel(kc)
 		for _, pt := range kernelPolicies(kc) {
-			res, err := contract.CheckKernel(kc, contract.Options{Policy: pt})
 			if err != nil {
 				bad = true
 				fmt.Printf("authverify: KERNEL %s under %v: %v\n", kc.Name, pt, err)
 				continue
 			}
+			res := k.Check(contract.Options{Policy: pt})
 			checked++
 			if s.Verbose {
 				fmt.Printf("kernel %-22s %-45v %s\n", kc.Name, pt, res.Verdict)

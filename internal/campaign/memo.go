@@ -1,6 +1,9 @@
 package campaign
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Memo memoizes one value per key across the cells of a campaign: the work
 // a cross campaign would otherwise repeat for every policy of a seed, such
@@ -93,4 +96,81 @@ func Distinct[C any, K comparable](cells []C, key func(C) K) int {
 		seen[key(c)] = struct{}{}
 	}
 	return len(seen)
+}
+
+// Countdown counts, per key, the cells of a campaign that have not yet
+// finished, so that the last cell of a key can drop what the cells of that
+// key shared. Its map is filled once, so it is safe for concurrent use.
+type Countdown[K comparable] struct {
+	left map[K]*atomic.Int64
+}
+
+// NewCountdown counts the cells of each key.
+func NewCountdown[C any, K comparable](cells []C, key func(C) K) Countdown[K] {
+	left := make(map[K]*atomic.Int64)
+	for _, c := range cells {
+		n := left[key(c)]
+		if n == nil {
+			n = new(atomic.Int64)
+			left[key(c)] = n
+		}
+		n.Add(1)
+	}
+	return Countdown[K]{left: left}
+}
+
+// Done counts one finished cell of key k and reports whether it was the
+// last. A cell checked again after its key's last, such as a prior finding
+// re-checked on resume, is never the last.
+func (c Countdown[K]) Done(k K) bool {
+	n := c.left[k]
+	return n != nil && n.Add(-1) == 0
+}
+
+// Siblings holds the values that cells share with their siblings, the
+// other cells of one key: the first value put for a key is kept until it is
+// dropped. Its map is released once it holds nothing, so a seed whose
+// shared values were all dropped keeps no memory for them. The zero value
+// is empty and ready; safe for concurrent use.
+type Siblings[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// Get returns the value kept for k.
+func (s *Siblings[K, V]) Get(k K) (V, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[k]
+	return v, ok
+}
+
+// Put keeps v for k, unless a value is kept for k already.
+func (s *Siblings[K, V]) Put(k K, v V) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[k]; ok {
+		return
+	}
+	if s.m == nil {
+		s.m = make(map[K]V)
+	}
+	s.m[k] = v
+}
+
+// Drop forgets the value kept for k.
+func (s *Siblings[K, V]) Drop(k K) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, k)
+	if len(s.m) == 0 {
+		s.m = nil
+	}
+}
+
+// Len returns the number of values kept.
+func (s *Siblings[K, V]) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
 }

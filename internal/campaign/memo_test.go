@@ -100,3 +100,55 @@ func TestDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestCountdown pins the count that lets a key's last cell drop what its
+// cells shared: eight goroutines finishing every cell see exactly one last
+// cell per key, and a key counted out, or never counted, is never done
+// again.
+func TestCountdown(t *testing.T) {
+	keys := []int{1, 2, 1, 3, 1, 2}
+	cd := NewCountdown(keys, func(k int) int { return k })
+	var last [4]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, k := range keys {
+				if i%8 == w && cd.Done(k) {
+					last[k].Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := 1; k <= 3; k++ {
+		if n := last[k].Load(); n != 1 {
+			t.Errorf("key %d: %d last cells, want 1", k, n)
+		}
+	}
+	if cd.Done(1) || cd.Done(4) {
+		t.Error("a key counted out, or never counted, finished again")
+	}
+}
+
+// TestSiblings pins what a key's cells share: the first value put is kept
+// and later ones are not, a dropped key is forgotten, and the map is
+// released once nothing is kept.
+func TestSiblings(t *testing.T) {
+	var s Siblings[int, string]
+	s.Put(1, "a")
+	s.Put(1, "b")
+	s.Put(2, "c")
+	if v, ok := s.Get(1); !ok || v != "a" || s.Len() != 2 {
+		t.Fatalf("Get(1) = %q, %v with %d kept, want the first put of 2", v, ok, s.Len())
+	}
+	s.Drop(1)
+	if _, ok := s.Get(1); ok || s.Len() != 1 {
+		t.Fatalf("a dropped key is still kept (%d kept)", s.Len())
+	}
+	s.Drop(2)
+	if s.m != nil {
+		t.Fatal("the map outlived its last value")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"authpoint/internal/analysis"
 	"authpoint/internal/asm"
 	"authpoint/internal/attack"
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
@@ -151,17 +152,27 @@ func Catalog() ([]KernelCase, error) {
 	return out, nil
 }
 
-// CheckKernel runs the two-run contract check on one kernel case: image A is
+// KernelCheck is one kernel case prepared once for two-run checks under any
+// policy: its contract derived and its two images patched. Checks of it
+// under policies that differ only in their pointer-auth mode share runs
+// whose auths all matched. Safe for concurrent use.
+type KernelCheck struct {
+	kc       KernelCase
+	pp       *prepared
+	siblings campaign.Siblings[viewKey, *views]
+}
+
+// PrepareKernel prepares the two-run check of one kernel case: image A is
 // the kernel's own secret word, image B is that word with the case's mask
 // XORed in.
-func CheckKernel(kc KernelCase, opt Options) (Result, error) {
-	c, err := Derive(kc.Prog, opt.Policy, kc.Analysis)
+func PrepareKernel(kc KernelCase) (*KernelCheck, error) {
+	c, err := derive(kc.Prog, kc.Analysis)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	target, ok := patchableRange(kc.Prog, c.SecretRanges)
 	if !ok {
-		return Result{}, fmt.Errorf("contract: kernel %s has no secret range in its data segment", kc.Name)
+		return nil, fmt.Errorf("contract: kernel %s has no secret range in its data segment", kc.Name)
 	}
 	n := target.End - target.Start
 	if n > 8 {
@@ -174,15 +185,18 @@ func CheckKernel(kc KernelCase, opt Options) (Result, error) {
 	v := binary.LittleEndian.Uint64(word[:]) ^ kc.Mask
 	binary.LittleEndian.PutUint64(word[:], v)
 	b := append([]byte(nil), word[:n]...)
+	return &KernelCheck{kc: kc, pp: withImages(kc.Prog, c, Options{SecretA: a, SecretB: b})}, nil
+}
 
-	opt.Analysis = kc.Analysis
-	opt.Regions = kc.Regions
-	opt.SecretA, opt.SecretB = a, b
-	if kc.ObserveWatchdog {
+// Check runs the prepared kernel's two-run check under opt's policy, with
+// the case's regions and observation window.
+func (k *KernelCheck) Check(opt Options) Result {
+	opt.Regions = k.kc.Regions
+	if k.kc.ObserveWatchdog {
 		opt.ObserveWatchdog = true
 		if opt.WatchdogCycles == 0 {
 			opt.WatchdogCycles = observeCycles
 		}
 	}
-	return Check(kc.Prog, opt), nil
+	return k.pp.check(opt, &k.siblings)
 }

@@ -97,10 +97,11 @@ func TestLeakCorpusUpToDate(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: kernel %q has no exported source", e.file, e.kernel)
 		}
-		res, err := CheckKernel(kc, Options{Policy: e.pol})
+		k, err := PrepareKernel(kc)
 		if err != nil {
 			t.Fatalf("%s: %v", e.file, err)
 		}
+		res := k.Check(Options{Policy: e.pol})
 		if res.Verdict != e.verdict {
 			t.Fatalf("%s: verdict %s, expected %s — machine drifted; review before re-recording", e.file, res.Verdict, e.verdict)
 		}

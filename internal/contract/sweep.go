@@ -6,6 +6,7 @@ import (
 
 	"authpoint/internal/campaign"
 	"authpoint/internal/diffcheck"
+	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
@@ -58,25 +59,43 @@ func IsFinding(v Verdict) bool { return v == VerdictUnsound || v == VerdictError
 // and digests each seed's program once and prepares its check at most once,
 // for the first of its cells the result cache does not serve: assembles it,
 // derives its contract, draws its secret images and patches its two data
-// images.
+// images. Its entry also holds the views of the seed's clean checks, which
+// their pointer-auth siblings take without simulating until the last cell
+// of their view key drops them.
 func Campaign(opt Options, cells []Cell, so *campaign.SweepObs) campaign.Checker[Cell, Result] {
 	collect := so != nil && so.CollectMetrics
+	// options are the options a cell is checked with, its snapshots going
+	// to sink when the campaign collects metrics.
+	options := func(c Cell, sink func(*obs.Snapshot)) Options {
+		o := opt
+		o.Policy, o.Seed = c.Policy, c.Seed
+		if collect {
+			o.MetricsSink = sink
+		}
+		return o
+	}
 	sources := campaign.NewMemo[int64, source](campaign.Distinct(cells, func(c Cell) int64 { return c.Seed }))
+	if testHookSources != nil {
+		testHookSources(sources)
+	}
+	// The key reads only whether a sink is set, not which.
+	left := campaign.NewCountdown(cells, func(c Cell) seedView {
+		return seedView{c.Seed, options(c, func(*obs.Snapshot) {}).viewKey()}
+	})
 	return campaign.Checker[Cell, Result]{
 		Cell: func(c Cell) telemetry.Record {
 			return telemetry.Record{Kind: "verify", Policy: c.Policy.String(), Seed: c.Seed}
 		},
 		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
-			o := opt
-			o.Policy, o.Seed = c.Policy, c.Seed
-			if collect {
-				o.MetricsSink = rec.AddMetrics
-			}
+			o := options(c, rec.AddMetrics)
 			start := time.Now()
 			// The preparation reads o's policy-free options only, so the
 			// cell that builds the entry may prepare it for every policy.
 			src := sources.Get(c.Seed, func() source { return newSource(diffcheck.GenSecretProgram(c.Seed), o) })
 			res := checkSource(src, o)
+			if key := o.viewKey(); left.Done(seedView{c.Seed, key}) {
+				src.siblings.Drop(key)
+			}
 			rec.HostNs = time.Since(start).Nanoseconds()
 			// Both runs' cycles: the cell's total simulated work.
 			rec.Verdict, rec.SimCycles, rec.Cached = string(res.Verdict), res.CyclesA+res.CyclesB, res.Cached
@@ -84,6 +103,17 @@ func Campaign(opt Options, cells []Cell, so *campaign.SweepObs) campaign.Checker
 		},
 		Finding: func(v string) bool { return IsFinding(Verdict(v)) },
 	}
+}
+
+// testHookSources, when set, receives each campaign's seed memo: tests read
+// through it what the memo's entries hold once a campaign is done.
+var testHookSources func(*campaign.Memo[int64, source])
+
+// seedView is a view key of one seed: the cells of a campaign that share
+// one pair of views.
+type seedView struct {
+	seed int64
+	key  viewKey
 }
 
 // SweepObserved checks every cell on the campaign engine (parallelism <= 0

@@ -82,7 +82,9 @@ type Options struct {
 	// sets it per cell, so the cell's record carries both runs merged. The
 	// hub reads no bus event, so the adversary collector keeps the bus
 	// observer slot and the recorded view is unchanged. Cache hits produce
-	// no snapshot: nothing was simulated.
+	// no snapshot: nothing was simulated. A check that takes a pointer-auth
+	// sibling's runs receives copies of the sibling's two snapshots, which
+	// its own runs would have equalled. The sink owns what it receives.
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: CheckProgram consults it
 	// before simulating and records fresh results into it, keyed on
@@ -164,19 +166,21 @@ func CheckProgram(src string, opt Options) Result {
 	return checkSource(newSource(src, opt), opt)
 }
 
-// source is a source text as the checks of it share it: its digest, and
-// its prepared check, prepared by the first call of load. A check calls
-// load only when the result cache does not serve it, so a warm-cache check
-// never assembles or derives.
+// source is a source text as the checks of it share it: its digest, its
+// prepared check, prepared by the first call of load, and the views its
+// checks leave for their pointer-auth siblings. A check
+// calls load only when the result cache does not serve it, so a warm-cache
+// check never assembles or derives.
 type source struct {
-	digest string
-	load   func() *prepared
+	digest   string
+	load     func() *prepared
+	siblings *campaign.Siblings[viewKey, *views]
 }
 
 // newSource digests src and defers its preparation under opt's
 // policy-free options to the first load.
 func newSource(src string, opt Options) source {
-	return source{digest: campaign.Digest([]byte(src)), load: sync.OnceValue(func() *prepared {
+	return source{digest: campaign.Digest([]byte(src)), siblings: new(campaign.Siblings[viewKey, *views]), load: sync.OnceValue(func() *prepared {
 		return prepareSource(src, opt)
 	})}
 }
@@ -195,7 +199,7 @@ func checkSource(s source, opt Options) Result {
 			return cached
 		}
 	}
-	res := s.load().check(opt)
+	res := s.load().check(opt, s.siblings)
 	if keyed && res.Verdict != "" {
 		_ = opt.Cache.Put(key, res) // sticky error surfaced via Store.Err
 	}
@@ -234,7 +238,7 @@ func cacheKey(digest string, opt Options) (campaign.Key, bool) {
 // twice on secret-differing data images, and classifies the observable
 // difference against the contract (see Verdicts).
 func Check(prog *asm.Program, opt Options) Result {
-	return prepare(prog, opt).check(opt)
+	return prepare(prog, opt).check(opt, new(campaign.Siblings[viewKey, *views]))
 }
 
 // prepared is the policy-free half of a two-run check of one program: its
@@ -247,6 +251,35 @@ type prepared struct {
 	a, b         []byte
 	progA, progB *asm.Program
 	fail         string // the Diff of an error verdict, "" when the check can run
+}
+
+// viewKey is every input of a prepared check's two runs except the
+// pointer-auth mode: the policy's gate set (policy.ControlPoint.Gates),
+// which decides the machine and whether the view hides addresses, the
+// extra regions, the watchdog and its reading, and whether a metrics sink
+// wants the runs' snapshots.
+type viewKey struct {
+	gates    policy.ControlPoint
+	regions  string
+	watchdog uint64
+	observe  bool
+	metrics  bool
+}
+
+// viewKey is the view key of a check with o.
+func (o Options) viewKey() viewKey {
+	return viewKey{gates: o.Policy.Gates(), regions: fmt.Sprint(o.Regions), watchdog: o.WatchdogCycles,
+		observe: o.ObserveWatchdog, metrics: o.MetricsSink != nil}
+}
+
+// views are the two runs of a check that executed no auth whose tag
+// mismatched. The mode is read only on a mismatch, so every check of the
+// prepared program with the same viewKey would have seen the same views:
+// it takes them, and fresh copies of snaps, runs A's and B's snapshots as
+// they were before the witness's own sink saw them (none without a sink).
+type views struct {
+	a, b  View
+	snaps []*obs.Snapshot
 }
 
 // prepareSource assembles src and prepares its check.
@@ -264,6 +297,12 @@ func prepare(prog *asm.Program, opt Options) *prepared {
 	if err != nil {
 		return &prepared{fail: "derive: " + err.Error()}
 	}
+	return withImages(prog, c, opt)
+}
+
+// withImages prepares the check of prog, whose policy-free contract is c,
+// with opt's secret images, or the seed's pair when it has none.
+func withImages(prog *asm.Program, c *Contract, opt Options) *prepared {
 	pp := &prepared{contract: c}
 
 	// The varied bytes must live inside the loaded data image, or the two
@@ -293,9 +332,10 @@ func prepare(prog *asm.Program, opt Options) *prepared {
 	return pp
 }
 
-// check runs the two views under opt's policy and classifies them against
-// the contract stamped for that policy.
-func (pp *prepared) check(opt Options) Result {
+// check runs the two views under opt's policy, or takes them from a
+// pointer-auth sibling's clean runs in siblings, and classifies them
+// against the contract stamped for that policy.
+func (pp *prepared) check(opt Options, siblings *campaign.Siblings[viewKey, *views]) Result {
 	res := Result{Seed: opt.Seed, Policy: opt.Policy.Normalize()}
 	if pp.contract != nil {
 		res.Contract = pp.contract.stamped(opt.Policy)
@@ -309,23 +349,10 @@ func (pp *prepared) check(opt Options) Result {
 	res.SecretA = append([]byte(nil), pp.a...)
 	res.SecretB = append([]byte(nil), pp.b...)
 
-	cfg := sim.DefaultConfig()
-	cfg.Policy = opt.Policy
-	if opt.WatchdogCycles > 0 {
-		cfg.WatchdogCycles = opt.WatchdogCycles
-	}
-	obfuscated := res.Policy.Obfuscate
-
-	viewA, err := runView(pp.progA, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
-	if err != nil {
+	viewA, viewB, fail := pp.runs(opt, siblings)
+	if fail != "" {
 		res.Verdict = VerdictError
-		res.Diff = "run A: " + err.Error()
-		return res
-	}
-	viewB, err := runView(pp.progB, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, opt.MetricsSink)
-	if err != nil {
-		res.Verdict = VerdictError
-		res.Diff = "run B: " + err.Error()
+		res.Diff = fail
 		return res
 	}
 	res.CyclesA, res.CyclesB = viewA.Cycles, viewB.Cycles
@@ -350,6 +377,43 @@ func (pp *prepared) check(opt Options) Result {
 	return res
 }
 
+// runs returns the views of runs A and B under opt, or why a run failed. A
+// pointer-auth sibling's clean runs in siblings serve them without
+// simulating; runs that are clean themselves are left there for the
+// siblings.
+func (pp *prepared) runs(opt Options, siblings *campaign.Siblings[viewKey, *views]) (a, b View, fail string) {
+	key := opt.viewKey()
+	if v, ok := siblings.Get(key); ok {
+		for _, s := range v.snaps {
+			opt.MetricsSink(s.Clone())
+		}
+		return v.a, v.b, ""
+	}
+	var snaps []*obs.Snapshot
+	sink := opt.MetricsSink
+	if sink != nil {
+		sink = func(s *obs.Snapshot) { snaps = append(snaps, s.Clone()); opt.MetricsSink(s) }
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Policy = opt.Policy
+	if opt.WatchdogCycles > 0 {
+		cfg.WatchdogCycles = opt.WatchdogCycles
+	}
+	obfuscated := key.gates.Obfuscate
+	a, cleanA, err := runView(pp.progA, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, sink)
+	if err != nil {
+		return View{}, View{}, "run A: " + err.Error()
+	}
+	b, cleanB, err := runView(pp.progB, cfg, opt.Regions, obfuscated, opt.ObserveWatchdog, sink)
+	if err != nil {
+		return View{}, View{}, "run B: " + err.Error()
+	}
+	if cleanA && cleanB {
+		siblings.Put(key, &views{a: a, b: b, snaps: snaps})
+	}
+	return a, b, ""
+}
+
 // patchableRange returns the first secret range that lies fully inside the
 // program's data segment.
 func patchableRange(p *asm.Program, ranges []analysis.Range) (analysis.Range, bool) {
@@ -372,13 +436,21 @@ func patched(p *asm.Program, r analysis.Range, img []byte) *asm.Program {
 	return &q
 }
 
+// testHookRun, when set, is called once per timed machine a check builds:
+// tests count with it the runs that pointer-auth siblings share.
+var testHookRun func()
+
 // runView executes the program once and returns the adversary's view of the
-// run. Watchdog and model-error stops are check failures, not observations —
-// unless observeWatchdog turns the watchdog into the observation horizon.
-func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, observeWatchdog bool, metricsSink func(*obs.Snapshot)) (View, error) {
+// run, and whether the run executed no auth whose tag mismatched. Watchdog
+// and model-error stops are check failures, not observations — unless
+// observeWatchdog turns the watchdog into the observation horizon.
+func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, observeWatchdog bool, metricsSink func(*obs.Snapshot)) (View, bool, error) {
+	if testHookRun != nil {
+		testHookRun()
+	}
 	m, err := sim.NewMachineWithRegions(cfg, p, regions)
 	if err != nil {
-		return View{}, err
+		return View{}, false, err
 	}
 	// The view holds only values copied out of the machine, so a later run
 	// may rebuild it.
@@ -398,7 +470,7 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 		metricsSink(m.Metrics(hub, nil))
 	}
 	if runErr != nil && !(observeWatchdog && simRes.Reason == sim.StopWatchdog) {
-		return View{}, runErr
+		return View{}, false, runErr
 	}
 	v := View{Cycles: simRes.Cycles, Reason: simRes.Reason.String()}
 	stop := sim.StopCycle(simRes)
@@ -412,7 +484,7 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 		}
 		v.Events = append(v.Events, ev)
 	}
-	return v, nil
+	return v, simRes.Core.AuthMismatches == 0, nil
 }
 
 // DiffViews compares two adversary views and returns the channels on which

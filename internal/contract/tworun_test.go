@@ -39,12 +39,14 @@ func TestKernelLeaksLicensed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kc := range cases {
+		// One preparation serves every policy of the case, as in authverify.
+		k, err := PrepareKernel(kc)
+		if err != nil {
+			t.Errorf("%s: %v", kc.Name, err)
+			continue
+		}
 		for _, pt := range kernelPolicies(kc) {
-			res, err := CheckKernel(kc, Options{Policy: pt})
-			if err != nil {
-				t.Errorf("%s under %v: %v", kc.Name, pt, err)
-				continue
-			}
+			res := k.Check(Options{Policy: pt})
 			if res.Verdict == VerdictUnsound || res.Verdict == VerdictError {
 				t.Errorf("%s under %v: verdict %s (%s)", kc.Name, pt, res.Verdict, res.Diff)
 				continue

@@ -34,7 +34,8 @@ import (
 type Mode uint8
 
 const (
-	// ModeOff: auth never fails; it strips like an unchecked cast.
+	// ModeOff: auth never fails; it strips like an unchecked cast (the tag
+	// is still compared, and a mismatch reported).
 	ModeOff Mode = iota
 	// ModePoison: a failed auth yields a poisoned pointer; the fault
 	// surfaces at the next translation (fault-at-use).
@@ -119,22 +120,29 @@ func (s Suite) Sign(ptr, mod uint64, keyB bool) uint64 {
 	return ptr&AddrMask | uint64(s.Tag(ptr, mod, keyB))<<TagShift
 }
 
-// Auth checks ptr's tag against (address, modifier, key). On success it
-// returns the clean address and true. On failure the result depends on mode:
-// ModeOff strips (ok=true), ModePoison returns the poisoned word (ok=true —
-// no architectural event at the auth itself), ModeFaultAuth returns the
-// stripped address with ok=false, directing the caller to fault. The
-// stripped value is still returned in that case because an OoO core
-// broadcasts it to dependents before the fault commits.
-func (s Suite) Auth(ptr, mod uint64, keyB bool, mode Mode) (uint64, bool) {
+// Auth checks ptr's tag against (address, modifier, key) under every mode,
+// and matched reports whether it matched. On a match it returns the clean
+// address and ok=true, whatever the mode. On a mismatch the result depends on
+// mode: ModeOff strips (ok=true), ModePoison returns the poisoned word
+// (ok=true — no architectural event at the auth itself), ModeFaultAuth
+// returns the stripped address with ok=false, directing the caller to fault.
+// The stripped value is still returned in that case because an OoO core
+// broadcasts it to dependents before the fault commits. This mismatch branch
+// is the only reader of the mode, so a run in which every auth matched is the
+// same run under all three modes, which is what the pipeline and the
+// interpreter count mismatches for.
+func (s Suite) Auth(ptr, mod uint64, keyB bool, mode Mode) (v uint64, ok, matched bool) {
 	addr := ptr & AddrMask
-	if mode == ModeOff || uint32(ptr>>TagShift) == s.Tag(ptr, mod, keyB) {
-		return addr, true
+	if uint32(ptr>>TagShift) == s.Tag(ptr, mod, keyB) {
+		return addr, true, true
 	}
-	if mode == ModePoison {
-		return Poison(ptr), true
+	switch mode {
+	case ModeOff:
+		return addr, true, false
+	case ModePoison:
+		return Poison(ptr), true, false
 	}
-	return addr, false
+	return addr, false, false
 }
 
 // Strip removes the tag without any check.

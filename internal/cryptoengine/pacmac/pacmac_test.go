@@ -14,9 +14,9 @@ func TestSignAuthRoundTrip(t *testing.T) {
 			if signed>>TagShift == 0 {
 				t.Fatalf("sign produced a zero tag for %#x (vanishingly unlikely; layout bug)", ptr)
 			}
-			got, ok := s.Auth(signed, mod, keyB, mode)
-			if !ok || got != ptr {
-				t.Errorf("mode %v keyB=%v: auth(sign(p)) = %#x ok=%v, want %#x", mode, keyB, got, ok, ptr)
+			got, ok, matched := s.Auth(signed, mod, keyB, mode)
+			if !ok || !matched || got != ptr {
+				t.Errorf("mode %v keyB=%v: auth(sign(p)) = %#x ok=%v matched=%v, want %#x", mode, keyB, got, ok, matched, ptr)
 			}
 		}
 	}
@@ -26,36 +26,38 @@ func TestAuthFailureByMode(t *testing.T) {
 	s := DefaultSuite()
 	forged := s.Sign(0x1_0040, 7, false) ^ 0x1000 // flip an address bit under the tag
 
-	got, ok := s.Auth(forged, 7, false, ModeOff)
-	if !ok || got != forged&AddrMask {
-		t.Errorf("off: auth = %#x ok=%v, want strip-through", got, ok)
+	// Every mode compares the tag and reports the mismatch, off included:
+	// it is how a run tells whether its mode mattered.
+	got, ok, matched := s.Auth(forged, 7, false, ModeOff)
+	if !ok || matched || got != forged&AddrMask {
+		t.Errorf("off: auth = %#x ok=%v matched=%v, want strip-through, unmatched", got, ok, matched)
 	}
 
-	got, ok = s.Auth(forged, 7, false, ModePoison)
-	if !ok || !Poisoned(got) {
-		t.Errorf("poison: auth = %#x ok=%v, want poisoned", got, ok)
+	got, ok, matched = s.Auth(forged, 7, false, ModePoison)
+	if !ok || matched || !Poisoned(got) {
+		t.Errorf("poison: auth = %#x ok=%v matched=%v, want poisoned, unmatched", got, ok, matched)
 	}
 	if got&AddrMask != forged&AddrMask {
 		t.Errorf("poison should preserve address bits: %#x", got)
 	}
 
-	got, ok = s.Auth(forged, 7, false, ModeFaultAuth)
-	if ok || got != forged&AddrMask {
-		t.Errorf("fault-auth: auth = %#x ok=%v, want stripped + !ok", got, ok)
+	got, ok, matched = s.Auth(forged, 7, false, ModeFaultAuth)
+	if ok || matched || got != forged&AddrMask {
+		t.Errorf("fault-auth: auth = %#x ok=%v matched=%v, want stripped + !ok, unmatched", got, ok, matched)
 	}
 }
 
 func TestDiscrimination(t *testing.T) {
 	s := DefaultSuite()
 	signed := s.Sign(0x1_0040, 7, false)
-	if _, ok := s.Auth(signed, 8, false, ModeFaultAuth); ok {
+	if _, ok, _ := s.Auth(signed, 8, false, ModeFaultAuth); ok {
 		t.Error("wrong modifier authenticated")
 	}
-	if _, ok := s.Auth(signed, 7, true, ModeFaultAuth); ok {
+	if _, ok, _ := s.Auth(signed, 7, true, ModeFaultAuth); ok {
 		t.Error("wrong key authenticated")
 	}
 	other := NewSuite([]byte("k1"), []byte("k2"))
-	if _, ok := other.Auth(signed, 7, false, ModeFaultAuth); ok {
+	if _, ok, _ := other.Auth(signed, 7, false, ModeFaultAuth); ok {
 		t.Error("foreign suite authenticated")
 	}
 	if s.Tag(0x1_0040, 7, false) == s.Tag(0x1_0044, 7, false) {

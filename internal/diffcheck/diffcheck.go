@@ -114,7 +114,9 @@ type Options struct {
 	// snapshot rides on the cell's record. Attaching the observer does not
 	// change the Result — the fast path is pinned cycle-identical with a
 	// hub attached — so replay files stay valid. Cache hits produce no
-	// snapshot: nothing was simulated.
+	// snapshot: nothing was simulated. A check that takes a pointer-auth
+	// sibling's outcome receives a copy of the sibling's snapshot, which
+	// its own run would have equalled. The sink owns what it receives.
 	MetricsSink func(*obs.Snapshot)
 	// Cache, if set, is the campaign result cache: Check consults it before
 	// simulating and records fresh results into it, keyed on (CheckSchema,
@@ -210,20 +212,54 @@ type program struct {
 	states *stateList
 }
 
-// source is a source text as the checks of it share it: its SHA-256, and
-// its program, assembled by the first call of load. A check calls load only
-// when the result cache does not serve it, so a warm-cache check never
-// assembles.
+// source is a source text as the checks of it share it: its SHA-256, its
+// program, assembled by the first call of load, and the outcomes its checks
+// leave for their pointer-auth siblings. A check
+// calls load only when the result cache does not serve it, so a
+// warm-cache check never assembles.
 type source struct {
-	digest [32]byte
-	load   func() program
+	digest   [32]byte
+	load     func() program
+	siblings *campaign.Siblings[siblingKey, *sibling]
+}
+
+// siblingKey is every input of a check of one program except its
+// pointer-auth mode: the policy's gate set (policy.ControlPoint.Gates),
+// which the timed machine reads and checkTamper reads through its
+// Authenticate, GateIssue and GateCommit, the tamper and its site, the
+// watchdog, and whether a metrics sink wants the timed run's snapshot.
+type siblingKey struct {
+	gates    policy.ControlPoint
+	tamper   bool
+	site     TamperSite
+	watchdog uint64
+	metrics  bool
+}
+
+// siblingKey is the sibling key of a check with o; o must already have
+// defaults applied.
+func (o Options) siblingKey() siblingKey {
+	return siblingKey{gates: o.Policy.Gates(), tamper: o.Tamper, site: o.TamperSite,
+		watchdog: o.WatchdogCycles, metrics: o.MetricsSink != nil}
+}
+
+// sibling is the outcome of a check whose timed and oracle runs executed no
+// auth whose tag mismatched. The mode is read only on a mismatch, so every
+// check with the same siblingKey would have run the same: it takes res,
+// restamped with its own policy, and a fresh copy of snap, the timed run's
+// snapshot as it was before the witness's own sink saw it (nil without a
+// sink).
+type sibling struct {
+	res  Result
+	snap *obs.Snapshot
 }
 
 // newSource digests src and defers its assembly to the first load. The
-// loaded program starts with an empty state list.
+// loaded program starts with an empty state list, and the source with no
+// siblings.
 func newSource(src string) source {
 	digest := sha256.Sum256([]byte(src))
-	return source{digest: digest, load: sync.OnceValue(func() program {
+	return source{digest: digest, siblings: new(campaign.Siblings[siblingKey, *sibling]), load: sync.OnceValue(func() program {
 		p, err := asm.Assemble(src)
 		return program{digest: digest, prog: p, err: err, states: new(stateList)}
 	})}
@@ -247,7 +283,7 @@ func Check(src string, opt Options) Result {
 func checkSource(s source, opt Options) Result {
 	opt = opt.withDefaults()
 	if opt.Cache == nil {
-		return check(s.load(), opt)
+		return check(s.load(), s.siblings, opt)
 	}
 	key := cacheKey(s.digest, opt)
 	var cached Result
@@ -255,7 +291,7 @@ func checkSource(s source, opt Options) Result {
 		cached.Cached = true
 		return cached
 	}
-	res := check(s.load(), opt)
+	res := check(s.load(), s.siblings, opt)
 	if res.Verdict != "" {
 		// Write errors are sticky on the store; campaigns surface them
 		// once at the end instead of failing cell by cell.
@@ -285,19 +321,45 @@ func cacheKey(digest [32]byte, opt Options) campaign.Key {
 }
 
 // check is the uncached differential check of pr; opt has defaults applied.
-func check(pr program, opt Options) Result {
-	res := Result{Policy: opt.Policy.Normalize(), Tamper: opt.Tamper, Site: opt.TamperSite}
+// A check that a pointer-auth sibling of it has already run cleanly takes
+// the sibling's outcome from siblings without simulating; one that runs
+// cleanly itself leaves its outcome there for its siblings.
+func check(pr program, siblings *campaign.Siblings[siblingKey, *sibling], opt Options) Result {
+	key := opt.siblingKey()
+	if sib, ok := siblings.Get(key); ok {
+		if sib.snap != nil {
+			opt.MetricsSink(sib.snap.Clone())
+		}
+		res := sib.res
+		res.Policy = opt.Policy.Normalize()
+		return res
+	}
+	var snap *obs.Snapshot
+	if sink := opt.MetricsSink; sink != nil {
+		opt.MetricsSink = func(s *obs.Snapshot) { snap = s.Clone(); sink(s) }
+	}
+	res, clean := simulate(pr, opt)
+	if clean {
+		siblings.Put(key, &sibling{res: res, snap: snap})
+	}
+	return res
+}
+
+// simulate runs the timed machine and the oracle on pr and compares them;
+// clean reports that both ran and executed no auth whose tag mismatched.
+func simulate(pr program, opt Options) (res Result, clean bool) {
+	res = Result{Policy: opt.Policy.Normalize(), Tamper: opt.Tamper, Site: opt.TamperSite}
 
 	if pr.err != nil {
 		res.Verdict = VerdictError
 		res.Divergence = "assemble: " + pr.err.Error()
-		return res
+		return res, false
 	}
 	p := pr.prog
 	if opt.Tamper && opt.TamperSite == SiteData && len(p.Data) == 0 {
 		res.Verdict = VerdictError
 		res.Divergence = "tamper site data: program has no data segment"
-		return res
+		return res, false
 	}
 
 	cfg := timedConfig(opt)
@@ -309,26 +371,22 @@ func check(pr program, opt Options) Result {
 	// match the timed machine's: auth-failure behaviour is architectural.
 	// The leg is policy-independent beyond that mode, so a memo shares it
 	// across the policies of a cross campaign.
-	mode := sim.PACMode(res.Policy)
-	var oracle *oracleState
-	if opt.Oracle != nil {
-		key := oracleKey{prog: pr.digest, mode: mode}
-		oracle = opt.Oracle.Get(key, func() *oracleState { return runOracle(p, mode, ranges, pr.states) })
-	} else {
-		oracle = runOracle(p, mode, ranges, pr.states)
-	}
+	oracle := oracleFor(pr, sim.PACMode(res.Policy), ranges, opt.Oracle)
 	if oracle.stop == interp.StopMaxInsts {
 		res.Verdict = VerdictError
 		res.Divergence = fmt.Sprintf("oracle did not terminate within %d instructions", DefaultMaxOracleInsts)
-		return res
+		return res, false
 	}
 	res.OracleDigest = hex.EncodeToString(oracle.state.digest[:])
 
+	if testHookTimedRun != nil {
+		testHookTimedRun()
+	}
 	m, err := sim.NewMachine(cfg, p)
 	if err != nil {
 		res.Verdict = VerdictError
 		res.Divergence = "machine: " + err.Error()
-		return res
+		return res, false
 	}
 	// The result holds only values copied out of the machine, so a later
 	// cell may rebuild it.
@@ -337,7 +395,7 @@ func check(pr program, opt Options) Result {
 		if d := tamper(m, opt.TamperSite); d != "" {
 			res.Verdict = VerdictError
 			res.Divergence = d
-			return res
+			return res, false
 		}
 	}
 	var hub *obs.Hub
@@ -354,29 +412,31 @@ func check(pr program, opt Options) Result {
 		opt.MetricsSink(m.Metrics(hub, nil))
 	}
 
+	clean = simRes.Core.AuthMismatches == 0 && oracle.authMisses == 0
+
 	// Every digest the timed run takes is the oracle's or a state the seed
 	// has hashed before when its end state equals one of them byte for byte.
 	live := simState(m)
 	if opt.Tamper {
 		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
-		return checkTamper(res, m, &live, simRes, oracle, ranges)
+		return checkTamper(res, m, &live, simRes, oracle, ranges), clean
 	}
 	if runErr != nil && simRes.Reason == sim.StopModelError {
 		res.Verdict = VerdictError
 		res.Divergence = "model error: " + runErr.Error()
 		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
-		return res
+		return res, clean
 	}
 	if d := compare(oracle, &live, simRes, ranges); d != "" {
 		res.Verdict = VerdictDivergence
 		res.Divergence = d
 		res.SimDigest = pr.states.digest(&live, ranges, oracle.state)
-		return res
+		return res, clean
 	}
 	// compare has matched the oracle's end state byte for byte.
 	res.SimDigest = res.OracleDigest
 	res.Verdict = VerdictOK
-	return res
+	return res, clean
 }
 
 // timedConfig is the timed machine's configuration for a check with opt.

@@ -267,21 +267,32 @@ func TestOracleMemo(t *testing.T) {
 	}
 }
 
-// TestOracleMemoModeSplit pins that the memo keys on the architectural PAC
-// mode: policies that change the oracle's pointer-authentication behaviour
-// must not share entries.
+// TestOracleMemoModeSplit pins when the memo splits on the architectural
+// PAC mode: a program whose auths all match runs its oracle once, with
+// pointer auth off, for every mode, and a program whose auth mismatches
+// also runs it under each other mode its checks ask for. Either way the
+// run with pointer auth off comes first, even for a first check that asks
+// for poison, and every check returns what an unmemoized check returns.
 func TestOracleMemoModeSplit(t *testing.T) {
-	memo := NewOracleMemo(0)
-	src := GenProgram(30)
-	if res := Check(src, Options{Policy: policy.Baseline, Oracle: memo}); res.Verdict != VerdictOK {
-		t.Fatalf("baseline: %s (%s)", res.Verdict, res.Divergence)
-	}
-	misses := memo.Misses()
-	if res := Check(src, Options{Policy: policy.ThenPAC, Oracle: memo}); res.Verdict != VerdictOK {
-		t.Fatalf("pac-poison: %s (%s)", res.Verdict, res.Divergence)
-	}
-	if memo.Misses() != misses+1 {
-		t.Fatalf("a PAC-mode change reused a non-PAC oracle run (misses %d -> %d)", misses, memo.Misses())
+	pols := []policy.ControlPoint{policy.ThenPAC, policy.ThenFPAC, policy.Baseline}
+	for _, c := range []struct {
+		name string
+		src  string
+		runs []uint64 // memo misses after each policy's check
+	}{
+		{"matching auths", GenProgram(30), []uint64{1, 1, 1}},
+		{"forged auth", pacFailSrc, []uint64{2, 3, 3}},
+	} {
+		memo := NewOracleMemo(0)
+		for i, pt := range pols {
+			got, want := Check(c.src, Options{Policy: pt, Oracle: memo}), Check(c.src, Options{Policy: pt})
+			if got != want || got.Verdict != VerdictOK {
+				t.Fatalf("%s under %v: memoized %+v, unmemoized %+v", c.name, pt, got, want)
+			}
+			if n := memo.Misses(); n != c.runs[i] {
+				t.Fatalf("%s: %d oracle runs after %v, want %d", c.name, n, pt, c.runs[i])
+			}
+		}
 	}
 }
 

@@ -44,10 +44,11 @@ func interpState(o *interp.Machine) liveState {
 	return liveState{regs: o.Regs, fregs: o.FRegs, outs: o.Outs, mem: o.Mem}
 }
 
-// Test hooks, called when set once per in-order oracle run and once per
-// end state hashed: tests count with them the work that the oracle memo
-// and the seeds' state lists save.
-var testHookOracleRun, testHookStateHash func()
+// Test hooks, called when set once per in-order oracle run, once per end
+// state hashed and once per timed machine built: tests count with them the
+// work that the oracle memo, the seeds' state lists and the sibling
+// outcomes save.
+var testHookOracleRun, testHookStateHash, testHookTimedRun func()
 
 // hashState is interp.DigestArchState of live over ranges.
 func hashState(live *liveState, ranges []interp.MemRange) [32]byte {

@@ -6,6 +6,7 @@ import (
 
 	"authpoint/internal/campaign"
 	"authpoint/internal/cryptoengine/pacmac"
+	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 	"authpoint/internal/telemetry"
@@ -90,32 +91,52 @@ type SweepObs = campaign.SweepObs
 // record. A seed memo, sized to the cells' seeds, generates and digests each
 // seed's program once and assembles it at most once, for the first of its
 // cells the result cache does not serve; its entry also holds the end states
-// the seed's checks have hashed. When the cells repeat oracle keys (seed and
-// pac-mode) and opt has no oracle memo, Campaign attaches one sized to those
-// keys, so the policy-independent oracle leg runs once per seed and pac-mode
-// in any cell order.
+// the seed's checks have hashed, and the outcomes of its clean checks, which
+// their pointer-auth siblings take without simulating until the last cell
+// of their sibling key drops them. When the cells repeat a seed and opt has
+// no oracle memo, Campaign attaches one with room for every seed's
+// pac-mode-off run and every seed and pac-mode of its cells, so the
+// policy-independent oracle leg runs once per seed, and once more per other
+// mode of a seed whose auths mismatch, in any cell order.
 func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Result] {
 	collect := so != nil && so.CollectMetrics
-	sources := campaign.NewMemo[int64, source](campaign.Distinct(cells, func(c Cell) int64 { return c.Seed }))
-	oracleKeys := campaign.Distinct(cells, func(c Cell) seedMode {
-		return seedMode{c.Seed, sim.PACMode(c.Policy.Normalize())}
-	})
-	if oracleKeys < len(cells) && opt.Oracle == nil {
-		opt.Oracle = NewOracleMemo(oracleKeys)
+	// options are the options a cell is checked with, its snapshot going to
+	// sink when the campaign collects metrics.
+	options := func(c Cell, sink func(*obs.Snapshot)) Options {
+		o := opt
+		o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, c.Site
+		if collect {
+			o.MetricsSink = sink
+		}
+		return o.withDefaults()
 	}
+	seeds := campaign.Distinct(cells, func(c Cell) int64 { return c.Seed })
+	sources := campaign.NewMemo[int64, source](seeds)
+	if testHookSources != nil {
+		testHookSources(sources)
+	}
+	if seeds < len(cells) && opt.Oracle == nil {
+		opt.Oracle = NewOracleMemo(seeds + campaign.Distinct(cells, func(c Cell) seedMode {
+			return seedMode{c.Seed, sim.PACMode(c.Policy.Normalize())}
+		}))
+	}
+	// The key reads only whether a sink is set, not which.
+	left := campaign.NewCountdown(cells, func(c Cell) seedSibling {
+		return seedSibling{c.Seed, options(c, func(*obs.Snapshot) {}).siblingKey()}
+	})
 	return campaign.Checker[Cell, Result]{
 		Cell: func(c Cell) telemetry.Record {
 			return telemetry.Record{Kind: "fuzz", Policy: c.Policy.String(), Seed: c.Seed,
 				Tamper: c.Tamper, Site: string(c.EffectiveSite())}
 		},
 		Check: func(_ int, c Cell, rec *telemetry.Record) (Result, error) {
-			o := opt
-			o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, c.Site
-			if collect {
-				o.MetricsSink = rec.AddMetrics
-			}
+			o := options(c, rec.AddMetrics)
 			start := time.Now()
-			res := checkSource(sources.Get(c.Seed, func() source { return newSource(GenProgram(c.Seed)) }), o)
+			src := sources.Get(c.Seed, func() source { return newSource(GenProgram(c.Seed)) })
+			res := checkSource(src, o)
+			if key := o.siblingKey(); left.Done(seedSibling{c.Seed, key}) {
+				src.siblings.Drop(key)
+			}
 			res.Seed = c.Seed
 			rec.HostNs = time.Since(start).Nanoseconds()
 			rec.Verdict, rec.SimCycles, rec.Insts, rec.Cached = string(res.Verdict), res.Cycles, res.Insts, res.Cached
@@ -125,8 +146,19 @@ func Campaign(opt Options, cells []Cell, so *SweepObs) campaign.Checker[Cell, Re
 	}
 }
 
-// seedMode is what decides a cell's oracle run: its seed, and the
-// pointer-auth mode of its policy.
+// testHookSources, when set, receives each campaign's seed memo: tests read
+// through it what the memo's entries hold once a campaign is done.
+var testHookSources func(*campaign.Memo[int64, source])
+
+// seedSibling is a sibling key of one seed: the cells of a campaign that
+// share one outcome.
+type seedSibling struct {
+	seed int64
+	key  siblingKey
+}
+
+// seedMode is a cell's seed and the pointer-auth mode of its policy: what
+// decides the oracle run the cell needs when its seed's auths mismatch.
 type seedMode struct {
 	seed int64
 	mode pacmac.Mode

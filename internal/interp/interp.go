@@ -65,6 +65,10 @@ type Machine struct {
 	// authentication instructions; the zero value (off) matches the
 	// unprotected machine. Sign/strip are mode-independent.
 	PACMode pacmac.Mode
+	// AuthMismatches counts executed auths whose tag did not match. Only
+	// those read PACMode, so a run that counts zero ends the same under
+	// every mode.
+	AuthMismatches uint64
 
 	pacs      pacmac.Suite
 	halted    bool
@@ -218,7 +222,10 @@ func (m *Machine) Step() {
 		case inst.Op.IsPACSign():
 			writeInt(inst.Rd, m.pacs.Sign(m.Regs[inst.Rs1], m.Regs[inst.Rs2], inst.Op.PACUsesKeyB()))
 		default: // auth
-			v, ok := m.pacs.Auth(m.Regs[inst.Rs1], m.Regs[inst.Rs2], inst.Op.PACUsesKeyB(), m.PACMode)
+			v, ok, matched := m.pacs.Auth(m.Regs[inst.Rs1], m.Regs[inst.Rs2], inst.Op.PACUsesKeyB(), m.PACMode)
+			if !matched {
+				m.AuthMismatches++
+			}
 			if !ok {
 				m.setFault("pac-auth", m.PC)
 				return

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -171,6 +173,20 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 		s.Histograms[k] = cur
 	}
 	return nil
+}
+
+// Clone returns a deep copy of s: merging into either never reaches the
+// other.
+func (s *Snapshot) Clone() *Snapshot {
+	c := &Snapshot{Counters: maps.Clone(s.Counters)}
+	if s.Histograms != nil {
+		c.Histograms = make(map[string]HistSnapshot, len(s.Histograms))
+		for k, h := range s.Histograms {
+			h.Bounds, h.Counts = slices.Clone(h.Bounds), slices.Clone(h.Counts)
+			c.Histograms[k] = h
+		}
+	}
+	return c
 }
 
 // SortedCounterNames returns counter names in lexical order (stable

@@ -69,6 +69,28 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
+// TestSnapshotClone pins that a clone equals its source and shares none of
+// its maps or buckets: merging into the clone, as a ledger record does with
+// a cell's second run, leaves the source as it was.
+func TestSnapshotClone(t *testing.T) {
+	h := NewHistogram("h", []uint64{1, 2})
+	h.Observe(2)
+	src := &Snapshot{Counters: map[string]uint64{"a": 4}, Histograms: map[string]HistSnapshot{"h": h.snapshot()}}
+	c := src.Clone()
+	if !reflect.DeepEqual(c, src) {
+		t.Fatalf("clone %+v, source %+v", c, src)
+	}
+	if err := c.Merge(c.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if src.Counters["a"] != 4 || src.Histograms["h"].Count != 1 || src.Histograms["h"].Counts[1] != 1 {
+		t.Fatalf("merging into the clone reached the source: %+v", src)
+	}
+	if empty := (&Snapshot{}).Clone(); empty.Counters != nil || empty.Histograms != nil {
+		t.Fatalf("clone of an empty snapshot %+v", empty)
+	}
+}
+
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {

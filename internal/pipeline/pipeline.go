@@ -60,7 +60,10 @@ type Config struct {
 
 	// PACMode selects the pointer-authentication auth-failure behaviour
 	// (policy dimensions pac/fpac). The zero value (off) makes auth behave
-	// as strip — the pre-PAC machine, bit- and cycle-identical.
+	// as strip — the pre-PAC machine, bit- and cycle-identical. Only the
+	// mismatch branch of pacmac.Suite.Auth reads it, and the core counts
+	// those mismatches (Stats.AuthMismatches), so a run that counts none
+	// would have run the same under any mode.
 	PACMode pacmac.Mode
 
 	// PACLat is the keyed MAC unit's latency for sign/auth (strip is a
@@ -198,6 +201,12 @@ type Stats struct {
 	CommitAuthStall uint64 // authen-then-commit head waiting for verification
 	IssueAuthStall  uint64 // authen-then-issue holding an operand-ready entry
 	SBFullStall     uint64 // store buffer full at commit
+
+	// AuthMismatches counts executed pointer auths whose tag did not match,
+	// committed or squashed. PACMode is read only when one mismatches, so a
+	// run that counts zero is cycle- and bit-identical under every mode.
+	// sim.Machine.Counts does not print it.
+	AuthMismatches uint64
 }
 
 // Core is the out-of-order processor core.

@@ -572,8 +572,11 @@ func (c *Core) execute(idx int, e *entry) {
 			e.result = c.pacs.Sign(e.srcVal[0], e.srcVal[1], op.PACUsesKeyB())
 			lat = c.cfg.PACLat
 		default: // auth
-			v, ok := c.pacs.Auth(e.srcVal[0], e.srcVal[1], op.PACUsesKeyB(), c.cfg.PACMode)
+			v, ok, matched := c.pacs.Auth(e.srcVal[0], e.srcVal[1], op.PACUsesKeyB(), c.cfg.PACMode)
 			e.result = v
+			if !matched {
+				c.stats.AuthMismatches++
+			}
 			if !ok {
 				// FPAC: architectural fault at the auth point, taken at
 				// commit — but the stripped pointer is still broadcast to

@@ -119,6 +119,17 @@ func (p ControlPoint) Normalize() ControlPoint {
 	return p
 }
 
+// Gates returns the point's memory-integrity gate set: the point
+// normalized, with its pointer-authentication dimensions cleared. A PAC
+// point keeps the Authenticate that Normalize gave it, so authen-then-pac
+// and authen-then-fpac share authen-only's gate set, not the baseline's.
+// Points with one gate set differ only in what a failing pointer auth does.
+func (p ControlPoint) Gates() ControlPoint {
+	p = p.Normalize()
+	p.PAC, p.PACFault = false, false
+	return p
+}
+
 // IsBaseline reports whether the point is the decrypt-only baseline.
 func (p ControlPoint) IsBaseline() bool { return p.Normalize() == Baseline }
 

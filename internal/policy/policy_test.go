@@ -223,6 +223,33 @@ func TestPACNormalizeAndSubsume(t *testing.T) {
 	}
 }
 
+// TestGates pins the gate-set classes campaigns share outcomes in: the ci
+// lattice's 27 points fall into 16 gate sets, each PAC point in the class
+// of the point it composes with, and both lone PAC points in authen-only's,
+// never the baseline's.
+func TestGates(t *testing.T) {
+	for _, c := range []struct{ p, want ControlPoint }{
+		{Baseline, Baseline},
+		{AuthOnly, AuthOnly},
+		{ThenPAC, AuthOnly},
+		{ThenFPAC, AuthOnly},
+		{ControlPoint{PACFault: true}, AuthOnly},
+		{Compose(ThenCommit, ThenPAC), ThenCommit},
+		{Compose(CommitPlusObfuscation, ThenFPAC), CommitPlusObfuscation},
+	} {
+		if got := c.p.Gates(); got != c.want {
+			t.Errorf("%v.Gates() = %v, want %v", c.p, got, c.want)
+		}
+	}
+	classes := map[ControlPoint]bool{}
+	for _, p := range Lattice() {
+		classes[p.Gates()] = true
+	}
+	if len(classes) != 16 {
+		t.Errorf("the lattice spans %d gate sets, want 16", len(classes))
+	}
+}
+
 func TestParseSetPAC(t *testing.T) {
 	pts, err := ParseSet("pac")
 	if err != nil {
